@@ -22,6 +22,7 @@ from .lifts import (
     Lift,
     LiftCensus,
     count_deformations,
+    count_deformations_by_orbits,
     count_ring_morphisms,
     enumerate_lifts,
     fingerprint,
@@ -69,7 +70,8 @@ __all__ = [
     "Presentation", "Quiver", "SequenceReport", "StringError", "StringWord",
     "SweepReport", "SweepRow", "UDRDescriptor", "brute_force_ext",
     "build_sequence", "catalog_presentation", "classify_trivial_end",
-    "connecting_letters", "count_deformations", "count_ring_morphisms",
+    "connecting_letters", "count_deformations",
+    "count_deformations_by_orbits", "count_ring_morphisms",
     "direct_sum", "end_is_trivial", "enumerate_lifts", "enumerate_strings",
     "ext1_dim", "fingerprint", "hom_dim", "make_string",
     "modules_isomorphic", "paper_agreement", "parse_presentation",

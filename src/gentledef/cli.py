@@ -22,6 +22,7 @@ from .homext import (
     hom_dim,
 )
 from .lifts import fingerprint
+from .linalg import is_prime
 from .presentation import (
     DSLError,
     Presentation,
@@ -45,7 +46,7 @@ class RunConfig:
     fmt: str = "json"
 
     def __post_init__(self):
-        if self.q < 2 or any(self.q % d == 0 for d in range(2, self.q)):
+        if not is_prime(self.q):
             raise ValueError("q must be prime")
         if self.n_max < 2:
             raise ValueError("n-max must be at least 2")
@@ -274,7 +275,8 @@ def _add_common_flags(sp, max_len=False, n_max=False, budget=False) -> None:
                         help="deepest census level")
     if budget:
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="enumeration size cap")
+                        help="size cap on enumerations and on the census "
+                             "tree's held entries")
     sp.add_argument("--format", choices=("json", "md"), default="json")
     sp.add_argument("--output", metavar="FILE",
                     help="write the report here instead of stdout")

@@ -2,11 +2,11 @@
 
 A lift replaces each arrow matrix by a polynomial in t whose constant
 term is the original matrix, subject to the relations holding over the
-truncated polynomial ring.  Lifts are enumerated level by level: the
-t^k coefficients satisfy an affine system whose homogeneous part is
-independent of k, so each consistent branch fans out by the same
-nullspace.  Deformations are orbits under conjugation by invertible
-vertex maps congruent to the identity mod t.
+truncated polynomial ring.  The t^k coefficients satisfy an affine
+system whose homogeneous part is independent of k.  Deformations are
+lifts up to conjugation by invertible vertex maps congruent to the
+identity mod t; they are counted by one walk down the obstruction tree,
+and, as an independent oracle, by partitioning every enumerated lift.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .homext import DEFAULT_BUDGET, BudgetExceededError, end_is_trivial
-from .linalg import LinearSystem, Presolved, nullspace, rank, rref
+from .linalg import LinearSystem, Presolved, is_prime, nullspace, rank, rref
 from .presentation import Presentation
 from .strings import FinModule
 
@@ -33,7 +33,7 @@ class CoeffRing:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.q < 2 or any(self.q % d == 0 for d in range(2, self.q)):
+        if not is_prime(self.q):
             raise ValueError("q must be prime")
 
     def label(self) -> str:
@@ -268,7 +268,7 @@ class _Orbits:
         self._partition()
 
     def _key_of_row(self, row: np.ndarray) -> bytes:
-        return row[1:].astype(np.int8).tobytes()
+        return row[1:].tobytes()
 
     def _find(self, x: int) -> int:
         root = x
@@ -362,8 +362,11 @@ def _coboundary_rows(V: FinModule) -> np.ndarray:
     return np.stack(rows)
 
 
-def _tangent_line_reps(V: FinModule, M: np.ndarray) -> np.ndarray:
-    """One level-one coefficient per conjugation coset, as flat rows."""
+def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
+    """One level-one coefficient per conjugation coset, as flat rows.
+
+    Raises before building the q^tangent rows if they exceed the budget.
+    """
     q = V.q
     Z = nullspace(M, q)
     B = _coboundary_rows(V)
@@ -377,93 +380,83 @@ def _tangent_line_reps(V: FinModule, M: np.ndarray) -> np.ndarray:
         raise AssertionError("coboundary coordinates unsolvable")
     _, pivots = rref(coords.T, q)
     free = [j for j in range(z) if j not in pivots]
+    if q ** len(free) > budget:
+        raise BudgetExceededError(
+            f"{q}^{len(free)} tangent cosets exceed budget {budget}")
     combos = _mixed_radix(q ** len(free), len(free), q)
     return combos @ Z[free] % q if free else \
         np.zeros((1, Z.shape[1]), dtype=np.int64)
 
 
-def _census_level2_linear(V: FinModule) -> int:
-    """Class count over the dual numbers without enumeration.
+def _tree_census(V: FinModule, n_max: int,
+                 budget: int) -> tuple[list[int], dict[int, bool]]:
+    """Class counts for n = 1..n_max by walking the obstruction tree.
 
-    Every level-one coefficient in the cocycle space is a lift, and two
-    are conjugate iff they differ by a conjugation direction, so the
-    count is the number of cosets.
+    Requires End(V) = k, so the classes over F_q[t]/(t^(n+1)) above one
+    class over F_q[t]/(t^n) are none or a torsor under Ext^1(V, V).  The
+    walk keeps one representative per class, solves its next level, and
+    fans each solvable one out by the tangent coset representatives.
+    Returns the counts and, for n >= 2, whether every class at level
+    n - 1 lifts.  The parent and child levels held at once may have at
+    most `budget` entries, so they take at most 8 * budget bytes.
     """
-    q = V.q
-    M, _ = _level_system(V)
-    z = nullspace(M, q).shape[0]
-    b = rank(_coboundary_rows(V), q)
-    return q ** (z - b)
-
-
-def _census_level3_linear(V: FinModule, budget: int) -> int:
-    """Class count over F_q[t]/(t^3) without enumerating every lift.
-
-    Requires End(V) = k.  Level-one coefficients split into conjugation
-    cosets; a coset contributes iff its level-two system is consistent,
-    and then contributes q^(cocycle dim - coboundary rank) classes.
-    """
+    if not end_is_trivial(V):
+        raise ValueError("deformation counts require End(V) = k")
     q = V.q
     layout, width = _arrow_layout(V)
     M, eq_layout = _level_system(V)
-    Z = nullspace(M, q)
-    B = _coboundary_rows(V)
-    b = rank(B, q)
-    reps = _tangent_line_reps(V, M)
-    if reps.shape[0] * max(width, 1) > budget:
-        raise BudgetExceededError("too many tangent cosets for the budget")
+    C = np.zeros((1, n_max, width), dtype=np.int64)
+    for a, off, shape in layout:
+        C[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
+    counts, surjective = [1], {}
+    if n_max == 1:
+        return counts, surjective
+    reps = _tangent_line_reps(V, M, budget)
     pre = Presolved(M, q)
-    extendable = 0
-    for rep in reps:
-        C = np.zeros((1, 3, width), dtype=np.int64)
-        for a, off, shape in layout:
-            C[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
-        C[0, 1] = rep
-        rhs = _level_rhs(C, 2, q, layout, eq_layout)
-        _, ok = pre.solve_many(rhs)
-        if ok.all():
-            extendable += 1
-    return extendable * q ** (Z.shape[0] - b)
+    for k in range(1, n_max):
+        X, ok = pre.solve_many(_level_rhs(C, k, q, layout, eq_layout))
+        surjective[k + 1] = bool(ok.all())
+        fan = np.where(ok, reps.shape[0], 0)
+        held = C.shape[0] + int(fan.sum())
+        if held * n_max * max(width, 1) > budget:
+            raise BudgetExceededError(
+                f"levels {k} and {k + 1} of the obstruction tree would "
+                f"hold {held} classes, over budget {budget}")
+        C = np.repeat(C, fan, axis=0)
+        C[:, k] = (np.repeat(X.T, fan, axis=0)
+                   + np.tile(reps, (int(ok.sum()), 1))) % q
+        counts.append(C.shape[0])
+    return counts, surjective
 
 
 def count_deformations(p: Presentation, V: FinModule, ring: CoeffRing,
-                       budget: int = DEFAULT_BUDGET,
-                       method: str = "auto") -> int:
+                       budget: int = DEFAULT_BUDGET) -> int:
     """Number of isomorphism classes of lifts of V over the ring.
 
     V must have trivial endomorphisms, so isomorphism of lifts reduces
-    to conjugation by vertex maps congruent to the identity mod t.
-    `method` picks the engine: "enumerate" partitions the full lift set
-    by exhaustive conjugation, "linear" (n = 2 and 3) counts cosets
-    level by level, "auto" chooses by projected cost.
+    to conjugation by vertex maps congruent to the identity mod t.  The
+    count is the last level of the obstruction-tree walk.
+    """
+    if ring.q != V.q:
+        raise ValueError("ring and module use different q")
+    return _tree_census(V, ring.n, budget)[0][-1]
+
+
+def count_deformations_by_orbits(p: Presentation, V: FinModule,
+                                 ring: CoeffRing,
+                                 budget: int = DEFAULT_BUDGET) -> int:
+    """The same count by partitioning every lift under conjugation.
+
+    An exhaustive oracle for `count_deformations`: it shares the level
+    equations but no coset or torsor argument, enumerating all
+    q^((n-1) z) lifts for a level-one cocycle space of dimension z.
     """
     if not end_is_trivial(V):
-        raise ValueError("count_deformations requires End(V) = k")
+        raise ValueError("deformation counts require End(V) = k")
     if ring.q != V.q:
         raise ValueError("ring and module use different q")
     if ring.n == 1:
         return 1
-    if method not in ("auto", "enumerate", "linear"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        M, _ = _level_system(V)
-        z = nullspace(M, V.q).shape[0]
-        projected = ring.q ** ((ring.n - 1) * z) * max(
-            _generator_count(V, ring), 1)
-        if projected <= budget:
-            method = "enumerate"
-        elif ring.n in (2, 3):
-            method = "linear"
-        else:
-            raise BudgetExceededError(
-                f"projected cost {projected} exceeds budget {budget} "
-                f"and no linear route exists at n = {ring.n}")
-    if method == "linear":
-        if ring.n == 2:
-            return _census_level2_linear(V)
-        if ring.n == 3:
-            return _census_level3_linear(V, budget)
-        raise ValueError("the linear engine only covers n = 2 and 3")
     C = _enumerate_coeff_rows(V, ring, budget)
     cost = C.shape[0] * max(_generator_count(V, ring), 1)
     if cost > 32 * budget:
@@ -477,8 +470,8 @@ def tangent_dim_via_lifts(p: Presentation, V: FinModule, q: int,
     """log_q of the deformation count over the dual numbers."""
     if q != V.q:
         raise ValueError("module was built over a different q")
-    count = count_deformations(p, V, CoeffRing(q, 2), budget=budget,
-                               method="enumerate")
+    count = count_deformations_by_orbits(p, V, CoeffRing(q, 2),
+                                         budget=budget)
     k, c = 0, count
     while c > 1 and c % q == 0:
         c //= q
@@ -531,44 +524,14 @@ def fingerprint(p: Presentation, V: FinModule, q: int, n_max: int,
                 extra_candidates: tuple[str, ...] = ()) -> LiftCensus:
     """Deformation census for n = 1..n_max matched against candidate rings.
 
-    Also reports, for the levels where the full enumeration ran,
-    whether reduction one level down is surjective on deformations.
+    One obstruction-tree walk gives every level's count and, for each
+    n >= 2, whether reduction from level n to level n - 1 is surjective
+    on deformations.
     """
     if q != V.q:
         raise ValueError("module was built over a different q")
-    census = []
-    per_level = {}
-    for n in range(1, n_max + 1):
-        ring = CoeffRing(q, n)
-        orbits = None
-        if n == 1:
-            count = 1
-        else:
-            count = count_deformations(p, V, ring, budget=budget,
-                                       method="auto")
-            M, _ = _level_system(V)
-            z = nullspace(M, q).shape[0]
-            if q ** ((n - 1) * z) * max(_generator_count(V, ring), 1) <= budget:
-                C = _enumerate_coeff_rows(V, ring, budget)
-                orbits = _Orbits(V, ring, C)
-        census.append((n, count))
-        per_level[n] = orbits
-    reduction = {}
-    for n in range(2, n_max + 1):
-        top, down = per_level[n], per_level.get(n - 1)
-        if top is None or (n > 2 and down is None):
-            continue
-        covered = set()
-        roots = top.roots()
-        for rep in np.unique(roots):
-            row = top.C[rep][: n - 1]
-            if n == 2:
-                covered.add(0)
-            else:
-                idx = down.index[row[1:].astype(np.int8).tobytes()]
-                covered.add(down._find(idx))
-        total = 1 if n == 2 else down.class_count()
-        reduction[n] = len(covered) == total
+    counts, reduction = _tree_census(V, n_max, budget)
+    census = list(enumerate(counts, start=1))
     candidates = ["k", "k[[t]]/(t^2)", "k[[t]]"]
     for extra in extra_candidates:
         if extra not in candidates:
@@ -577,7 +540,7 @@ def fingerprint(p: Presentation, V: FinModule, q: int, n_max: int,
     for label in candidates:
         expected = [count_ring_morphisms(label, CoeffRing(q, n))
                     for n in range(1, n_max + 1)]
-        if expected == [c for _, c in census]:
+        if expected == counts:
             matches.append(label)
     return LiftCensus(q=q, census=census, matches=matches,
                       reduction_surjective=reduction)

@@ -7,7 +7,14 @@ nullspaces are exact.  q must be prime (inverses via Fermat).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def is_prime(q: int) -> bool:
+    """Trial division; the field sizes used here are small."""
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
 def _inv_mod(a: int, q: int) -> int:
@@ -132,20 +139,11 @@ class Presolved:
         return X[:, 0] if ok[0] else None
 
 
-def in_row_span(vectors: np.ndarray, v, q: int) -> bool:
-    """Is v in the row span of `vectors`?"""
-    v = as_field(v, q).reshape(1, -1)
-    if vectors.size == 0:
-        return not v.any()
-    base = rank(vectors, q)
-    return rank(np.concatenate([vectors, v]), q) == base
-
-
 class LinearSystem:
     """Linear equations in several unknown matrices over F_q.
 
     Unknowns are named matrices of fixed shape; each equation is a sum
-    of terms A @ X @ B (A, B known) set equal to a right-hand side.
+    of terms A @ X @ B (A, B known) set equal to zero.
     Internally everything is flattened row-major, turning each term
     into kron(A, B.T) acting on vec(X).
     """
@@ -156,7 +154,6 @@ class LinearSystem:
         self._offsets: dict[str, int] = {}
         self._width = 0
         self._rows: list[np.ndarray] = []
-        self._rhs: list[np.ndarray] = []
 
     def add_unknown(self, name: str, shape: tuple[int, int]) -> None:
         if name in self._shapes:
@@ -173,11 +170,10 @@ class LinearSystem:
     def width(self) -> int:
         return self._width
 
-    def add_equation(self, terms, rhs=None) -> None:
-        """terms: iterable of (A, name, B); rhs: matrix or None for 0.
+    def add_equation(self, terms) -> None:
+        """terms: iterable of (A, name, B) whose sum is set to zero.
 
-        Every term's A @ X @ B must share one output shape, which also
-        fixes the rhs shape.
+        Every term's A @ X @ B must share one output shape.
         """
         q = self.q
         out_shape = None
@@ -201,25 +197,12 @@ class LinearSystem:
                 block[:, off:off + rows * cols] + piece) % q
         if out_shape is None:
             raise ValueError("equation needs at least one term")
-        if rhs is None:
-            rhs_vec = np.zeros(out_shape[0] * out_shape[1], dtype=np.int64)
-        else:
-            rhs = as_field(rhs, q)
-            if rhs.shape != out_shape:
-                raise ValueError("rhs shape mismatch")
-            rhs_vec = rhs.reshape(-1)
         self._rows.append(block)
-        self._rhs.append(rhs_vec)
 
     def matrix(self) -> np.ndarray:
         if not self._rows:
             return np.zeros((0, self._width), dtype=np.int64)
         return np.concatenate(self._rows, axis=0)
-
-    def rhs_vector(self) -> np.ndarray:
-        if not self._rhs:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(self._rhs)
 
     def _unpack(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         out = {}
@@ -233,10 +216,3 @@ class LinearSystem:
 
     def nullspace_basis(self) -> list[dict[str, np.ndarray]]:
         return [self._unpack(v) for v in nullspace(self.matrix(), self.q)]
-
-    def solve_particular(self):
-        """One solution as {name: matrix}, or None if inconsistent."""
-        vec = solve(self.matrix(), self.rhs_vector(), self.q)
-        if vec is None:
-            return None
-        return self._unpack(vec)

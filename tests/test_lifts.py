@@ -1,17 +1,29 @@
-import numpy as np
+import tracemalloc
+
 import pytest
 
-from gentledef.homext import BudgetExceededError
+from gentledef.homext import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    end_is_trivial,
+)
 from gentledef.lifts import (
     CoeffRing,
     count_deformations,
+    count_deformations_by_orbits,
     count_ring_morphisms,
     enumerate_lifts,
     fingerprint,
     tangent_dim_via_lifts,
 )
-from gentledef.presentation import catalog_presentation
-from gentledef.strings import make_string, simple_module, string_module
+from gentledef.presentation import catalog_presentation, table1_catalog
+from gentledef.strings import (
+    enumerate_strings,
+    make_string,
+    simple_module,
+    string_module,
+)
+from gentledef.sweep import sweep_catalog
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +98,7 @@ def test_count_deformations_simple(lam0):
     s1 = simple_module(lam0, "1")
     assert count_deformations(lam0, s1, CoeffRing(2, 2)) == 2
     assert count_deformations(lam0, s1, CoeffRing(2, 3)) == 2
-    assert count_deformations(lam0, s1, CoeffRing(2, 3),
-                              method="linear") == 2
+    assert count_deformations_by_orbits(lam0, s1, CoeffRing(2, 3)) == 2
 
 
 def test_count_deformations_needs_trivial_end(lam0):
@@ -98,31 +109,25 @@ def test_count_deformations_needs_trivial_end(lam0):
 def test_count_deformations_c_both_routes(lam0):
     m = _mod(lam0, "c")
     assert count_deformations(lam0, m, CoeffRing(2, 2)) == 4
-    by_orbit = count_deformations(lam0, m, CoeffRing(2, 3),
-                                  method="enumerate")
-    by_cosets = count_deformations(lam0, m, CoeffRing(2, 3),
-                                   method="linear")
-    assert by_orbit == by_cosets == 4
+    by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 3))
+    by_tree = count_deformations(lam0, m, CoeffRing(2, 3))
+    assert by_orbit == by_tree == 4
 
 
 def test_count_deformations_ca_both_routes(lam0):
     m = _mod(lam0, "c*a")
     assert count_deformations(lam0, m, CoeffRing(2, 2)) == 2
-    by_orbit = count_deformations(lam0, m, CoeffRing(2, 3),
-                                  method="enumerate")
-    by_cosets = count_deformations(lam0, m, CoeffRing(2, 3),
-                                   method="linear")
-    assert by_orbit == by_cosets == 2
+    by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 3))
+    by_tree = count_deformations(lam0, m, CoeffRing(2, 3))
+    assert by_orbit == by_tree == 2
 
 
 def test_level2_linear_route_agrees(lam0):
     s1 = simple_module(lam0, "1")
     for m in [s1, _mod(lam0, "c"), _mod(lam0, "c*a"), _mod(lam0, "b*c*a")]:
-        by_orbit = count_deformations(lam0, m, CoeffRing(2, 2),
-                                      method="enumerate")
-        by_cosets = count_deformations(lam0, m, CoeffRing(2, 2),
-                                       method="linear")
-        assert by_orbit == by_cosets
+        by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 2))
+        by_tree = count_deformations(lam0, m, CoeffRing(2, 2))
+        assert by_orbit == by_tree
 
 
 def test_count_deformations_bca(lam0):
@@ -132,12 +137,12 @@ def test_count_deformations_bca(lam0):
 
 
 def test_bca_level3_routes_agree(lam0):
-    # The coset engine's count is cross-checked by the full orbit
+    # The obstruction tree's count is cross-checked by the full orbit
     # partition of all 196608 lifts; this is the slowest test here.
     m = _mod(lam0, "b*c*a")
-    by_orbit = count_deformations(lam0, m, CoeffRing(2, 3),
-                                  method="enumerate", budget=2 ** 23)
-    assert by_orbit == 12
+    by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 3),
+                                            budget=2 ** 23)
+    assert by_orbit == count_deformations(lam0, m, CoeffRing(2, 3)) == 12
 
 
 def test_tangent_dims(lam0):
@@ -196,7 +201,8 @@ def test_fingerprint_bca(lam0):
     fp = fingerprint(lam0, _mod(lam0, "b*c*a"), 2, 3)
     assert fp.census == [(1, 1), (2, 4), (3, 12)]
     assert fp.matches == []
-    assert fp.reduction_surjective == {2: True}
+    # 12 = 3 extendable level-2 classes times 2^2 lifts of each.
+    assert fp.reduction_surjective == {2: True, 3: False}
 
 
 def test_fingerprint_power_series_case():
@@ -224,9 +230,54 @@ def test_fingerprint_indistinguishable_extra_candidate():
 def test_budget_errors(lam0):
     s1 = simple_module(lam0, "1")
     with pytest.raises(BudgetExceededError):
-        count_deformations(lam0, s1, CoeffRing(2, 2), budget=1,
-                           method="enumerate")
+        count_deformations_by_orbits(lam0, s1, CoeffRing(2, 2), budget=1)
     with pytest.raises(BudgetExceededError):
         count_deformations(lam0, s1, CoeffRing(2, 4), budget=1)
     with pytest.raises(BudgetExceededError):
         enumerate_lifts(lam0, _mod(lam0, "b*c*a"), CoeffRing(2, 2), budget=4)
+
+
+def test_orbit_oracle_above_q_256(lam0):
+    # Coefficients up to q - 1 = 256 must key the orbit lookup exactly.
+    s1 = simple_module(lam0, "1", q=257)
+    ring = CoeffRing(257, 2)
+    assert count_deformations_by_orbits(lam0, s1, ring) == 257
+    assert count_deformations(lam0, s1, ring) == 257
+
+
+def test_tree_matches_orbits_across_catalog():
+    compared = 0
+    for name, p in table1_catalog():
+        for w in enumerate_strings(p, 2):
+            V = string_module(p, w, q=2)
+            if not end_is_trivial(V):
+                continue
+            for n in (2, 3):
+                ring = CoeffRing(2, n)
+                assert count_deformations(p, V, ring) == \
+                    count_deformations_by_orbits(p, V, ring), \
+                    f"{name} {w.display()} n={n}"
+                compared += 1
+    assert compared == 160
+
+
+def test_deep_sweep_census_confirms_certified_rings():
+    report = sweep_catalog(q=2, max_len=3, n_max=6)
+    certified = [r for r in report.rows if r.ring != "undetermined"]
+    assert len(report.rows) == 86
+    assert len(certified) == 77
+    for row in certified:
+        assert row.error is None
+        assert row.ring in row.matches, f"{row.algebra} {row.word}"
+
+
+def test_deep_fingerprint_fails_loudly_within_budget(lam0):
+    m = _mod(lam0, "b*c*a")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            fingerprint(lam0, m, 2, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * DEFAULT_BUDGET
