@@ -5,6 +5,12 @@ coboundaries, with dim B^1 obtained from the hom space by counting) and
 an exhaustive one that enumerates every cocycle tuple and every
 coboundary over F_q and counts orbits.  The two are kept free of shared
 code on purpose so they can check each other.
+
+The linear systems also carry the first-order deformation theory of a
+module V that `lifts` builds on: the cocycle equations of ext_system(V, V)
+are the equations of each new coefficient level of a lift, and the
+columns of hom_system(V, V).matrix() span the coboundaries, the
+directions in which conjugation by 1 + t g moves a lift.
 """
 
 from __future__ import annotations
@@ -73,19 +79,12 @@ def ext_system(m: FinModule, n: FinModule) -> LinearSystem:
     for a in p.quiver.arrow_names:
         sys.add_unknown(a, (n.dims[p.target(a)], m.dims[p.source(a)]))
     for beta, alpha in p.relations:
-        out_rows = n.dims[p.target(beta)]
-        out_cols = m.dims[p.source(alpha)]
-        if out_rows * out_cols == 0:
-            continue
-        terms = []
-        if sys.size_of(alpha):
-            terms.append((n.action[beta], alpha,
-                          np.eye(m.dims[p.source(alpha)], dtype=np.int64)))
-        if sys.size_of(beta):
-            terms.append((np.eye(n.dims[p.target(beta)], dtype=np.int64),
-                          beta, m.action[alpha]))
-        if terms:
-            sys.add_equation(terms)
+        sys.add_equation([
+            (n.action[beta], alpha,
+             np.eye(m.dims[p.source(alpha)], dtype=np.int64)),
+            (np.eye(n.dims[p.target(beta)], dtype=np.int64),
+             beta, m.action[alpha]),
+        ])
     return sys
 
 

@@ -3,10 +3,13 @@
 A lift replaces each arrow matrix by a polynomial in t whose constant
 term is the original matrix, subject to the relations holding over the
 truncated polynomial ring.  The t^k coefficients satisfy an affine
-system whose homogeneous part is independent of k.  Deformations are
-lifts up to conjugation by invertible vertex maps congruent to the
-identity mod t; they are counted by one walk down the obstruction tree,
-and, as an independent oracle, by partitioning every enumerated lift.
+system whose homogeneous part is independent of k: the cocycle equations
+of Ext^1(V, V), taken from `homext.ext_system`.  Deformations are lifts
+up to conjugation by invertible vertex maps congruent to the identity
+mod t; at level one these move a lift by the coboundaries, read from
+`homext.hom_system`.  Deformations are counted by one walk down the
+obstruction tree, and, as an oracle that shares the level equations but
+no coset argument, by partitioning every enumerated lift.
 """
 
 from __future__ import annotations
@@ -17,8 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homext import DEFAULT_BUDGET, BudgetExceededError, end_is_trivial
-from .linalg import LinearSystem, Presolved, is_prime, nullspace, rank, rref
+from .homext import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    _arrow_layout,
+    _exact_log,
+    _mixed_radix,
+    end_is_trivial,
+    ext_system,
+    hom_system,
+)
+from .linalg import Presolved, is_prime, nullspace, rank, rref
 from .presentation import Presentation
 from .strings import FinModule
 
@@ -51,13 +63,12 @@ class Lift:
     def validate(self) -> list[str]:
         problems = []
         p = self.module.presentation
-        q, n = self.ring.q, self.ring.n
+        q = self.ring.q
         for a in p.quiver.arrow_names:
             if ((self.coeffs[a][0] - self.module.action[a]) % q).any():
                 problems.append(f"arrow {a}: constant term differs from V")
         for beta, alpha in p.relations:
-            prod = _poly_matmul(self.coeffs[beta], self.coeffs[alpha], q, n)
-            if prod.size and prod.any():
+            if _poly_matmul(self.coeffs[beta], self.coeffs[alpha], q).any():
                 problems.append(
                     f"relation {beta}*{alpha} fails over {self.ring.label()}")
         return problems
@@ -82,56 +93,21 @@ class LiftCensus:
         return out
 
 
-def _poly_matmul(A: np.ndarray, B: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Truncated product of matrix polynomials with level as first axis."""
-    rows, cols = A.shape[1], B.shape[2]
-    out = np.zeros((n, rows, cols), dtype=np.int64)
-    for i in range(n):
-        for j in range(n - i):
-            out[i + j] += A[i] @ B[j]
-    return out % q
+def _poly_matmul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """Truncated product of matrix polynomials.
 
-
-def _arrow_layout(V: FinModule):
-    p = V.presentation
-    layout = []
-    off = 0
-    for a in p.quiver.arrow_names:
-        shape = (V.dims[p.target(a)], V.dims[p.source(a)])
-        layout.append((a, off, shape))
-        off += shape[0] * shape[1]
-    return layout, off
-
-
-def _level_system(V: FinModule):
-    """Homogeneous system for one new coefficient level, plus equation layout.
-
-    The unknown X ranges over arrow tuples; for each relation b*a the
-    equation is A0(b) X(a) + X(b) A0(a) = rhs, with rhs depending on the
-    already-fixed lower levels.
+    The level is axis -3 of both factors and the axes before it
+    broadcast, so one call multiplies a whole batch of lifts; levels
+    where A vanishes throughout are skipped.
     """
-    p, q = V.presentation, V.q
-    sys = LinearSystem(q)
-    for a in p.quiver.arrow_names:
-        sys.add_unknown(a, (V.dims[p.target(a)], V.dims[p.source(a)]))
-    eq_layout = []
-    for beta, alpha in p.relations:
-        rows = V.dims[p.target(beta)]
-        cols = V.dims[p.source(alpha)]
-        if rows * cols == 0:
-            continue
-        terms = []
-        if sys.size_of(alpha):
-            terms.append((V.action[beta], alpha,
-                          np.eye(V.dims[p.source(alpha)], dtype=np.int64)))
-        if sys.size_of(beta):
-            terms.append((np.eye(V.dims[p.target(beta)], dtype=np.int64),
-                          beta, V.action[alpha]))
-        if not terms:
-            continue
-        sys.add_equation(terms)
-        eq_layout.append((beta, alpha, (rows, cols)))
-    return sys.matrix(), eq_layout
+    n = A.shape[-3]
+    batch = np.broadcast_shapes(A.shape[:-3], B.shape[:-3])
+    out = np.zeros(batch + (n, A.shape[-2], B.shape[-1]), dtype=np.int64)
+    for i in range(n):
+        Ai = A[..., i, :, :]
+        if Ai.any():
+            out[..., i:, :, :] += Ai[..., None, :, :] @ B[..., :n - i, :, :]
+    return out % q
 
 
 def _slice(C: np.ndarray, level: int, off: int, shape: tuple[int, int]):
@@ -139,37 +115,33 @@ def _slice(C: np.ndarray, level: int, off: int, shape: tuple[int, int]):
     return C[:, level, off:off + r * c].reshape(C.shape[0], r, c)
 
 
-def _level_rhs(C: np.ndarray, k: int, q: int, layout, eq_layout) -> np.ndarray:
-    """Right-hand sides -(sum of cross terms) for level k, one column per lift."""
-    slots = {a: (off, shape) for a, off, shape in layout}
+def _level_rhs(V: FinModule, C: np.ndarray, k: int) -> np.ndarray:
+    """Right-hand sides -(sum of cross terms) for level k, one column per lift.
+
+    Rows follow `ext_system(V, V)`: one block per relation b*a, holding
+    -sum_{0<i<k} f_b[i] f_a[k-i] flattened row-major.
+    """
+    p, q = V.presentation, V.q
+    slots = {a: (off, shape) for a, off, shape in _arrow_layout(V, V)[0]}
     blocks = []
-    for beta, alpha, (rows, cols) in eq_layout:
-        acc = np.zeros((C.shape[0], rows, cols), dtype=np.int64)
-        boff, bshape = slots[beta]
-        aoff, ashape = slots[alpha]
+    for beta, alpha in p.relations:
+        (boff, bshape), (aoff, ashape) = slots[beta], slots[alpha]
+        acc = np.zeros((C.shape[0], bshape[0], ashape[1]), dtype=np.int64)
         for i in range(1, k):
-            fb = _slice(C, i, boff, bshape)
-            fa = _slice(C, k - i, aoff, ashape)
-            if fb.size and fa.size:
-                acc += np.einsum("lij,ljk->lik", fb, fa)
-        blocks.append((-acc % q).reshape(C.shape[0], rows * cols))
+            acc += (_slice(C, i, boff, bshape)
+                    @ _slice(C, k - i, aoff, ashape))
+        blocks.append((-acc % q).reshape(C.shape[0], -1))
     if not blocks:
         return np.zeros((0, C.shape[0]), dtype=np.int64)
     return np.concatenate(blocks, axis=1).T
-
-
-def _mixed_radix(count: int, width: int, q: int) -> np.ndarray:
-    idx = np.arange(count, dtype=np.int64)[:, None]
-    weights = q ** np.arange(width, dtype=np.int64)
-    return (idx // weights) % q
 
 
 def _enumerate_coeff_rows(V: FinModule, ring: CoeffRing,
                           budget: int) -> np.ndarray:
     """All lifts as an array of shape (count, n, width of arrow tuple)."""
     q, n = ring.q, ring.n
-    layout, width = _arrow_layout(V)
-    M, eq_layout = _level_system(V)
+    layout, width = _arrow_layout(V, V)
+    M = ext_system(V, V).matrix()
     base = np.zeros((1, n, width), dtype=np.int64)
     for a, off, shape in layout:
         base[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
@@ -184,8 +156,7 @@ def _enumerate_coeff_rows(V: FinModule, ring: CoeffRing,
         np.zeros((1, width), dtype=np.int64)
     pre = Presolved(M, q)
     for k in range(1, n):
-        rhs = _level_rhs(C, k, q, layout, eq_layout)
-        X, ok = pre.solve_many(rhs)
+        X, ok = pre.solve_many(_level_rhs(V, C, k))
         C = C[ok]
         if C.shape[0] * combos.shape[0] > budget:
             raise BudgetExceededError(
@@ -198,7 +169,7 @@ def _enumerate_coeff_rows(V: FinModule, ring: CoeffRing,
 
 
 def _rows_to_lift(V: FinModule, ring: CoeffRing, row: np.ndarray) -> Lift:
-    layout, _ = _arrow_layout(V)
+    layout, _ = _arrow_layout(V, V)
     coeffs = {}
     for a, off, (r, c) in layout:
         coeffs[a] = row[:, off:off + r * c].reshape(ring.n, r, c).copy()
@@ -262,7 +233,7 @@ class _Orbits:
         self.V = V
         self.ring = ring
         self.C = C
-        self.layout, self.width = _arrow_layout(V)
+        self.layout = _arrow_layout(V, V)[0]
         self.index = {self._key_of_row(C[i]): i for i in range(C.shape[0])}
         self.parent = np.arange(C.shape[0], dtype=np.int64)
         self._partition()
@@ -295,9 +266,9 @@ class _Orbits:
                     continue
                 A = C[:, :, off:off + r * c].reshape(L, n, r, c)
                 if p.target(a) == v:
-                    A = _batch_left(U, A, q)
+                    A = _poly_matmul(U, A, q)
                 if p.source(a) == v:
-                    A = _batch_right(A, Uinv, q)
+                    A = _poly_matmul(A, Uinv, q)
                 D[:, :, off:off + r * c] = A.reshape(L, n, r * c)
             for l in range(L):
                 other = self.index.get(self._key_of_row(D[l]))
@@ -313,55 +284,6 @@ class _Orbits:
         return np.unique(self.roots()).size
 
 
-def _batch_left(U: np.ndarray, A: np.ndarray, q: int) -> np.ndarray:
-    """U(t) @ A(t) truncated, with A carrying a leading lift axis."""
-    L, n = A.shape[0], A.shape[1]
-    out = np.zeros_like(A)
-    for i in range(n):
-        if not U[i].any():
-            continue
-        for j in range(n - i):
-            out[:, i + j] += np.einsum("ij,ljk->lik", U[i], A[:, j])
-    return out % q
-
-
-def _batch_right(A: np.ndarray, U: np.ndarray, q: int) -> np.ndarray:
-    L, n = A.shape[0], A.shape[1]
-    out = np.zeros_like(A)
-    for i in range(n):
-        if not U[i].any():
-            continue
-        for j in range(n - i):
-            out[:, i + j] += np.einsum("ljk,ki->lji", A[:, j], U[i])
-    return out % q
-
-
-def _coboundary_rows(V: FinModule) -> np.ndarray:
-    """Span of the conjugation directions at level one, as flat rows."""
-    p, q = V.presentation, V.q
-    layout, width = _arrow_layout(V)
-    rows = []
-    for v in p.quiver.vertices:
-        d = V.dims[v]
-        for i, j in itertools.product(range(d), repeat=2):
-            g = np.zeros((d, d), dtype=np.int64)
-            g[i, j] = 1
-            row = np.zeros(width, dtype=np.int64)
-            for a, off, (r, c) in layout:
-                if r * c == 0:
-                    continue
-                block = np.zeros((r, c), dtype=np.int64)
-                if p.target(a) == v:
-                    block += g @ V.action[a]
-                if p.source(a) == v:
-                    block -= V.action[a] @ g
-                row[off:off + r * c] = block.reshape(-1) % q
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, width), dtype=np.int64)
-    return np.stack(rows)
-
-
 def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
     """One level-one coefficient per conjugation coset, as flat rows.
 
@@ -369,10 +291,11 @@ def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
     """
     q = V.q
     Z = nullspace(M, q)
-    B = _coboundary_rows(V)
     z = Z.shape[0]
     if z == 0:
         return np.zeros((1, Z.shape[1]), dtype=np.int64)
+    # Row j is the coboundary of the j-th unit vertex map (up to sign).
+    B = hom_system(V, V).matrix().T
     if rank(np.concatenate([Z, B]), q) != z:
         raise AssertionError("conjugation directions escape the cocycle space")
     coords, ok = Presolved(Z.T, q).solve_many(B.T)
@@ -403,8 +326,8 @@ def _tree_census(V: FinModule, n_max: int,
     if not end_is_trivial(V):
         raise ValueError("deformation counts require End(V) = k")
     q = V.q
-    layout, width = _arrow_layout(V)
-    M, eq_layout = _level_system(V)
+    layout, width = _arrow_layout(V, V)
+    M = ext_system(V, V).matrix()
     C = np.zeros((1, n_max, width), dtype=np.int64)
     for a, off, shape in layout:
         C[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
@@ -414,7 +337,7 @@ def _tree_census(V: FinModule, n_max: int,
     reps = _tangent_line_reps(V, M, budget)
     pre = Presolved(M, q)
     for k in range(1, n_max):
-        X, ok = pre.solve_many(_level_rhs(C, k, q, layout, eq_layout))
+        X, ok = pre.solve_many(_level_rhs(V, C, k))
         surjective[k + 1] = bool(ok.all())
         fan = np.where(ok, reps.shape[0], 0)
         held = C.shape[0] + int(fan.sum())
@@ -472,11 +395,8 @@ def tangent_dim_via_lifts(p: Presentation, V: FinModule, q: int,
         raise ValueError("module was built over a different q")
     count = count_deformations_by_orbits(p, V, CoeffRing(q, 2),
                                          budget=budget)
-    k, c = 0, count
-    while c > 1 and c % q == 0:
-        c //= q
-        k += 1
-    if c != 1:
+    k = _exact_log(count, q)
+    if k is None:
         raise AssertionError(
             f"deformation count {count} is not a power of {q}")
     return k
@@ -495,9 +415,10 @@ def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
     if descriptor == "k":
         return 1
     free = n - 1
-    images = np.zeros((q ** free, n), dtype=np.int64)
+    # Each image of t is a 1x1 matrix polynomial with zero constant term.
+    images = np.zeros((q ** free, n, 1, 1), dtype=np.int64)
     if free:
-        images[:, 1:] = _mixed_radix(q ** free, free, q)
+        images[:, 1:, 0, 0] = _mixed_radix(q ** free, free, q)
     if descriptor == "k[[t]]":
         return images.shape[0]
     m = _TRUNCATED.match(descriptor)
@@ -506,17 +427,8 @@ def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
     power = int(m.group(1))
     acc = images
     for _ in range(power - 1):
-        acc = _poly_scalar_mul(acc, images, q)
-    return int((~acc.any(axis=1)).sum())
-
-
-def _poly_scalar_mul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    n = A.shape[1]
-    out = np.zeros_like(A)
-    for i in range(n):
-        for j in range(n - i):
-            out[:, i + j] += A[:, i] * B[:, j]
-    return out % q
+        acc = _poly_matmul(acc, images, q)
+    return int((~acc.any(axis=(1, 2, 3))).sum())
 
 
 def fingerprint(p: Presentation, V: FinModule, q: int, n_max: int,

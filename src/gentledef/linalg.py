@@ -162,10 +162,6 @@ class LinearSystem:
         self._offsets[name] = self._width
         self._width += shape[0] * shape[1]
 
-    def size_of(self, name: str) -> int:
-        r, c = self._shapes[name]
-        return r * c
-
     @property
     def width(self) -> int:
         return self._width

@@ -10,6 +10,7 @@ of the package classifies modules over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class DSLError(ValueError):
@@ -39,11 +40,12 @@ class Quiver:
                 raise ValueError(f"arrow {name}: undeclared vertex")
 
     def source(self, arrow: str) -> str:
-        return self._by_name()[arrow][1]
+        return self._by_name[arrow][1]
 
     def target(self, arrow: str) -> str:
-        return self._by_name()[arrow][2]
+        return self._by_name[arrow][2]
 
+    @cached_property
     def _by_name(self):
         return {a[0]: a for a in self.arrows}
 

@@ -98,17 +98,14 @@ def _sweep_one(name: str, p: Presentation, w, q: int, n_max: int,
     V = string_module(p, w, q)
     if not end_is_trivial(V):
         return None
-    ext_linear = ext1_dim(V, V)
     try:
         ext_brute = brute_force_ext(V, V, budget=budget)
     except BudgetExceededError:
         ext_brute = None
-    if ext_brute is not None and ext_brute != ext_linear:
-        report.internal_errors.append(
-            f"{name} {w.display()}: ext engines disagree "
-            f"(linear {ext_linear}, brute {ext_brute})")
     try:
         d = universal_deformation_ring(p, w, q=q, n_max=n_max, budget=budget)
+        # The descriptor's tangent dimension is ext1_dim(V, V).
+        ext_linear = d.tangent_dim
         census = d.evidence["census"]
         row = SweepRow(
             algebra=name, word=w.display(), total_dim=V.total_dim,
@@ -118,6 +115,7 @@ def _sweep_one(name: str, p: Presentation, w, q: int, n_max: int,
             published=claims.published_ring(p, w),
             agreement=d.paper_agreement)
     except BudgetExceededError as err:
+        ext_linear = ext1_dim(V, V)
         row = SweepRow(
             algebra=name, word=w.display(), total_dim=V.total_dim,
             ring="undetermined", tangent_dim=ext_linear,
@@ -125,6 +123,10 @@ def _sweep_one(name: str, p: Presentation, w, q: int, n_max: int,
             census=[], matches=[],
             published=claims.published_ring(p, w),
             agreement="not-stated", error=str(err))
+    if ext_brute is not None and ext_brute != ext_linear:
+        report.internal_errors.append(
+            f"{name} {w.display()}: ext engines disagree "
+            f"(linear {ext_linear}, brute {ext_brute})")
     return row
 
 

@@ -245,20 +245,26 @@ def test_orbit_oracle_above_q_256(lam0):
     assert count_deformations(lam0, s1, ring) == 257
 
 
-def test_tree_matches_orbits_across_catalog():
+@pytest.mark.parametrize("q, max_len, levels, expected", [
+    (2, 2, (2, 3), 160),
+    (3, 2, (2,), 80),
+    (3, 1, (3,), 60),
+    (5, 1, (2,), 60),
+], ids=["q2-len2-n23", "q3-len2-n2", "q3-len1-n3", "q5-len1-n2"])
+def test_tree_matches_orbits_across_catalog(q, max_len, levels, expected):
     compared = 0
     for name, p in table1_catalog():
-        for w in enumerate_strings(p, 2):
-            V = string_module(p, w, q=2)
+        for w in enumerate_strings(p, max_len):
+            V = string_module(p, w, q=q)
             if not end_is_trivial(V):
                 continue
-            for n in (2, 3):
-                ring = CoeffRing(2, n)
+            for n in levels:
+                ring = CoeffRing(q, n)
                 assert count_deformations(p, V, ring) == \
                     count_deformations_by_orbits(p, V, ring), \
-                    f"{name} {w.display()} n={n}"
+                    f"{name} {w.display()} q={q} n={n}"
                 compared += 1
-    assert compared == 160
+    assert compared == expected
 
 
 def test_deep_sweep_census_confirms_certified_rings():
