@@ -30,26 +30,31 @@ def rref(A, q: int):
     """Reduced row echelon form over F_q.
 
     Returns (R, pivot_cols) where R is a new array and pivot_cols lists
-    the pivot column of each nonzero row in order.
+    the pivot column of each nonzero row in order.  Each pivot column is
+    cleared from every other row with one vectorised row update; left of
+    the pivot the pivot row is already zero, so only columns from the
+    pivot on are touched.
     """
-    R = as_field(A, q).copy()
+    R = as_field(A, q)
     m, n = R.shape
     pivots = []
     row = 0
     for col in range(n):
         if row == m:
             break
-        nz = np.nonzero(R[row:, col])[0]
+        nz = R[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         piv = row + nz[0]
         if piv != row:
             R[[row, piv]] = R[[piv, row]]
-        R[row] = (R[row] * _inv_mod(R[row, col], q)) % q
-        mask = np.nonzero(R[:, col])[0]
-        for r in mask:
-            if r != row:
-                R[r] = (R[r] - R[r, col] * R[row]) % q
+        if R[row, col] != 1:
+            R[row, col:] = R[row, col:] * _inv_mod(R[row, col], q) % q
+        others = R[:, col].nonzero()[0]
+        if others.size > 1:
+            others = others[others != row]
+            R[others, col:] = (R[others, col:]
+                               - R[others, col, None] * R[row, col:]) % q
         pivots.append(col)
         row += 1
     return R, pivots
@@ -144,8 +149,10 @@ class LinearSystem:
 
     Unknowns are named matrices of fixed shape; each equation is a sum
     of terms A @ X @ B (A, B known) set equal to zero.
-    Internally everything is flattened row-major, turning each term
-    into kron(A, B.T) acting on vec(X).
+    Unknowns and equations are flattened row-major: the equation's rows
+    are the entries of A @ X @ B, and each term places the coefficient
+    A[i, k] * B[l, j] of X[k, l] in row (i, j) by one broadcast product,
+    reducing mod q once per equation.
     """
 
     def __init__(self, q: int):
@@ -171,29 +178,28 @@ class LinearSystem:
 
         Every term's A @ X @ B must share one output shape.
         """
-        q = self.q
-        out_shape = None
-        block = np.zeros((0, self._width), dtype=np.int64)
+        block = None
         for A, name, B in terms:
-            A = as_field(A, q)
-            B = as_field(B, q)
+            A = np.asarray(A, dtype=np.int64)
+            B = np.asarray(B, dtype=np.int64)
             rows, cols = self._shapes[name]
             if A.shape[1] != rows or B.shape[0] != cols:
                 raise ValueError(f"term shape mismatch on {name!r}")
             shape = (A.shape[0], B.shape[1])
-            if out_shape is None:
-                out_shape = shape
-                block = np.zeros((shape[0] * shape[1], self._width),
-                                 dtype=np.int64)
-            elif shape != out_shape:
+            if block is None:
+                block = np.zeros((*shape, self._width), dtype=np.int64)
+            elif shape != block.shape[:2]:
                 raise ValueError("terms have mismatched output shapes")
             off = self._offsets[name]
-            piece = np.kron(A, B.T) % q
-            block[:, off:off + rows * cols] = (
-                block[:, off:off + rows * cols] + piece) % q
-        if out_shape is None:
+            # Entry (i, j, k, l) is A[i, k] * B[l, j]: the coefficient of
+            # X[k, l] in (A @ X @ B)[i, j].
+            piece = A[:, None, :, None] * B.T[None, :, None, :]
+            block[:, :, off:off + rows * cols] += piece.reshape(
+                *shape, rows * cols)
+        if block is None:
             raise ValueError("equation needs at least one term")
-        self._rows.append(block)
+        rows_out = block.shape[0] * block.shape[1]
+        self._rows.append(block.reshape(rows_out, self._width) % self.q)
 
     def matrix(self) -> np.ndarray:
         if not self._rows:

@@ -21,7 +21,7 @@ from .homext import (
 )
 from .presentation import Presentation, table1_catalog
 from .strings import enumerate_strings, string_module
-from .udr import UDRDescriptor, universal_deformation_ring
+from .udr import _classify
 
 RING_BUCKETS = ("k", "k[[t]]/(t^2)", "k[[t]]", "undetermined")
 
@@ -103,7 +103,7 @@ def _sweep_one(name: str, p: Presentation, w, q: int, n_max: int,
     except BudgetExceededError:
         ext_brute = None
     try:
-        d = universal_deformation_ring(p, w, q=q, n_max=n_max, budget=budget)
+        d = _classify(p, w, V, n_max, budget)
         # The descriptor's tangent dimension is ext1_dim(V, V).
         ext_linear = d.tangent_dim
         census = d.evidence["census"]

@@ -353,6 +353,14 @@ def universal_deformation_ring(p: Presentation, w: StringWord, q: int = 2,
     if not end_is_trivial(V):
         raise ValueError(
             "universal deformation ring not guaranteed for End(V) != k")
+    return _classify(p, w, V, n_max, budget, chain_check)
+
+
+def _classify(p: Presentation, w: StringWord, V: FinModule, n_max: int,
+              budget: int, chain_check: int = 4) -> UDRDescriptor:
+    """`universal_deformation_ring` for V = M[w], already built and
+    known to have End(V) = k."""
+    q = V.q
     tangent = ext1_dim(V, V)
     connectors = connecting_letters(p, w)
     evidence: dict = {

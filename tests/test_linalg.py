@@ -37,16 +37,37 @@ def test_nullspace_of_empty_and_full_rank():
 
 
 def test_kron_flattening_matches_direct_product():
+    # matrix() @ vec(unknowns) is vec(sum of A @ X @ B) for each equation,
+    # with row-major vec and unknowns in declaration order.
     rng = np.random.default_rng(7)
     for q in (2, 3, 5):
-        for _ in range(20):
-            m, r, s, p = rng.integers(1, 4, size=4)
-            A = rng.integers(0, q, size=(m, r))
-            X = rng.integers(0, q, size=(r, s))
-            B = rng.integers(0, q, size=(s, p))
-            direct = (A @ X @ B % q).reshape(-1)
-            flat = np.kron(A, B.T) % q @ X.reshape(-1) % q
-            assert (direct == flat).all()
+        for _ in range(40):
+            sys = linalg.LinearSystem(q)
+            shapes = {f"X{i}": tuple(int(d) for d in rng.integers(0, 4, 2))
+                      for i in range(int(rng.integers(1, 4)))}
+            for name, shape in shapes.items():
+                sys.add_unknown(name, shape)
+            X = {name: rng.integers(0, q, size=shape)
+                 for name, shape in shapes.items()}
+            expected = []
+            for _ in range(int(rng.integers(1, 4))):
+                out = tuple(int(d) for d in rng.integers(0, 4, 2))
+                terms, total = [], np.zeros(out, dtype=np.int64)
+                for _ in range(int(rng.integers(1, 4))):
+                    name = str(rng.choice(list(shapes)))
+                    rows, cols = shapes[name]
+                    # entries outside [0, q) must be reduced by the system
+                    A = rng.integers(-q, 2 * q, size=(out[0], rows))
+                    B = rng.integers(-q, 2 * q, size=(cols, out[1]))
+                    terms.append((A, name, B))
+                    total += A @ X[name] @ B
+                sys.add_equation(terms)
+                expected.append(total.reshape(-1) % q)
+            vec = np.concatenate([X[name].reshape(-1) for name in shapes])
+            M = sys.matrix()
+            assert M.shape == (sum(e.size for e in expected), vec.size)
+            assert ((M >= 0) & (M < q)).all()
+            assert (M @ vec % q == np.concatenate(expected)).all()
 
 
 def test_linear_system_commutant_of_nilpotent_block():
@@ -85,3 +106,66 @@ def test_presolve_zero_width():
     x = pre.solve(np.zeros(2, dtype=np.int64))
     assert x is not None and x.size == 0
     assert pre.solve(np.array([1, 0])) is None
+
+
+def _gauss_jordan(A, q):
+    """Textbook reduction, one row update at a time: the reference."""
+    R = np.asarray(A, dtype=np.int64) % q
+    m, n = R.shape
+    pivots, row = [], 0
+    for col in range(n):
+        if row == m:
+            break
+        nz = [r for r in range(row, m) if R[r, col]]
+        if not nz:
+            continue
+        R[[row, nz[0]]] = R[[nz[0], row]]
+        R[row] = R[row] * pow(int(R[row, col]), q - 2, q) % q
+        for r in range(m):
+            if r != row and R[r, col]:
+                R[r] = (R[r] - R[r, col] * R[row]) % q
+        pivots.append(col)
+        row += 1
+    return R, pivots
+
+
+def _random_matrices(rng, q):
+    yield np.zeros((0, 4), dtype=np.int64)
+    yield np.zeros((3, 0), dtype=np.int64)
+    for _ in range(25):
+        m, n = (int(d) for d in rng.integers(1, 9, 2))
+        yield rng.integers(0, q, size=(m, n))          # tall, wide, square
+        r = int(rng.integers(0, min(m, n) + 1))
+        yield rng.integers(0, q, size=(m, r)) @ rng.integers(
+            0, q, size=(r, n)) % q                      # rank at most r
+        sparse = rng.integers(0, q, size=(m, n))
+        yield sparse * (rng.random((m, n)) < 0.3)
+
+
+def test_rref_matches_textbook_gauss_jordan():
+    rng = np.random.default_rng(23)
+    for q in (2, 3, 5, 7):
+        for A in _random_matrices(rng, q):
+            R, pivots = linalg.rref(A, q)
+            R_ref, pivots_ref = _gauss_jordan(A, q)
+            assert pivots == pivots_ref
+            assert R.shape == R_ref.shape and (R == R_ref).all()
+
+
+def test_presolve_matches_column_solves_on_random_draws():
+    rng = np.random.default_rng(29)
+    for q in (2, 3, 5, 7):
+        for A in _random_matrices(rng, q):
+            m, n = A.shape
+            # half the columns are consistent by construction
+            B = np.concatenate(
+                [A @ rng.integers(0, q, size=(n, 2)) % q,
+                 rng.integers(0, q, size=(m, 2))], axis=1)
+            X, ok = linalg.Presolved(A, q).solve_many(B)
+            for j in range(B.shape[1]):
+                single = linalg.solve(A, B[:, j], q)
+                assert ok[j] == (single is not None)
+                if single is not None:
+                    assert (X[:, j] == single).all()
+                else:
+                    assert not X[:, j].any()
