@@ -26,7 +26,6 @@ from .lifts import (
     count_ring_morphisms,
     enumerate_lifts,
     fingerprint,
-    tangent_dim_via_lifts,
 )
 from .presentation import (
     LAMBDA0,
@@ -45,12 +44,10 @@ from .strings import (
     Letter,
     StringError,
     StringWord,
-    direct_sum,
     enumerate_strings,
     make_string,
     simple_module,
     string_module,
-    word_isomorphic,
 )
 from .sweep import SweepReport, SweepRow, sweep_catalog
 from .udr import (
@@ -72,10 +69,9 @@ __all__ = [
     "build_sequence", "catalog_presentation", "classify_trivial_end",
     "connecting_letters", "count_deformations",
     "count_deformations_by_orbits", "count_ring_morphisms",
-    "direct_sum", "end_is_trivial", "enumerate_lifts", "enumerate_strings",
-    "ext1_dim", "fingerprint", "hom_dim", "make_string",
-    "modules_isomorphic", "paper_agreement", "parse_presentation",
-    "published_ring", "radical_series", "simple_module", "string_module",
-    "sweep_catalog", "table1_catalog", "tangent_dim_via_lifts",
-    "universal_deformation_ring", "validate_gentle", "word_isomorphic",
+    "end_is_trivial", "enumerate_lifts", "enumerate_strings", "ext1_dim",
+    "fingerprint", "hom_dim", "make_string", "modules_isomorphic",
+    "paper_agreement", "parse_presentation", "published_ring",
+    "radical_series", "simple_module", "string_module", "sweep_catalog",
+    "table1_catalog", "universal_deformation_ring", "validate_gentle",
 ]

@@ -7,9 +7,16 @@ system whose homogeneous part is independent of k: the cocycle equations
 of Ext^1(V, V), taken from `homext.ext_system`.  Deformations are lifts
 up to conjugation by invertible vertex maps congruent to the identity
 mod t; at level one these move a lift by the coboundaries, read from
-`homext.hom_system`.  Deformations are counted by one walk down the
-obstruction tree, and, as an oracle that shares the level equations but
-no coset argument, by partitioning every enumerated lift.
+`homext.hom_system`.
+
+One walk, `_lift_walk`, solves each held lift's next level and fans
+every solvable one out by fixed level-one directions.  Deformations are
+counted by walking the obstruction tree, with one direction per
+coboundary coset, so each row is one class.  The oracles share the walk
+but no coset or torsor argument: `count_deformations_by_orbits` fans out
+by every cocycle and counts conjugation classes by union-find, and
+`Lift.validate` checks each lift from `enumerate_lifts` by whole
+matrix-polynomial products, not by `_level_rhs`.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from .homext import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     _arrow_layout,
-    _exact_log,
     _mixed_radix,
     end_is_trivial,
     ext_system,
@@ -54,7 +60,11 @@ class CoeffRing:
 
 @dataclass
 class Lift:
-    """Arrow actions over a CoeffRing; coeffs[a] has shape (n, rows, cols)."""
+    """Arrow actions over a CoeffRing; coeffs[a] has shape (n, rows, cols).
+
+    `validate` checks the relations by whole matrix-polynomial products,
+    an oracle for the lift walk's level equations.
+    """
 
     module: FinModule
     ring: CoeffRing
@@ -136,36 +146,63 @@ def _level_rhs(V: FinModule, C: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1).T
 
 
-def _enumerate_coeff_rows(V: FinModule, ring: CoeffRing,
-                          budget: int) -> np.ndarray:
-    """All lifts as an array of shape (count, n, width of arrow tuple)."""
-    q, n = ring.q, ring.n
+def _span(basis: np.ndarray, q: int, budget: int) -> np.ndarray:
+    """Every F_q-combination of the rows of basis, one per row.
+
+    Raises before building more than `budget` rows.
+    """
+    d = basis.shape[0]
+    if q ** d > budget:
+        raise BudgetExceededError(
+            f"{q}^{d} fan-out rows exceed budget {budget}")
+    return _mixed_radix(q ** d, d, q) @ basis % q
+
+
+def _every_cocycle(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
+    """Every level-one cocycle, as flat rows: the orbit oracle's fan."""
+    return _span(nullspace(M, V.q), V.q, budget)
+
+
+def _lift_walk(V: FinModule, n: int, fan,
+               budget: int) -> tuple[np.ndarray, list[int], dict[int, bool]]:
+    """Lifts of V to F_q[t]/(t^n), one coefficient level at a time.
+
+    The rows at level k have shape (n, width of arrow tuple), zero from
+    level k on.  Level k's unknowns solve the cocycle equations
+    M = `ext_system(V, V)` with right-hand side `_level_rhs`; a row whose
+    system is solvable gets one solution plus each row of
+    `fan(V, M, budget)`, and the others are dropped.  Returns the rows at
+    level n, the row count per level and, for k >= 2, whether every row
+    at level k - 1 extended.  The parent and child levels held at once
+    may have at most `budget` entries, so they take at most 8 * budget
+    bytes; the child level is filled in place.
+    """
+    q = V.q
     layout, width = _arrow_layout(V, V)
-    M = ext_system(V, V).matrix()
-    base = np.zeros((1, n, width), dtype=np.int64)
+    C = np.zeros((1, n, width), dtype=np.int64)
     for a, off, shape in layout:
-        base[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
-    C = base
+        C[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
+    counts, extended = [1], {}
     if n == 1:
-        return C
-    ns = nullspace(M, q)
-    z = ns.shape[0]
-    if q ** z > budget:
-        raise BudgetExceededError(f"{q}^{z} branches per level exceed budget")
-    combos = _mixed_radix(q ** z, z, q) @ ns % q if z else \
-        np.zeros((1, width), dtype=np.int64)
+        return C, counts, extended
+    M = ext_system(V, V).matrix()
+    reps = fan(V, M, budget)
     pre = Presolved(M, q)
     for k in range(1, n):
         X, ok = pre.solve_many(_level_rhs(V, C, k))
-        C = C[ok]
-        if C.shape[0] * combos.shape[0] > budget:
+        extended[k + 1] = bool(ok.all())
+        parents = int(ok.sum())
+        held = C.shape[0] + parents * reps.shape[0]
+        if held * n * max(width, 1) > budget:
             raise BudgetExceededError(
-                f"level {k} would enumerate more than {budget} lifts")
-        C = np.repeat(C, combos.shape[0], axis=0)
-        level = (np.repeat(X.T[ok], combos.shape[0], axis=0)
-                 + np.tile(combos, (int(ok.sum()), 1))) % q
-        C[:, k, :] = level
-    return C
+                f"levels {k} and {k + 1} of the lift walk would hold "
+                f"{held} rows, over budget {budget}")
+        C = np.repeat(C, np.where(ok, reps.shape[0], 0), axis=0)
+        level = C.reshape(parents, reps.shape[0], n, width)[:, :, k]
+        np.add(X.T[ok][:, None], reps, out=level)
+        level %= q
+        counts.append(C.shape[0])
+    return C, counts, extended
 
 
 def _rows_to_lift(V: FinModule, ring: CoeffRing, row: np.ndarray) -> Lift:
@@ -178,12 +215,15 @@ def _rows_to_lift(V: FinModule, ring: CoeffRing, row: np.ndarray) -> Lift:
 
 def enumerate_lifts(p: Presentation, V: FinModule, ring: CoeffRing,
                     budget: int = DEFAULT_BUDGET) -> list[Lift]:
-    """Every action tuple over the ring reducing to V and killing the relations."""
+    """Every action tuple over the ring reducing to V and killing the relations.
+
+    An oracle: the orbit oracle's lifts, each checkable by `Lift.validate`.
+    """
     if p != V.presentation:
         raise ValueError("module does not live over this presentation")
     if ring.q != V.q:
         raise ValueError("ring and module use different q")
-    C = _enumerate_coeff_rows(V, ring, budget)
+    C = _lift_walk(V, ring.n, _every_cocycle, budget)[0]
     return [_rows_to_lift(V, ring, C[i]) for i in range(C.shape[0])]
 
 
@@ -285,15 +325,12 @@ class _Orbits:
 
 
 def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
-    """One level-one coefficient per conjugation coset, as flat rows.
-
-    Raises before building the q^tangent rows if they exceed the budget.
-    """
+    """One level-one coefficient per conjugation coset: the tree's fan."""
     q = V.q
     Z = nullspace(M, q)
     z = Z.shape[0]
     if z == 0:
-        return np.zeros((1, Z.shape[1]), dtype=np.int64)
+        return _span(Z, q, budget)
     # Row j is the coboundary of the j-th unit vertex map (up to sign).
     B = hom_system(V, V).matrix().T
     if rank(np.concatenate([Z, B]), q) != z:
@@ -302,13 +339,7 @@ def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
     if not ok.all():
         raise AssertionError("coboundary coordinates unsolvable")
     _, pivots = rref(coords.T, q)
-    free = [j for j in range(z) if j not in pivots]
-    if q ** len(free) > budget:
-        raise BudgetExceededError(
-            f"{q}^{len(free)} tangent cosets exceed budget {budget}")
-    combos = _mixed_radix(q ** len(free), len(free), q)
-    return combos @ Z[free] % q if free else \
-        np.zeros((1, Z.shape[1]), dtype=np.int64)
+    return _span(Z[[j for j in range(z) if j not in pivots]], q, budget)
 
 
 def _tree_census(V: FinModule, n_max: int,
@@ -317,38 +348,13 @@ def _tree_census(V: FinModule, n_max: int,
 
     Requires End(V) = k, so the classes over F_q[t]/(t^(n+1)) above one
     class over F_q[t]/(t^n) are none or a torsor under Ext^1(V, V).  The
-    walk keeps one representative per class, solves its next level, and
-    fans each solvable one out by the tangent coset representatives.
-    Returns the counts and, for n >= 2, whether every class at level
-    n - 1 lifts.  The parent and child levels held at once may have at
-    most `budget` entries, so they take at most 8 * budget bytes.
+    walk keeps one representative per class and fans each solvable one
+    out by the tangent coset representatives.  Returns the counts and,
+    for n >= 2, whether every class at level n - 1 lifts.
     """
     if not end_is_trivial(V):
         raise ValueError("deformation counts require End(V) = k")
-    q = V.q
-    layout, width = _arrow_layout(V, V)
-    M = ext_system(V, V).matrix()
-    C = np.zeros((1, n_max, width), dtype=np.int64)
-    for a, off, shape in layout:
-        C[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
-    counts, surjective = [1], {}
-    if n_max == 1:
-        return counts, surjective
-    reps = _tangent_line_reps(V, M, budget)
-    pre = Presolved(M, q)
-    for k in range(1, n_max):
-        X, ok = pre.solve_many(_level_rhs(V, C, k))
-        surjective[k + 1] = bool(ok.all())
-        fan = np.where(ok, reps.shape[0], 0)
-        held = C.shape[0] + int(fan.sum())
-        if held * n_max * max(width, 1) > budget:
-            raise BudgetExceededError(
-                f"levels {k} and {k + 1} of the obstruction tree would "
-                f"hold {held} classes, over budget {budget}")
-        C = np.repeat(C, fan, axis=0)
-        C[:, k] = (np.repeat(X.T, fan, axis=0)
-                   + np.tile(reps, (int(ok.sum()), 1))) % q
-        counts.append(C.shape[0])
+    _, counts, surjective = _lift_walk(V, n_max, _tangent_line_reps, budget)
     return counts, surjective
 
 
@@ -370,9 +376,9 @@ def count_deformations_by_orbits(p: Presentation, V: FinModule,
                                  budget: int = DEFAULT_BUDGET) -> int:
     """The same count by partitioning every lift under conjugation.
 
-    An exhaustive oracle for `count_deformations`: it shares the level
-    equations but no coset or torsor argument, enumerating all
-    q^((n-1) z) lifts for a level-one cocycle space of dimension z.
+    The count oracle for `count_deformations`: it shares the lift walk
+    and its level equations but no coset or torsor argument, fanning out
+    by every cocycle and counting union-find classes of all the lifts.
     """
     if not end_is_trivial(V):
         raise ValueError("deformation counts require End(V) = k")
@@ -380,26 +386,12 @@ def count_deformations_by_orbits(p: Presentation, V: FinModule,
         raise ValueError("ring and module use different q")
     if ring.n == 1:
         return 1
-    C = _enumerate_coeff_rows(V, ring, budget)
+    C = _lift_walk(V, ring.n, _every_cocycle, budget)[0]
     cost = C.shape[0] * max(_generator_count(V, ring), 1)
     if cost > 32 * budget:
         raise BudgetExceededError(
             f"orbit pass needs {cost} conjugations, over budget {budget}")
     return _Orbits(V, ring, C).class_count()
-
-
-def tangent_dim_via_lifts(p: Presentation, V: FinModule, q: int,
-                          budget: int = DEFAULT_BUDGET) -> int:
-    """log_q of the deformation count over the dual numbers."""
-    if q != V.q:
-        raise ValueError("module was built over a different q")
-    count = count_deformations_by_orbits(p, V, CoeffRing(q, 2),
-                                         budget=budget)
-    k = _exact_log(count, q)
-    if k is None:
-        raise AssertionError(
-            f"deformation count {count} is not a power of {q}")
-    return k
 
 
 _TRUNCATED = re.compile(r"^k\[\[?t\]\]?/\(t\^(\d+)\)$")
@@ -432,8 +424,7 @@ def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
 
 
 def fingerprint(p: Presentation, V: FinModule, q: int, n_max: int,
-                budget: int = DEFAULT_BUDGET,
-                extra_candidates: tuple[str, ...] = ()) -> LiftCensus:
+                budget: int = DEFAULT_BUDGET) -> LiftCensus:
     """Deformation census for n = 1..n_max matched against candidate rings.
 
     One obstruction-tree walk gives every level's count and, for each
@@ -444,12 +435,8 @@ def fingerprint(p: Presentation, V: FinModule, q: int, n_max: int,
         raise ValueError("module was built over a different q")
     counts, reduction = _tree_census(V, n_max, budget)
     census = list(enumerate(counts, start=1))
-    candidates = ["k", "k[[t]]/(t^2)", "k[[t]]"]
-    for extra in extra_candidates:
-        if extra not in candidates:
-            candidates.append(extra)
     matches = []
-    for label in candidates:
+    for label in ["k", "k[[t]]/(t^2)", "k[[t]]"]:
         expected = [count_ring_morphisms(label, CoeffRing(q, n))
                     for n in range(1, n_max + 1)]
         if expected == counts:

@@ -91,7 +91,10 @@ def nullspace(A, q: int) -> np.ndarray:
 
 
 def solve(A, b, q: int):
-    """One solution x of A x = b over F_q, or None if inconsistent."""
+    """One solution x of A x = b over F_q, or None if inconsistent.
+
+    The reference that `Presolved.solve_many` is tested against.
+    """
     A = as_field(A, q)
     b = as_field(b, q).reshape(-1)
     m, n = A.shape
@@ -138,10 +141,6 @@ class Presolved:
             X[pc] = C[r]
         X[:, ~ok] = 0
         return X, ok
-
-    def solve(self, b):
-        X, ok = self.solve_many(as_field(b, self.q).reshape(-1, 1))
-        return X[:, 0] if ok[0] else None
 
 
 class LinearSystem:

@@ -162,11 +162,6 @@ def word_from_letters(p: Presentation, letters, basepoint=None) -> StringWord:
     return StringWord(letters)
 
 
-def word_isomorphic(w1: StringWord, w2: StringWord) -> bool:
-    """Module-isomorphism test: equal or reverse-inverse walks."""
-    return w1 == w2 or w1 == w2.reverse_inverse()
-
-
 def enumerate_strings(p: Presentation, max_len: int) -> list[StringWord]:
     """All valid words of length <= max_len, one per isomorphism class.
 
@@ -306,21 +301,3 @@ def string_module(p: Presentation, w: StringWord, q: int = 2) -> FinModule:
 
 def simple_module(p: Presentation, vertex: str, q: int = 2) -> FinModule:
     return string_module(p, StringWord((), basepoint=str(vertex)), q=q)
-
-
-def direct_sum(m: FinModule, n: FinModule) -> FinModule:
-    if m.presentation is not n.presentation and m.presentation != n.presentation:
-        raise ValueError("direct sum needs a common presentation")
-    if m.q != n.q:
-        raise ValueError("direct sum needs a common field")
-    p = m.presentation
-    dims = {v: m.dims[v] + n.dims[v] for v in p.quiver.vertices}
-    action = {}
-    for a in p.quiver.arrow_names:
-        A, B = m.action[a], n.action[a]
-        block = np.zeros((dims[p.target(a)], dims[p.source(a)]), dtype=np.int64)
-        block[:A.shape[0], :A.shape[1]] = A
-        block[A.shape[0]:, A.shape[1]:] = B
-        action[a] = block
-    return FinModule(presentation=p, q=m.q, dims=dims, action=action,
-                     provenance=f"({m.provenance}) + ({n.provenance})")

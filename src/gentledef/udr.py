@@ -390,11 +390,7 @@ def _classify(p: Presentation, w: StringWord, V: FinModule, n_max: int,
                     ring = f"k[[t]]/(t^{r.n_value + 1})"
                     evidence["chosen"] = r.connector.as_dict()
                     break
-    extra = ()
-    if ring.startswith("k[[t]]/(") and ring != "k[[t]]/(t^2)":
-        extra = (ring,)
-    census = fingerprint(p, V, q, n_max, budget=budget,
-                         extra_candidates=extra)
+    census = fingerprint(p, V, q, n_max, budget=budget)
     evidence["census"] = census.as_dict()
     unique = census.matches[0] if len(census.matches) == 1 else None
     agreement = claims.paper_agreement(p, w, ring, tangent, unique)

@@ -1,21 +1,17 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from gentledef.homext import (
     BudgetExceededError,
     brute_force_ext,
     classify_trivial_end,
-    coboundary,
     coboundary_dim,
-    cocycle_basis,
     cocycle_dim,
     end_is_trivial,
     ext1_dim,
     hom_basis,
     hom_dim,
-    middle_term,
 )
 from gentledef.presentation import catalog_presentation
 from gentledef.strings import make_string, simple_module, string_module
@@ -110,37 +106,6 @@ def test_classify_trivial_end_lambda0(lam0):
     got = [w.display() for w in classify_trivial_end(lam0, 3)]
     assert got == ["simple 1", "simple 2", "c", "d",
                    "c*a", "d*b", "b*c", "a*d", "b*c*a", "a*d*b"]
-
-
-def test_middle_term_of_loop_cocycle(lam0):
-    s1 = simple_module(lam0, "1")
-    (f,) = cocycle_basis(s1, s1)
-    e = middle_term(s1, s1, f)
-    assert e.dims == {"1": 2, "2": 0}
-    assert e.validate() == []
-    assert e.action["a"].any()
-
-
-def test_middle_terms_are_valid_modules(lam0):
-    m = _mod(lam0, "b*c*a")
-    for f in cocycle_basis(m, m):
-        e = middle_term(m, m, f)
-        assert e.total_dim == 8
-        assert e.validate() == []
-
-
-def test_coboundaries_are_cocycles(lam0):
-    rng = np.random.default_rng(11)
-    m = _mod(lam0, "b*c*a", q=3)
-    n = _mod(lam0, "c*a", q=3)
-    p = lam0
-    for _ in range(5):
-        g = {v: rng.integers(0, 3, size=(n.dims[v], m.dims[v]))
-             for v in p.quiver.vertices}
-        d = coboundary(m, n, g)
-        for beta, alpha in p.relations:
-            lhs = (n.action[beta] @ d[alpha] + d[beta] @ m.action[alpha]) % 3
-            assert not lhs.any()
 
 
 def test_field_independence(lam0):

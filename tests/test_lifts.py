@@ -14,7 +14,6 @@ from gentledef.lifts import (
     count_ring_morphisms,
     enumerate_lifts,
     fingerprint,
-    tangent_dim_via_lifts,
 )
 from gentledef.presentation import catalog_presentation, table1_catalog
 from gentledef.strings import (
@@ -138,19 +137,12 @@ def test_count_deformations_bca(lam0):
 
 def test_bca_level3_routes_agree(lam0):
     # The obstruction tree's count is cross-checked by the full orbit
-    # partition of all 196608 lifts; this is the slowest test here.
+    # partition of all 196608 lifts; this is the slowest test here.  The
+    # lift walk holds about 9.5 M entries, over the default budget.
     m = _mod(lam0, "b*c*a")
     by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 3),
-                                            budget=2 ** 23)
+                                            budget=2 ** 24)
     assert by_orbit == count_deformations(lam0, m, CoeffRing(2, 3)) == 12
-
-
-def test_tangent_dims(lam0):
-    assert tangent_dim_via_lifts(lam0, simple_module(lam0, "1"), 2) == 1
-    assert tangent_dim_via_lifts(lam0, _mod(lam0, "b*c*a"), 2) == 2
-    assert tangent_dim_via_lifts(lam0, _mod(lam0, "c*a"), 2) == 1
-    p = catalog_presentation("qi.1")
-    assert tangent_dim_via_lifts(p, simple_module(p, "1"), 2) == 0
 
 
 def test_count_ring_morphisms_table():
@@ -220,13 +212,6 @@ def test_fingerprint_field_case():
     assert fp.matches == ["k"]
 
 
-def test_fingerprint_indistinguishable_extra_candidate():
-    p = catalog_presentation("qiv.1")
-    fp = fingerprint(p, simple_module(p, "1"), 2, 3,
-                     extra_candidates=("k[[t]]/(t^3)",))
-    assert fp.matches == ["k[[t]]", "k[[t]]/(t^3)"]
-
-
 def test_budget_errors(lam0):
     s1 = simple_module(lam0, "1")
     with pytest.raises(BudgetExceededError):
@@ -278,12 +263,17 @@ def test_deep_sweep_census_confirms_certified_rings():
 
 
 def test_deep_fingerprint_fails_loudly_within_budget(lam0):
+    # Both counters share one lift walk, whose budget bounds held entries:
+    # the orbit oracle's 196608 lifts at n = 3 are 9.5 M entries, over 2^20.
     m = _mod(lam0, "b*c*a")
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError):
-            fingerprint(lam0, m, 2, 20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * DEFAULT_BUDGET
+    for count in (lambda: fingerprint(lam0, m, 2, 20),
+                  lambda: count_deformations_by_orbits(lam0, m,
+                                                       CoeffRing(2, 3))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                count()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * DEFAULT_BUDGET

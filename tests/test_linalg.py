@@ -103,9 +103,9 @@ def test_presolve_matches_single_solve():
 
 def test_presolve_zero_width():
     pre = linalg.Presolved(np.zeros((2, 0), dtype=np.int64), 2)
-    x = pre.solve(np.zeros(2, dtype=np.int64))
-    assert x is not None and x.size == 0
-    assert pre.solve(np.array([1, 0])) is None
+    X, ok = pre.solve_many(np.array([[0, 1], [0, 0]]))
+    assert X.shape == (0, 2)
+    assert ok.tolist() == [True, False]
 
 
 def _gauss_jordan(A, q):

@@ -9,12 +9,10 @@ from gentledef.strings import (
     NotReducedError,
     StringError,
     StringWord,
-    direct_sum,
     enumerate_strings,
     make_string,
     simple_module,
     string_module,
-    word_isomorphic,
 )
 
 
@@ -74,14 +72,6 @@ def test_canonical_prefers_direct_letters(lam0):
     v = make_string(lam0, "b*c*a")
     assert v.canonical() is v
     assert v.reverse_inverse().display() == "~a*~c*~b"
-
-
-def test_word_isomorphic(lam0):
-    w = make_string(lam0, "~d*a")
-    v = make_string(lam0, "~a*d")
-    assert word_isomorphic(w, v)
-    assert word_isomorphic(w, w)
-    assert not word_isomorphic(w, make_string(lam0, "c*a"))
 
 
 def _displays(p, max_len):
@@ -171,23 +161,6 @@ def test_revinv_module_same_dims(lam0):
     m = string_module(lam0, w)
     n = string_module(lam0, w.reverse_inverse())
     assert m.dims == n.dims
-
-
-def test_direct_sum(lam0):
-    m = string_module(lam0, make_string(lam0, "c"))
-    n = simple_module(lam0, "1")
-    s = direct_sum(m, n)
-    assert s.dims == {"1": 2, "2": 1}
-    assert s.total_dim == 3
-    assert s.validate() == []
-    assert s.action["c"].tolist() == [[1, 0]]
-
-
-def test_direct_sum_field_mismatch(lam0):
-    m = simple_module(lam0, "1", q=2)
-    n = simple_module(lam0, "1", q=3)
-    with pytest.raises(ValueError):
-        direct_sum(m, n)
 
 
 def test_total_action_nilpotent_detects_loop(lam0):
