@@ -6,6 +6,14 @@ an exhaustive one that enumerates every cocycle tuple and every
 coboundary over F_q and counts orbits.  The two are kept free of shared
 code on purpose so they can check each other.
 
+The exhaustive engine tests every tuple in F_q^width against every
+relation without building the tuples: a tuple is an index whose base-q
+digits, least first, are its entries, so each arrow's block is one
+integer code.  Each relation b*a is evaluated by direct matrix products
+on every pair of codes (every code, for a loop relation a*a), and an
+index survives when each relation's table is zero at its codes.  Only
+the survivors are decoded into cocycle rows.
+
 The linear systems also carry the first-order deformation theory of a
 module V that `lifts` builds on: the cocycle equations of ext_system(V, V)
 are the equations of each new coefficient level of a lift, and the
@@ -148,6 +156,20 @@ def _mixed_radix(count: int, width: int, q: int) -> np.ndarray:
     return (idx // weights) % q
 
 
+def _block_codes(index: np.ndarray, off: int, shape: tuple[int, int],
+                 q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each candidate's code for one arrow block, and the block of each code.
+
+    A candidate index holds its q-ary digits least first, so the block
+    at flat offset off has code (index // q**off) % q**size, and code c
+    is the block whose row-major entries are the digits of c.
+    """
+    size = shape[0] * shape[1]
+    codes = (index // q ** off) % q ** size
+    blocks = _mixed_radix(q ** size, size, q).reshape(q ** size, *shape)
+    return codes, blocks
+
+
 def brute_force_ext(m: FinModule, n: FinModule,
                     budget: int = DEFAULT_BUDGET) -> int:
     """Ext^1 dimension by exhaustive enumeration over F_q.
@@ -168,31 +190,27 @@ def brute_force_ext(m: FinModule, n: FinModule,
         raise BudgetExceededError(
             f"{q}^{gwidth} coboundary sources exceed budget {budget}")
 
-    cand = _mixed_radix(q ** width, width, q)
     slots = {a: (off, shape) for a, off, shape in layout}
-    mask = np.ones(cand.shape[0], dtype=bool)
+    index = np.arange(q ** width, dtype=np.int64)
+    mask = np.ones(index.size, dtype=bool)
     for beta, alpha in p.relations:
-        rows = n.dims[p.target(beta)]
-        cols = m.dims[p.source(alpha)]
-        if rows * cols == 0:
+        if n.dims[p.target(beta)] * m.dims[p.source(alpha)] == 0:
             continue
-        total = np.zeros((cand.shape[0], rows, cols), dtype=np.int64)
-        off_a, shape_a = slots[alpha]
-        if shape_a[0] * shape_a[1]:
-            f_alpha = cand[:, off_a:off_a + shape_a[0] * shape_a[1]]
-            f_alpha = f_alpha.reshape(-1, *shape_a)
-            total += np.einsum("ij,kjl->kil", n.action[beta], f_alpha)
-        off_b, shape_b = slots[beta]
-        if shape_b[0] * shape_b[1]:
-            f_beta = cand[:, off_b:off_b + shape_b[0] * shape_b[1]]
-            f_beta = f_beta.reshape(-1, *shape_b)
-            total += np.einsum("kij,jl->kil", f_beta, m.action[alpha])
-        if total.size:
-            mask &= ~(total % q).any(axis=(1, 2))
-    valid = cand[mask]
+        code, f_a = _block_codes(index, *slots[alpha], q)
+        values = n.action[beta] @ f_a
+        if beta == alpha:
+            values = values + f_a @ m.action[alpha]
+        else:
+            code_b, f_b = _block_codes(index, *slots[beta], q)
+            values = values[None] + (f_b @ m.action[alpha])[:, None]
+            code = code + f_a.shape[0] * code_b
+        mask &= ~(values % q).any(axis=(-2, -1)).ravel()[code]
+    weights = q ** np.arange(width, dtype=np.int64)
+    valid = (np.flatnonzero(mask)[:, None] // weights) % q
 
-    gcand = _mixed_radix(q ** gwidth, gwidth, q)
-    deltas = np.zeros((gcand.shape[0], width), dtype=np.int64)
+    gcount = q ** gwidth
+    gcand = _mixed_radix(gcount, gwidth, q)
+    deltas = np.zeros((gcount, width), dtype=np.int64)
     goff = 0
     gslices = {}
     for v, size in zip(p.quiver.vertices, gsizes):
@@ -202,24 +220,21 @@ def brute_force_ext(m: FinModule, n: FinModule,
         if shape[0] * shape[1] == 0:
             continue
         s, t = p.source(a), p.target(a)
-        part = np.zeros((gcand.shape[0], *shape), dtype=np.int64)
+        part = np.zeros((gcount, *shape), dtype=np.int64)
         soff, sshape = gslices[s]
         if sshape[0] * sshape[1]:
             g_s = gcand[:, soff:soff + sshape[0] * sshape[1]]
-            part += np.einsum("ij,kjl->kil", n.action[a],
-                              g_s.reshape(-1, *sshape))
+            part += n.action[a] @ g_s.reshape(gcount, *sshape)
         toff, tshape = gslices[t]
         if tshape[0] * tshape[1]:
             g_t = gcand[:, toff:toff + tshape[0] * tshape[1]]
-            part -= np.einsum("kij,jl->kil", g_t.reshape(-1, *tshape),
-                              m.action[a])
+            part -= g_t.reshape(gcount, *tshape) @ m.action[a]
         deltas[:, off:off + shape[0] * shape[1]] = (
-            part % q).reshape(gcand.shape[0], -1)
+            part % q).reshape(gcount, -1)
     bset = np.unique(deltas, axis=0)
 
     if valid.shape[0] * bset.shape[0] > 8 * budget:
         raise BudgetExceededError("orbit pass exceeds budget")
-    weights = q ** np.arange(width, dtype=np.int64)
     if width and int(q) ** width >= 2 ** 62:
         raise BudgetExceededError("cocycle packing would overflow int64")
     shifted = (valid[:, None, :] + bset[None, :, :]) % q

@@ -1,5 +1,8 @@
 import itertools
+import math
+import types
 
+import numpy as np
 import pytest
 
 from gentledef.homext import (
@@ -127,9 +130,9 @@ def test_hom_invariant_under_reverse_inverse(lam0):
         assert a == b
 
 
-def _all_pairs_agree(p, max_len):
+def _all_pairs_agree(p, max_len, q=2):
     from gentledef.strings import enumerate_strings
-    mods = [string_module(p, w) for w in enumerate_strings(p, max_len)]
+    mods = [string_module(p, w, q=q) for w in enumerate_strings(p, max_len)]
     for m, n in itertools.product(mods, repeat=2):
         assert ext1_dim(m, n) == brute_force_ext(m, n), (
             m.provenance, n.provenance)
@@ -147,3 +150,101 @@ def test_budget_guard(lam0):
     s1 = simple_module(lam0, "1")
     with pytest.raises(BudgetExceededError):
         brute_force_ext(s1, s1, budget=1)
+
+
+@pytest.mark.parametrize("q, max_len", [(3, 2), (5, 1)])
+@pytest.mark.parametrize("name", ["qviii.1", "qvi.1"])
+def test_engines_agree_off_q2(name, q, max_len):
+    # Both algebras have a loop relation a*a, whose table is over one code.
+    _all_pairs_agree(catalog_presentation(name), max_len, q)
+
+
+def test_budget_boundary(lam0):
+    # M[c*a]: 9 cocycle entries, 5 coboundary sources.
+    m = _mod(lam0, "c*a")
+    with pytest.raises(BudgetExceededError):
+        brute_force_ext(m, m, budget=2 ** 9 - 1)
+    assert brute_force_ext(m, m, budget=2 ** 9) == 1
+
+
+def _blocks(digits, shapes):
+    out, pos = {}, 0
+    for key, (rows, cols) in shapes.items():
+        out[key] = np.array(digits[pos:pos + rows * cols],
+                            dtype=np.int64).reshape(rows, cols)
+        pos += rows * cols
+    return out
+
+
+def _reference_ext(m, n):
+    """dim Ext^1(m, n) one tuple at a time, orbits counted in a set."""
+    p, q = m.presentation, m.q
+    arrows = p.quiver.arrow_names
+    blocks = {a: (n.dims[p.target(a)], m.dims[p.source(a)]) for a in arrows}
+    spots = {v: (n.dims[v], m.dims[v]) for v in p.quiver.vertices}
+    cocycles = []
+    width = sum(r * c for r, c in blocks.values())
+    for digits in itertools.product(range(q), repeat=width):
+        f = _blocks(digits, blocks)
+        if all(not ((n.action[b] @ f[a] + f[b] @ m.action[a]) % q).any()
+               for b, a in p.relations):
+            cocycles.append(digits)
+    bounds = set()
+    gwidth = sum(r * c for r, c in spots.values())
+    for digits in itertools.product(range(q), repeat=gwidth):
+        g = _blocks(digits, spots)
+        bounds.add(tuple(
+            int(x) for a in arrows for x in (
+                (n.action[a] @ g[p.source(a)] - g[p.target(a)] @ m.action[a])
+                % q).ravel()))
+    orbits = {min(tuple((z + b) % q for z, b in zip(cocycle, bound))
+                  for bound in bounds)
+              for cocycle in cocycles}
+    dim = round(math.log(len(orbits), q))
+    assert q ** dim == len(orbits)
+    return dim
+
+
+@pytest.mark.parametrize("q, max_width", [(2, 8), (3, 5)])
+def test_oracle_matches_per_tuple_reference(q, max_width):
+    from gentledef.strings import enumerate_strings
+    seen = {"m != n": False, "loop relation": False, "0 x k block": False}
+    for name in ["qviii.1", "qvi.1", "qiii.1"]:
+        p = catalog_presentation(name)
+        mods = [string_module(p, w, q=q) for w in enumerate_strings(p, 2)]
+        for m, n in itertools.product(mods, repeat=2):
+            shapes = [(n.dims[p.target(a)], m.dims[p.source(a)])
+                      for a in p.quiver.arrow_names]
+            if sum(r * c for r, c in shapes) > max_width:
+                continue
+            assert brute_force_ext(m, n) == _reference_ext(m, n), (
+                name, m.provenance, n.provenance)
+            seen["m != n"] |= m is not n
+            seen["loop relation"] |= any(b == a for b, a in p.relations)
+            seen["0 x k block"] |= any(r == 0 < c for r, c in shapes)
+    assert all(seen.values()), seen
+
+
+def test_oracle_shares_no_code_with_linear_engine():
+    """brute_force_ext and every helper it reaches stay off linalg."""
+    from gentledef import homext
+    forbidden = {"LinearSystem", "rank", "rref", "nullspace", "Presolved",
+                 "solve", "ext_system", "hom_system"}
+    names, seen = set(), set()
+    stack = [homext.brute_force_ext.__code__]
+    while stack:
+        code = stack.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names.update(code.co_names)
+        stack.extend(c for c in code.co_consts
+                     if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            target = vars(homext).get(name)
+            if isinstance(target, types.FunctionType):
+                stack.append(target.__code__)
+            assert getattr(target, "__module__", None) != "gentledef.linalg", \
+                name
+    assert homext._mixed_radix.__code__ in seen
+    assert not names & forbidden, names & forbidden
