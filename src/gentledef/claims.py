@@ -30,6 +30,9 @@ CLASSIFIED_RINGS = {word: entry["ring"]
 
 TRICHOTOMY_RINGS = tuple(_CLAIMS["trichotomy"]["rings"])
 
+# The worked example whose table `published_ring` reads.
+_WORKED_EXAMPLE = catalog_presentation(LAMBDA0)
+
 
 def _same_presentation(p: Presentation, ref: Presentation) -> bool:
     return (set(p.quiver.vertices) == set(ref.quiver.vertices)
@@ -39,7 +42,7 @@ def _same_presentation(p: Presentation, ref: Presentation) -> bool:
 
 def published_ring(p: Presentation, w: StringWord) -> str | None:
     """The ring the published table assigns to M[w], or None."""
-    if not _same_presentation(p, catalog_presentation(LAMBDA0)):
+    if not _same_presentation(p, _WORKED_EXAMPLE):
         return None
     return CLASSIFIED_RINGS.get(w.canonical().display())
 

@@ -14,11 +14,17 @@ on every pair of codes (every code, for a loop relation a*a), and an
 index survives when each relation's table is zero at its codes.  Only
 the survivors are decoded into cocycle rows.
 
-The linear systems also carry the first-order deformation theory of a
-module V that `lifts` builds on: the cocycle equations of ext_system(V, V)
-are the equations of each new coefficient level of a lift, and the
-columns of hom_system(V, V).matrix() span the coboundaries, the
-directions in which conjugation by 1 + t g moves a lift.
+The linear engine's systems are sparse: each equation row holds only
+the products of the nonzeros of the action matrices, one-sided products
+X·I and I·X are written with None for the identity, and `hom_dim` and
+`ext1_dim` row-reduce those sparse rows without building a dense matrix.
+The same systems carry the first-order deformation theory of a module V
+that `lifts` builds on, and `lifts` reads them as dense arrays through
+`matrix()`, rows in equation order: the cocycle equations of
+ext_system(V, V) are the equations of each new coefficient level of a
+lift, and the columns of hom_system(V, V).matrix() span the
+coboundaries, the directions in which conjugation by 1 + t g moves a
+lift.
 """
 
 from __future__ import annotations
@@ -54,11 +60,9 @@ def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
         s, t = p.source(a), p.target(a)
         if n.dims[t] * m.dims[s] == 0:
             continue
-        eye_s = np.eye(m.dims[s], dtype=np.int64)
-        neg_t = (-np.eye(n.dims[t], dtype=np.int64)) % q
         sys.add_equation([
-            (n.action[a], s, eye_s),
-            (neg_t, t, m.action[a]),
+            (n.action[a], s, None),
+            (None, t, -m.action[a]),
         ])
     return sys
 
@@ -88,10 +92,8 @@ def ext_system(m: FinModule, n: FinModule) -> LinearSystem:
         sys.add_unknown(a, (n.dims[p.target(a)], m.dims[p.source(a)]))
     for beta, alpha in p.relations:
         sys.add_equation([
-            (n.action[beta], alpha,
-             np.eye(m.dims[p.source(alpha)], dtype=np.int64)),
-            (np.eye(n.dims[p.target(beta)], dtype=np.int64),
-             beta, m.action[alpha]),
+            (n.action[beta], alpha, None),
+            (None, beta, m.action[alpha]),
         ])
     return sys
 

@@ -1,8 +1,13 @@
 """Exact linear algebra over the prime fields F_q.
 
-Everything here works on plain numpy int64 arrays whose entries are
-reduced mod q.  No floating point is involved anywhere, so ranks and
-nullspaces are exact.  q must be prime (inverses via Fermat).
+One elimination routine, `_reduce`, does all the row reduction: it
+takes sparse rows (dicts column -> nonzero entry mod q) to reduced row
+echelon form.  `LinearSystem` builds its equations as such rows from
+the nonzeros of its coefficient matrices and reduces them directly;
+`rref`, and through it `rank`, `nullspace`, `solve` and `Presolved`,
+take and return numpy int64 arrays with entries reduced mod q, and
+adapt them to `_reduce`.  No floating point is involved anywhere, so
+ranks and nullspaces are exact.  q must be prime (inverses via Fermat).
 """
 
 from __future__ import annotations
@@ -26,38 +31,77 @@ def as_field(A, q: int) -> np.ndarray:
     return np.asarray(A, dtype=np.int64) % q
 
 
+def _reduce(rows, q: int) -> dict[int, dict[int, int]]:
+    """Gauss-Jordan elimination of sparse rows over F_q.
+
+    Each row is a dict column -> entry, entries nonzero residues mod q;
+    the rows are not modified.  Returns the reduced pivot rows keyed by
+    pivot column: each has entry 1 at its pivot, which is its least
+    column, and no entry in any other pivot column, so sorted by pivot
+    they are the nonzero rows of the reduced row echelon form.
+
+    Rows are taken one at a time.  A new row is cleared of the pivot
+    columns it meets by one pass, since pivot rows have no entries in
+    each other's pivot columns; if anything is left, it is scaled to a
+    new pivot at its least column, which is then cleared from the older
+    pivot rows.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = dict(row)
+        for c in [c for c in r if c in pivots]:
+            f = r[c]
+            for col, v in pivots[c].items():
+                x = (r.get(col, 0) - f * v) % q
+                if x:
+                    r[col] = x
+                else:
+                    del r[col]
+        if not r:
+            continue
+        lead = min(r)
+        if r[lead] != 1:
+            inv = _inv_mod(r[lead], q)
+            r = {col: v * inv % q for col, v in r.items()}
+        for p in pivots.values():
+            f = p.get(lead)
+            if f:
+                for col, v in r.items():
+                    x = (p.get(col, 0) - f * v) % q
+                    if x:
+                        p[col] = x
+                    else:
+                        del p[col]
+        pivots[lead] = r
+    return pivots
+
+
 def rref(A, q: int):
     """Reduced row echelon form over F_q.
 
     Returns (R, pivot_cols) where R is a new array and pivot_cols lists
-    the pivot column of each nonzero row in order.  Each pivot column is
-    cleared from every other row with one vectorised row update; left of
-    the pivot the pivot row is already zero, so only columns from the
-    pivot on are touched.
+    the pivot column of each nonzero row in order.  A dense adapter over
+    `_reduce`: the nonzeros of A become sparse rows, and the reduced
+    pivot rows are written back, zero rows last.
     """
-    R = as_field(A, q)
-    m, n = R.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = R[row:, col].nonzero()[0]
-        if nz.size == 0:
-            continue
-        piv = row + nz[0]
-        if piv != row:
-            R[[row, piv]] = R[[piv, row]]
-        if R[row, col] != 1:
-            R[row, col:] = R[row, col:] * _inv_mod(R[row, col], q) % q
-        others = R[:, col].nonzero()[0]
-        if others.size > 1:
-            others = others[others != row]
-            R[others, col:] = (R[others, col:]
-                               - R[others, col, None] * R[row, col:]) % q
-        pivots.append(col)
-        row += 1
-    return R, pivots
+    A = as_field(A, q)
+    rows = [{c: v for c, v in enumerate(line) if v} for line in A.tolist()]
+    reduced = _reduce(rows, q)
+    pivots = sorted(reduced)
+    return _dense(enumerate(reduced[c] for c in pivots), A.shape), pivots
+
+
+def _dense(rows, shape: tuple[int, int]) -> np.ndarray:
+    """The int64 array whose row r is the sparse row of each (r, row) given.
+
+    Rows not given are zero.
+    """
+    M = [[0] * shape[1] for _ in range(shape[0])]
+    for r, row in rows:
+        line = M[r]
+        for c, v in row.items():
+            line[c] = v
+    return np.array(M, dtype=np.int64).reshape(shape)
 
 
 def rank(A, q: int) -> int:
@@ -72,21 +116,18 @@ def nullspace(A, q: int) -> np.ndarray:
     """Basis of the right nullspace, one vector per ROW of the result.
 
     The result has shape (nullity, n); for a full-rank square matrix it
-    is an empty (0, n) array.
+    is an empty (0, n) array.  Row i is the free column free[i] set to 1,
+    with each pivot variable solved from the reduced rows.
     """
     A = as_field(A, q)
-    m, n = A.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if m == 0:
-        return np.eye(n, dtype=np.int64)
+    n = A.shape[1]
     R, pivots = rref(A, q)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-R[r, fc]) % q
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[:, free] = np.eye(free.size, dtype=np.int64)
+    basis[:, pivots] = -R[:len(pivots), free].T % q
     return basis
 
 
@@ -147,11 +188,13 @@ class LinearSystem:
     """Linear equations in several unknown matrices over F_q.
 
     Unknowns are named matrices of fixed shape; each equation is a sum
-    of terms A @ X @ B (A, B known) set equal to zero.
-    Unknowns and equations are flattened row-major: the equation's rows
-    are the entries of A @ X @ B, and each term places the coefficient
-    A[i, k] * B[l, j] of X[k, l] in row (i, j) by one broadcast product,
-    reducing mod q once per equation.
+    of terms A @ X @ B (A, B known, None standing for the identity) set
+    equal to zero.  Unknowns and equations are flattened row-major: the
+    equation's rows are the entries of A @ X @ B, and X[k, l] has
+    coefficient A[i, k] * B[l, j] in row (i, j).  Rows are stored sparse,
+    as dicts column -> nonzero entry mod q, built from the nonzeros of A
+    and B alone; `nullspace_dim` reduces them with `_reduce` directly,
+    and only `matrix` and `nullspace_basis` build a dense array.
     """
 
     def __init__(self, q: int):
@@ -159,7 +202,8 @@ class LinearSystem:
         self._shapes: dict[str, tuple[int, int]] = {}
         self._offsets: dict[str, int] = {}
         self._width = 0
-        self._rows: list[np.ndarray] = []
+        self._height = 0
+        self._rows: dict[int, dict[int, int]] = {}
 
     def add_unknown(self, name: str, shape: tuple[int, int]) -> None:
         if name in self._shapes:
@@ -175,35 +219,41 @@ class LinearSystem:
     def add_equation(self, terms) -> None:
         """terms: iterable of (A, name, B) whose sum is set to zero.
 
-        Every term's A @ X @ B must share one output shape.
+        A or B may be None for the identity.  Every term's A @ X @ B
+        must share one output shape.
         """
-        block = None
+        shape = None
+        eq: dict[int, dict[int, int]] = {}
         for A, name, B in terms:
-            A = np.asarray(A, dtype=np.int64)
-            B = np.asarray(B, dtype=np.int64)
             rows, cols = self._shapes[name]
-            if A.shape[1] != rows or B.shape[0] != cols:
+            left, right = _nonzeros(A, rows), _nonzeros(B, cols)
+            a_shape = (rows, rows) if A is None else np.shape(A)
+            b_shape = (cols, cols) if B is None else np.shape(B)
+            if a_shape[1] != rows or b_shape[0] != cols:
                 raise ValueError(f"term shape mismatch on {name!r}")
-            shape = (A.shape[0], B.shape[1])
-            if block is None:
-                block = np.zeros((*shape, self._width), dtype=np.int64)
-            elif shape != block.shape[:2]:
+            if shape is None:
+                shape = (a_shape[0], b_shape[1])
+            elif (a_shape[0], b_shape[1]) != shape:
                 raise ValueError("terms have mismatched output shapes")
-            off = self._offsets[name]
-            # Entry (i, j, k, l) is A[i, k] * B[l, j]: the coefficient of
-            # X[k, l] in (A @ X @ B)[i, j].
-            piece = A[:, None, :, None] * B.T[None, :, None, :]
-            block[:, :, off:off + rows * cols] += piece.reshape(
-                *shape, rows * cols)
-        if block is None:
+            off, out_cols = self._offsets[name], shape[1]
+            for i, k, a in left:
+                first_row, first_col = i * out_cols, off + k * cols
+                for l, j, b in right:
+                    row = eq.get(first_row + j)
+                    if row is None:
+                        row = eq[first_row + j] = {}
+                    row[first_col + l] = row.get(first_col + l, 0) + a * b
+        if shape is None:
             raise ValueError("equation needs at least one term")
-        rows_out = block.shape[0] * block.shape[1]
-        self._rows.append(block.reshape(rows_out, self._width) % self.q)
+        q, top = self.q, self._height
+        for r, row in eq.items():
+            row = {c: x for c, v in row.items() if (x := v % q)}
+            if row:
+                self._rows[top + r] = row
+        self._height += shape[0] * shape[1]
 
     def matrix(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, self._width), dtype=np.int64)
-        return np.concatenate(self._rows, axis=0)
+        return _dense(self._rows.items(), (self._height, self._width))
 
     def _unpack(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         out = {}
@@ -213,7 +263,19 @@ class LinearSystem:
         return out
 
     def nullspace_dim(self) -> int:
-        return self._width - rank(self.matrix(), self.q)
+        return self._width - len(_reduce(self._rows.values(), self.q))
 
     def nullspace_basis(self) -> list[dict[str, np.ndarray]]:
         return [self._unpack(v) for v in nullspace(self.matrix(), self.q)]
+
+
+def _nonzeros(M, size: int) -> list[tuple[int, int, int]]:
+    """Nonzero entries (i, j, M[i, j]) of M.
+
+    None stands for the size x size identity.
+    """
+    if M is None:
+        return [(k, k, 1) for k in range(size)]
+    return [(i, j, v)
+            for i, line in enumerate(np.asarray(M, dtype=np.int64).tolist())
+            for j, v in enumerate(line) if v]

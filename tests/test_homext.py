@@ -248,3 +248,31 @@ def test_oracle_shares_no_code_with_linear_engine():
                 name
     assert homext._mixed_radix.__code__ in seen
     assert not names & forbidden, names & forbidden
+
+
+def test_hom_and_ext_dimensions_never_go_dense(monkeypatch):
+    """hom_dim and ext1_dim reduce sparse rows: no matrix(), no np.eye."""
+    from gentledef import linalg
+    from gentledef.homext import ext_system, hom_system
+    from gentledef.presentation import table1_catalog
+    from gentledef.strings import enumerate_strings
+    cases = []
+    for q in (2, 3):
+        for _, p in table1_catalog():
+            mods = [string_module(p, w, q=q) for w in enumerate_strings(p, 2)]
+            for m, n in itertools.product(mods, repeat=2):
+                hom, ext = hom_system(m, n), ext_system(m, n)
+                hom_rank = linalg.rank(hom.matrix(), q)
+                ext_rank = linalg.rank(ext.matrix(), q)
+                cases.append((m, n, hom.width - hom_rank,
+                              ext.width - ext_rank - hom_rank))
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the Hom/Ext dimension path went dense")
+
+    monkeypatch.setattr(linalg.LinearSystem, "matrix", dense)
+    monkeypatch.setattr(np, "eye", dense)
+    for m, n, hom, ext in cases:
+        assert hom_dim(m, n) == hom, (m.provenance, n.provenance)
+        assert ext1_dim(m, n) == ext, (m.provenance, n.provenance)
+    assert len(cases) > 1000

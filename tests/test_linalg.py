@@ -38,36 +38,60 @@ def test_nullspace_of_empty_and_full_rank():
 
 def test_kron_flattening_matches_direct_product():
     # matrix() @ vec(unknowns) is vec(sum of A @ X @ B) for each equation,
-    # with row-major vec and unknowns in declaration order.
+    # with row-major vec and unknowns in declaration order.  A None factor
+    # must give the same rows as the explicit identity, and nullspace_dim
+    # must be width - rank(matrix()).
     rng = np.random.default_rng(7)
-    for q in (2, 3, 5):
+    seen = {"A None": 0, "B None": 0, "0 rows": 0, "0 columns": 0}
+    for q in (2, 3, 5, 7):
         for _ in range(40):
             sys = linalg.LinearSystem(q)
+            explicit = linalg.LinearSystem(q)
             shapes = {f"X{i}": tuple(int(d) for d in rng.integers(0, 4, 2))
                       for i in range(int(rng.integers(1, 4)))}
             for name, shape in shapes.items():
                 sys.add_unknown(name, shape)
+                explicit.add_unknown(name, shape)
             X = {name: rng.integers(0, q, size=shape)
                  for name, shape in shapes.items()}
             expected = []
             for _ in range(int(rng.integers(1, 4))):
                 out = tuple(int(d) for d in rng.integers(0, 4, 2))
-                terms, total = [], np.zeros(out, dtype=np.int64)
+                terms, eye_terms = [], []
+                total = np.zeros(out, dtype=np.int64)
                 for _ in range(int(rng.integers(1, 4))):
                     name = str(rng.choice(list(shapes)))
                     rows, cols = shapes[name]
                     # entries outside [0, q) must be reduced by the system
                     A = rng.integers(-q, 2 * q, size=(out[0], rows))
                     B = rng.integers(-q, 2 * q, size=(cols, out[1]))
-                    terms.append((A, name, B))
+                    side = int(rng.integers(0, 3))
+                    if side == 1 and rows == out[0]:
+                        A = np.eye(rows, dtype=np.int64)
+                        terms.append((None, name, B))
+                        seen["A None"] += 1
+                    elif side == 2 and cols == out[1]:
+                        B = np.eye(cols, dtype=np.int64)
+                        terms.append((A, name, None))
+                        seen["B None"] += 1
+                    else:
+                        terms.append((A, name, B))
+                    eye_terms.append((A, name, B))
                     total += A @ X[name] @ B
                 sys.add_equation(terms)
+                explicit.add_equation(eye_terms)
                 expected.append(total.reshape(-1) % q)
             vec = np.concatenate([X[name].reshape(-1) for name in shapes])
             M = sys.matrix()
             assert M.shape == (sum(e.size for e in expected), vec.size)
             assert ((M >= 0) & (M < q)).all()
             assert (M @ vec % q == np.concatenate(expected)).all()
+            assert np.array_equal(M, explicit.matrix())
+            _, pivots = _gauss_jordan(M, q)
+            assert sys.nullspace_dim() == sys.width - len(pivots)
+            seen["0 rows"] += M.shape[0] == 0
+            seen["0 columns"] += M.shape[1] == 0
+    assert all(seen.values()), seen
 
 
 def test_linear_system_commutant_of_nilpotent_block():
