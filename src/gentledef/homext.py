@@ -12,7 +12,12 @@ digits, least first, are its entries, so each arrow's block is one
 integer code.  Each relation b*a is evaluated by direct matrix products
 on every pair of codes (every code, for a loop relation a*a), and an
 index survives when each relation's table is zero at its codes.  Only
-the survivors are decoded into cocycle rows.
+the survivors are decoded into cocycle rows.  Orbits are counted on
+packed int64 keys, one per cocycle and one per coboundary: each entry
+has a bit field with room for the sum of two residues, so a cocycle
+plus a coboundary is one integer add that never carries between
+fields, and a top-bit test reduces each field mod q.  Widths beyond one
+63-bit word use several words, compared lexicographically.
 
 The linear engine's systems are sparse: each equation row holds only
 the products of the nonzeros of the action matrices, one-sided products
@@ -172,6 +177,60 @@ def _block_codes(index: np.ndarray, off: int, shape: tuple[int, int],
     return codes, blocks
 
 
+def _field_bits(q: int) -> int:
+    """Bits per packed entry: room for the sum 2q - 2 of two residues,
+    plus the top bit that flags a sum of q or more once biased."""
+    return (2 * q - 2).bit_length() + 1
+
+
+def _pack_keys(rows: np.ndarray, q: int) -> np.ndarray:
+    """Rows of residues mod q as packed int64 keys, one row of words each.
+
+    Entry j is the field at bit bits * (j % per_word) of word
+    j // per_word, where per_word = 63 // bits, so every word is
+    nonnegative; a row of width 0 is one zero word.
+    """
+    bits = _field_bits(q)
+    per_word = 63 // bits
+    width = rows.shape[1]
+    words = max(1, -(-width // per_word))
+    padded = np.zeros((rows.shape[0], words * per_word), dtype=np.int64)
+    padded[:, :width] = rows
+    shifts = bits * np.arange(per_word, dtype=np.int64)
+    return (padded.reshape(-1, words, per_word) << shifts).sum(axis=2)
+
+
+def _orbit_minima(zkeys: np.ndarray, bkeys: np.ndarray, q: int) -> np.ndarray:
+    """Each cocycle's least key over its coset z + B, words compared
+    lexicographically.
+
+    Two packed keys add field by field with one integer add, since a
+    field has room for 2q - 2 and so never carries into the next.  A
+    field sum s >= q is then brought back below q by subtracting q where
+    s + 2**(bits - 1) - q has its top bit set.  Word w is minimised only
+    over the coboundaries that tie on every earlier word.
+    """
+    bits = _field_bits(q)
+    fields = range(0, 63 // bits * bits, bits)
+    top = sum(1 << (f + bits - 1) for f in fields)
+    bias = sum(((1 << (bits - 1)) - q) << f for f in fields)
+    canon = np.empty_like(zkeys)
+    tied = None
+    for w in range(zkeys.shape[1]):
+        s = np.add.outer(zkeys[:, w], bkeys[:, w])
+        over = s + bias
+        over &= top
+        over >>= bits - 1
+        over *= q
+        s -= over
+        if tied is not None:
+            s[~tied] = np.iinfo(np.int64).max
+        canon[:, w] = s.min(axis=1)
+        if w + 1 < zkeys.shape[1]:
+            tied = s == canon[:, w, None]
+    return canon
+
+
 def brute_force_ext(m: FinModule, n: FinModule,
                     budget: int = DEFAULT_BUDGET) -> int:
     """Ext^1 dimension by exhaustive enumeration over F_q.
@@ -191,6 +250,8 @@ def brute_force_ext(m: FinModule, n: FinModule,
     if q ** gwidth > budget:
         raise BudgetExceededError(
             f"{q}^{gwidth} coboundary sources exceed budget {budget}")
+    if width and int(q) ** width >= 2 ** 62:
+        raise BudgetExceededError("cocycle indices would overflow int64")
 
     slots = {a: (off, shape) for a, off, shape in layout}
     index = np.arange(q ** width, dtype=np.int64)
@@ -233,23 +294,19 @@ def brute_force_ext(m: FinModule, n: FinModule,
             part -= g_t.reshape(gcount, *tshape) @ m.action[a]
         deltas[:, off:off + shape[0] * shape[1]] = (
             part % q).reshape(gcount, -1)
-    bset = np.unique(deltas, axis=0)
 
-    if valid.shape[0] * bset.shape[0] > 8 * budget:
+    zkeys = _pack_keys(valid, q)
+    bkeys = np.unique(_pack_keys(deltas, q), axis=0)
+    if zkeys.shape[0] * bkeys.shape[0] > 8 * budget:
         raise BudgetExceededError("orbit pass exceeds budget")
-    if width and int(q) ** width >= 2 ** 62:
-        raise BudgetExceededError("cocycle packing would overflow int64")
-    shifted = (valid[:, None, :] + bset[None, :, :]) % q
-    keys = (shifted * weights).sum(axis=2) if width else np.zeros(
-        (valid.shape[0], bset.shape[0]), dtype=np.int64)
-    canon = keys.min(axis=1)
-    classes = np.unique(canon).size
+    canon = _orbit_minima(zkeys, bkeys, q)
+    classes = np.unique(canon, axis=0).shape[0]
 
-    if classes * bset.shape[0] != valid.shape[0]:
+    if classes * bkeys.shape[0] != zkeys.shape[0]:
         raise AssertionError("orbit counting is inconsistent")
     out = _exact_log(classes, q)
-    if out is None or _exact_log(valid.shape[0], q) is None \
-            or _exact_log(bset.shape[0], q) is None:
+    if out is None or _exact_log(zkeys.shape[0], q) is None \
+            or _exact_log(bkeys.shape[0], q) is None:
         raise AssertionError("enumeration counts are not powers of q")
     return out
 

@@ -193,8 +193,8 @@ class LinearSystem:
     equation's rows are the entries of A @ X @ B, and X[k, l] has
     coefficient A[i, k] * B[l, j] in row (i, j).  Rows are stored sparse,
     as dicts column -> nonzero entry mod q, built from the nonzeros of A
-    and B alone; `nullspace_dim` reduces them with `_reduce` directly,
-    and only `matrix` and `nullspace_basis` build a dense array.
+    and B alone; `nullspace_dim` and `nullspace_basis` reduce them with
+    `_reduce` directly, and only `matrix` builds a dense array.
     """
 
     def __init__(self, q: int):
@@ -266,7 +266,21 @@ class LinearSystem:
         return self._width - len(_reduce(self._rows.values(), self.q))
 
     def nullspace_basis(self) -> list[dict[str, np.ndarray]]:
-        return [self._unpack(v) for v in nullspace(self.matrix(), self.q)]
+        """The basis `nullspace(self.matrix(), q)` gives, read off the
+        reduced sparse rows: vector i sets free column free[i] to 1 and
+        each pivot column p to -(entry of p's row at free[i])."""
+        q = self.q
+        pivots = _reduce(self._rows.values(), q)
+        free = [c for c in range(self._width) if c not in pivots]
+        index = {c: i for i, c in enumerate(free)}
+        basis = np.zeros((len(free), self._width), dtype=np.int64)
+        for c, i in index.items():
+            basis[i, c] = 1
+        for p, row in pivots.items():
+            for c, v in row.items():
+                if c != p:
+                    basis[index[c], p] = -v % q
+        return [self._unpack(v) for v in basis]
 
 
 def _nonzeros(M, size: int) -> list[tuple[int, int, int]]:

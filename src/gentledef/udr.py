@@ -23,7 +23,10 @@ from .homext import (
     modules_isomorphic,
 )
 from .lifts import fingerprint
-from .linalg import Presolved, nullspace, rank, rref
+# Unused here: perfbench/tests/test_perfbench.py
+# (test_wrappers_rebind_every_import_and_restore_the_originals) pins a
+# traced `rref` binding in this module.
+from .linalg import rref  # noqa: F401
 from .presentation import Presentation
 from .strings import (
     FinModule,
@@ -194,7 +197,10 @@ def _coords(V: FinModule) -> list[int]:
     return [off[v] + l for v, l in zip(V.walk, V.local)]
 
 
-def _is_module_endo(V: FinModule, sigma: np.ndarray) -> bool:
+def _is_module_endo(V: FinModule, sigma: np.ndarray,
+                    arrows: dict[str, np.ndarray]) -> bool:
+    """Whether sigma respects the vertices and commutes with
+    `arrows = _arrow_total_matrices(V)`."""
     q = V.q
     off = V.vertex_offsets()
     for v in V.presentation.quiver.vertices:
@@ -203,46 +209,40 @@ def _is_module_endo(V: FinModule, sigma: np.ndarray) -> bool:
         mask[list(r)] = False
         if sigma[np.ix_(mask, list(r))].any():
             return False
-    for T in _arrow_total_matrices(V).values():
+    for T in arrows.values():
         if ((sigma @ T - T @ sigma) % q).any():
             return False
     return True
 
 
-def _submodule_from_columns(V: FinModule, cols: np.ndarray) -> FinModule | None:
-    """The span of the given column vectors as a module, or None.
+def _coordinate_submodule(V: FinModule,
+                          keep: np.ndarray) -> FinModule | None:
+    """The span of the unit vectors at the total-space coordinates where
+    the boolean mask keep is set, as a module, or None.
 
-    None signals that the span is not stable under the arrow action or
-    does not split over the vertices.
+    Each vertex's basis is its kept coordinates in increasing order, so
+    the action is read off as submatrices of V's.  None signals that the
+    span is not stable under the arrow action or fails validation.
     """
-    p, q = V.presentation, V.q
+    p = V.presentation
     off = V.vertex_offsets()
-    local_bases = {}
-    total_rank = rank(cols.T, q)
-    split_rank = 0
-    for v in p.quiver.vertices:
-        block = cols[off[v]:off[v] + V.dims[v], :]
-        R, pivots = rref(block.T, q)
-        local_bases[v] = R[:len(pivots)]
-        split_rank += len(pivots)
-    if split_rank != total_rank:
-        return None
-    dims = {v: local_bases[v].shape[0] for v in p.quiver.vertices}
+    local = {v: keep[off[v]:off[v] + V.dims[v]] for v in p.quiver.vertices}
     action = {}
     for a in p.quiver.arrow_names:
         s, t = p.source(a), p.target(a)
-        target_basis = local_bases[t].T
-        imaged = V.action[a] @ local_bases[s].T % q
-        if imaged.size == 0:
-            action[a] = np.zeros((dims[t], dims[s]), dtype=np.int64)
-            continue
-        X, ok = Presolved(target_basis, q).solve_many(imaged)
-        if not ok.all():
+        cols = V.action[a][:, local[s]] % V.q
+        if cols[~local[t]].any():
             return None
-        action[a] = X
-    sub = FinModule(presentation=p, q=q, dims=dims, action=action,
+        action[a] = cols[local[t]]
+    dims = {v: int(local[v].sum()) for v in p.quiver.vertices}
+    sub = FinModule(presentation=p, q=V.q, dims=dims, action=action,
                     provenance="submodule")
     return sub if not sub.validate() else None
+
+
+def _spans_copy_of(V: FinModule, keep: np.ndarray, v0: FinModule) -> bool:
+    sub = _coordinate_submodule(V, keep)
+    return sub is not None and modules_isomorphic(sub, v0)
 
 
 def _sigma_candidates(V_ell: FinModule, D: int, form: str) -> list[np.ndarray]:
@@ -270,27 +270,38 @@ def _sigma_candidates(V_ell: FinModule, D: int, form: str) -> list[np.ndarray]:
 
 def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
                   form: str, word: StringWord) -> SigmaStep:
+    """Check the first candidate collapse map that is a module endomorphism
+    with a kernel of dimension dim v0.
+
+    Every candidate is a 0/1 partial permutation of walk coordinates, and
+    so is each of its powers: its kernel is spanned by the unit vectors
+    at its zero columns, and the image of sigma^level by those at the
+    nonzero rows of that power.
+    """
     q = v0.q
     D = v0.total_dim
     step = SigmaStep(level=level, word=word, sigma=None)
+    arrows = _arrow_total_matrices(V_ell)
     for S in _sigma_candidates(V_ell, D, form):
-        if not _is_module_endo(V_ell, S):
+        if ((S != 0) & (S != 1)).any() or (S.sum(axis=0) > 1).any() \
+                or (S.sum(axis=1) > 1).any():
+            raise AssertionError(
+                "collapse map is not a partial permutation of coordinates")
+        if not _is_module_endo(V_ell, S, arrows):
             continue
-        ker = nullspace(S, q)
-        if ker.shape[0] != D:
+        kernel = ~S.any(axis=0)
+        if kernel.sum() != D:
             continue
         step.sigma = S
         step.kernel_dim = D
-        sub = _submodule_from_columns(V_ell, ker.T)
-        step.kernel_is_v0 = sub is not None and modules_isomorphic(sub, v0)
+        step.kernel_is_v0 = _spans_copy_of(V_ell, kernel, v0)
         P = np.eye(V_ell.total_dim, dtype=np.int64)
         for _ in range(level):
             P = P @ S % q
-        step.power_rank = rank(P, q)
-        R, pivots = rref(P.T, q)
-        img = _submodule_from_columns(V_ell, R[:len(pivots)].T)
-        step.image_power_is_v0 = (step.power_rank == D and img is not None
-                                  and modules_isomorphic(img, v0))
+        image = P.any(axis=1)
+        step.power_rank = int(image.sum())
+        step.image_power_is_v0 = (step.power_rank == D
+                                  and _spans_copy_of(V_ell, image, v0))
         step.nilpotent = not (P @ S % q).any()
         break
     return step

@@ -225,6 +225,59 @@ def test_oracle_matches_per_tuple_reference(q, max_width):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("q, width", [(2, 22), (3, 31), (7, 12),
+                                      (257, 6), (5, 0)])
+def test_packed_keys_add_mod_q_without_carries(q, width):
+    """Each cocycle's orbit minimum over packed keys is the least, word
+    by word, of the packed residues (z + b) % q themselves."""
+    from gentledef import homext
+    rng = np.random.default_rng(q + width)
+    Z = rng.integers(0, q, size=(40, width))
+    B = rng.integers(0, q, size=(30, width))
+    B[:, :2] = q - 1   # so that most sums in these fields reach q and wrap
+    words = homext._pack_keys(Z, q).shape[1]
+    assert words == max(1, -(-width // (63 // homext._field_bits(q))))
+    got = homext._orbit_minima(homext._pack_keys(Z, q),
+                               homext._pack_keys(B, q), q)
+    for z, key in zip(Z, got):
+        sums = homext._pack_keys((z + B) % q, q)
+        assert tuple(key) == min(map(tuple, sums.tolist()))
+
+
+def test_oracle_spans_two_key_words():
+    """Width 22 at q = 2 takes two 63-bit words of 3-bit fields."""
+    from gentledef import homext
+    p = catalog_presentation("qvi.2")
+    m, n = _mod(p, "~c*a*a*a"), _mod(p, "b*c*b*c")
+    width = homext._arrow_layout(m, n)[1]
+    assert width == 22
+    assert homext._pack_keys(np.zeros((1, width), dtype=np.int64),
+                             2).shape == (1, 2)
+    assert brute_force_ext(m, n, budget=2 ** 23) == 1 == ext1_dim(m, n)
+
+
+@pytest.mark.parametrize("q, bits, max_total", [(7, 5, 8), (257, 11, 2)])
+def test_oracle_matches_linear_engine_with_wide_fields(q, bits, max_total):
+    # max_total bounds cocycle plus coboundary width, so that the orbit
+    # pass of at most q**max_total sums stays inside the default budget.
+    from gentledef import homext
+    from gentledef.presentation import table1_catalog
+    from gentledef.strings import enumerate_strings
+    assert homext._field_bits(q) == bits
+    values = set()
+    for _, p in table1_catalog():
+        mods = [string_module(p, w, q=q) for w in enumerate_strings(p, 1)]
+        for m, n in itertools.product(mods, repeat=2):
+            width = homext._arrow_layout(m, n)[1]
+            gwidth = sum(n.dims[v] * m.dims[v] for v in p.quiver.vertices)
+            if width + gwidth > max_total:
+                continue
+            got = brute_force_ext(m, n)
+            assert got == ext1_dim(m, n), (m.provenance, n.provenance)
+            values.add(got)
+    assert {0, 1} <= values, values
+
+
 def test_oracle_shares_no_code_with_linear_engine():
     """brute_force_ext and every helper it reaches stay off linalg."""
     from gentledef import homext

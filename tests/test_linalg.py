@@ -39,8 +39,9 @@ def test_nullspace_of_empty_and_full_rank():
 def test_kron_flattening_matches_direct_product():
     # matrix() @ vec(unknowns) is vec(sum of A @ X @ B) for each equation,
     # with row-major vec and unknowns in declaration order.  A None factor
-    # must give the same rows as the explicit identity, and nullspace_dim
-    # must be width - rank(matrix()).
+    # must give the same rows as the explicit identity, nullspace_dim
+    # must be width - rank(matrix()), and nullspace_basis must flatten to
+    # nullspace(matrix()) row for row.
     rng = np.random.default_rng(7)
     seen = {"A None": 0, "B None": 0, "0 rows": 0, "0 columns": 0}
     for q in (2, 3, 5, 7):
@@ -89,6 +90,11 @@ def test_kron_flattening_matches_direct_product():
             assert np.array_equal(M, explicit.matrix())
             _, pivots = _gauss_jordan(M, q)
             assert sys.nullspace_dim() == sys.width - len(pivots)
+            basis = [np.concatenate([sol[name].reshape(-1) for name in shapes])
+                     for sol in sys.nullspace_basis()]
+            dense = linalg.nullspace(M, q)
+            assert len(basis) == dense.shape[0]
+            assert all(np.array_equal(b, d) for b, d in zip(basis, dense))
             seen["0 rows"] += M.shape[0] == 0
             seen["0 columns"] += M.shape[1] == 0
     assert all(seen.values()), seen

@@ -1,7 +1,16 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from gentledef.presentation import LAMBDA0
 from gentledef.sweep import sweep_catalog
+
+# json.dumps(sweep_catalog(**kwargs).as_dict()) plus a newline.  A speedup
+# counts only if the sweep stays byte-identical to these; a change that
+# alters rows on purpose rewrites them and says which rows moved and why.
+GOLDEN = [("sweep_q2_len6_n3.json", dict(q=2, max_len=6, n_max=3)),
+          ("sweep_q3_len3_n4.json", dict(q=3, max_len=3, n_max=4))]
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +95,15 @@ def test_other_catalog_algebras_report_trichotomy_agreement():
         assert row.published is None
         if row.ring != "undetermined":
             assert row.agreement == "agrees"
+
+
+def test_sweeps_match_golden_json():
+    """C5 and the q = 3 sweep, row for row and then byte for byte."""
+    for filename, kwargs in GOLDEN:
+        golden = (Path(__file__).parent / "data" / filename).read_text()
+        text = json.dumps(sweep_catalog(**kwargs).as_dict()) + "\n"
+        want, got = json.loads(golden), json.loads(text)
+        assert len(got["rows"]) == len(want["rows"]), filename
+        for old, new in zip(want["rows"], got["rows"]):
+            assert new == old, (filename, old["algebra"], old["word"])
+        assert text == golden, filename

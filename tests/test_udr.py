@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
+from gentledef import udr
 from gentledef.claims import paper_agreement, published_ring
-from gentledef.presentation import LAMBDA0, catalog_presentation
-from gentledef.strings import Letter, make_string, string_module
+from gentledef.homext import end_is_trivial, modules_isomorphic
+from gentledef.linalg import Presolved, nullspace, rank, rref
+from gentledef.presentation import LAMBDA0, catalog_presentation, table1_catalog
+from gentledef.strings import (
+    FinModule,
+    Letter,
+    enumerate_strings,
+    make_string,
+    string_module,
+)
 from gentledef.udr import (
+    SigmaStep,
     build_sequence,
     connecting_letters,
     universal_deformation_ring,
@@ -205,3 +215,127 @@ def test_paper_agreement_census_fallback(lam0):
     verdict = paper_agreement(lam0, w, "undetermined", 1, census_unique="k")
     assert verdict == "disagrees"
     assert paper_agreement(lam0, w, "undetermined", 1) == "not-stated"
+
+
+def _reference_submodule(V, cols):
+    """The span of the columns of cols as a module, or None, by row
+    reduction: the reference for `udr._coordinate_submodule`."""
+    p, q = V.presentation, V.q
+    off = V.vertex_offsets()
+    local_bases = {}
+    split_rank = 0
+    for v in p.quiver.vertices:
+        R, pivots = rref(cols[off[v]:off[v] + V.dims[v], :].T, q)
+        local_bases[v] = R[:len(pivots)]
+        split_rank += len(pivots)
+    if split_rank != rank(cols.T, q):
+        return None
+    dims = {v: local_bases[v].shape[0] for v in p.quiver.vertices}
+    action = {}
+    for a in p.quiver.arrow_names:
+        s, t = p.source(a), p.target(a)
+        imaged = V.action[a] @ local_bases[s].T % q
+        if imaged.size == 0:
+            action[a] = np.zeros((dims[t], dims[s]), dtype=np.int64)
+            continue
+        X, ok = Presolved(local_bases[t].T, q).solve_many(imaged)
+        if not ok.all():
+            return None
+        action[a] = X
+    sub = FinModule(presentation=p, q=q, dims=dims, action=action,
+                    provenance="submodule")
+    return sub if not sub.validate() else None
+
+
+def _same_submodule(got, want):
+    if got is None or want is None:
+        return got is want
+    return got.dims == want.dims and all(
+        np.array_equal(got.action[a], want.action[a]) for a in want.action)
+
+
+def _reference_step(v0, V, level, form, word, seen):
+    """The collapse-map check with spans from nullspace and rref."""
+    q, D = v0.q, v0.total_dim
+    step = SigmaStep(level=level, word=word, sigma=None)
+    arrows = udr._arrow_total_matrices(V)
+    for S in udr._sigma_candidates(V, D, form):
+        ker = nullspace(S, q)
+        P = np.linalg.matrix_power(S, level) % q
+        R, pivots = rref(P.T, q)
+        # Every candidate's spans, accepted or not, so that coordinate
+        # sets the arrows do not keep stable are compared too.
+        for cols, keep in [(ker.T, ~S.any(axis=0)),
+                           (R[:len(pivots)].T, P.any(axis=1))]:
+            want = _reference_submodule(V, cols)
+            got = udr._coordinate_submodule(V, keep)
+            assert _same_submodule(got, want), (word.display(), level)
+            seen["unstable coordinate set"] |= want is None
+        if not udr._is_module_endo(V, S, arrows) or ker.shape[0] != D:
+            seen["rejected candidate"] = True
+            continue
+        step.sigma = S
+        step.kernel_dim = D
+        sub = _reference_submodule(V, ker.T)
+        step.kernel_is_v0 = sub is not None and modules_isomorphic(sub, v0)
+        step.power_rank = rank(P, q)
+        img = _reference_submodule(V, R[:len(pivots)].T)
+        step.image_power_is_v0 = (step.power_rank == D and img is not None
+                                  and modules_isomorphic(img, v0))
+        step.nilpotent = not (P @ S % q).any()
+        break
+    return step
+
+
+def _assert_same_step(got, want, context):
+    assert (got.sigma is None) == (want.sigma is None), context
+    if want.sigma is not None:
+        assert np.array_equal(got.sigma, want.sigma), context
+    for key in ("kernel_dim", "kernel_is_v0", "image_power_is_v0",
+                "power_rank", "nilpotent"):
+        assert getattr(got, key) == getattr(want, key), (context, key)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_sigma_steps_match_row_reduction_reference(q):
+    """Collapse maps read on walk coordinates give the SigmaStep fields
+    that row-reducing their kernel and image spans gives.
+
+    Every chain step of the catalog passes its checks, so each step is
+    also checked against a decoy: another word of the same length, whose
+    module has the dimension of v0 but is not isomorphic to it.
+    """
+    seen = dict.fromkeys(["rejected candidate", "failed kernel or image",
+                          "unstable coordinate set", "reflected", "Infinite"],
+                         False)
+    steps = 0
+    for name, p in table1_catalog():
+        words = enumerate_strings(p, 3)
+        for w in words:
+            v0 = string_module(p, w, q)
+            if not end_is_trivial(v0):
+                continue
+            decoys = [string_module(p, u, q) for u in words
+                      if len(u) == len(w) and u != w][:1]
+            for c in connecting_letters(p, w):
+                report = build_sequence(p, w, c, n_max=4, q=q)
+                seen["reflected"] |= c.form == "reflected"
+                seen["Infinite"] |= report.kind == "Infinite"
+                for step in report.steps:
+                    V = string_module(p, step.word, q)
+                    context = (name, w.display(), c.letter.display(),
+                               step.level)
+                    args = (V, step.level, c.form, step.word)
+                    _assert_same_step(
+                        step, _reference_step(v0, *args, seen), context)
+                    for decoy in decoys:
+                        want = _reference_step(decoy, *args, seen)
+                        _assert_same_step(udr._verify_sigma(decoy, *args),
+                                          want, context + ("decoy",))
+                        seen["failed kernel or image"] |= (
+                            want.sigma is not None and not (
+                                want.kernel_is_v0
+                                and want.image_power_is_v0))
+                    steps += 1
+    assert all(seen.values()), seen
+    assert steps > 100
