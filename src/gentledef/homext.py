@@ -8,16 +8,20 @@ code on purpose so they can check each other.
 
 The exhaustive engine tests every tuple in F_q^width against every
 relation without building the tuples: a tuple is an index whose base-q
-digits, least first, are its entries, so each arrow's block is one
-integer code.  Each relation b*a is evaluated by direct matrix products
-on every pair of codes (every code, for a loop relation a*a), and an
-index survives when each relation's table is zero at its codes.  Only
-the survivors are decoded into cocycle rows.  Orbits are counted on
-packed int64 keys, one per cocycle and one per coboundary: each entry
-has a bit field with room for the sum of two residues, so a cocycle
-plus a coboundary is one integer add that never carries between
-fields, and a top-bit test reduces each field mod q.  Widths beyond one
-63-bit word use several words, compared lexicographically.
+digits, least first, are its entries, and the candidates are one
+boolean grid with an axis per arrow block, of length q^(block size),
+last arrow first, so that the grid's flat C-order position is the
+index.  Each relation b*a is evaluated once, by direct matrix
+products, on every pair of blocks of b and a (every block, for a loop
+relation a*a), and its table of zero tests is ANDed into the grid along
+those two axes (that one axis).  Only the surviving positions are
+decoded into cocycle rows.  Orbits are counted on packed int64 keys,
+one per cocycle and one per coboundary: each entry has a bit field with
+room for the sum of two residues, so a cocycle plus a coboundary is one
+integer add that never carries between fields, and a top-bit test
+reduces each field mod q.  Widths beyond one
+63-bit word use several words, compared lexicographically; distinct
+keys are found by a lexicographic sort and a comparison of neighbours.
 
 The linear engine's systems are sparse: each equation row holds only
 the products of the nonzeros of the action matrices, one-sided products
@@ -163,18 +167,23 @@ def _mixed_radix(count: int, width: int, q: int) -> np.ndarray:
     return (idx // weights) % q
 
 
-def _block_codes(index: np.ndarray, off: int, shape: tuple[int, int],
-                 q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each candidate's code for one arrow block, and the block of each code.
-
-    A candidate index holds its q-ary digits least first, so the block
-    at flat offset off has code (index // q**off) % q**size, and code c
-    is the block whose row-major entries are the digits of c.
-    """
+def _block_table(shape: tuple[int, int], q: int) -> np.ndarray:
+    """Every block of the given shape, indexed by its code: code c is
+    the block whose row-major entries are the q-ary digits of c."""
     size = shape[0] * shape[1]
-    codes = (index // q ** off) % q ** size
-    blocks = _mixed_radix(q ** size, size, q).reshape(q ** size, *shape)
-    return codes, blocks
+    return _mixed_radix(q ** size, size, q).reshape(q ** size, *shape)
+
+
+def _distinct_rows(keys: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D int64 array, in lexicographic order.
+
+    np.unique(keys, axis=0) by a lexsort over the columns, first column
+    most significant, and a comparison of neighbours.
+    """
+    ordered = keys[np.lexsort(keys.T[::-1])]
+    first = np.ones(ordered.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[first]
 
 
 def _field_bits(q: int) -> int:
@@ -253,23 +262,31 @@ def brute_force_ext(m: FinModule, n: FinModule,
     if width and int(q) ** width >= 2 ** 62:
         raise BudgetExceededError("cocycle indices would overflow int64")
 
-    slots = {a: (off, shape) for a, off, shape in layout}
-    index = np.arange(q ** width, dtype=np.int64)
-    mask = np.ones(index.size, dtype=bool)
+    # Arrow i of k is grid axis k - 1 - i, so a flat C-order position in
+    # the grid is the candidate index, whose digits run least first.
+    axis = {a: len(layout) - 1 - i for i, (a, _, _) in enumerate(layout)}
+    shapes = {a: shape for a, _, shape in layout}
+    grid = np.ones([q ** (r * c) for _, _, (r, c) in reversed(layout)],
+                   dtype=bool)
     for beta, alpha in p.relations:
         if n.dims[p.target(beta)] * m.dims[p.source(alpha)] == 0:
             continue
-        code, f_a = _block_codes(index, *slots[alpha], q)
+        f_a = _block_table(shapes[alpha], q)
         values = n.action[beta] @ f_a
         if beta == alpha:
             values = values + f_a @ m.action[alpha]
+            axes = [axis[alpha]]
         else:
-            code_b, f_b = _block_codes(index, *slots[beta], q)
+            f_b = _block_table(shapes[beta], q)
             values = values[None] + (f_b @ m.action[alpha])[:, None]
-            code = code + f_a.shape[0] * code_b
-        mask &= ~(values % q).any(axis=(-2, -1)).ravel()[code]
+            axes = [axis[beta], axis[alpha]]
+        table = ~(values % q).any(axis=(-2, -1))
+        if len(axes) == 2 and axes[0] > axes[1]:
+            table, axes = table.T, axes[::-1]
+        grid &= np.expand_dims(
+            table, [ax for ax in range(grid.ndim) if ax not in axes])
     weights = q ** np.arange(width, dtype=np.int64)
-    valid = (np.flatnonzero(mask)[:, None] // weights) % q
+    valid = (np.flatnonzero(grid)[:, None] // weights) % q
 
     gcount = q ** gwidth
     gcand = _mixed_radix(gcount, gwidth, q)
@@ -296,11 +313,11 @@ def brute_force_ext(m: FinModule, n: FinModule,
             part % q).reshape(gcount, -1)
 
     zkeys = _pack_keys(valid, q)
-    bkeys = np.unique(_pack_keys(deltas, q), axis=0)
+    bkeys = _distinct_rows(_pack_keys(deltas, q))
     if zkeys.shape[0] * bkeys.shape[0] > 8 * budget:
         raise BudgetExceededError("orbit pass exceeds budget")
     canon = _orbit_minima(zkeys, bkeys, q)
-    classes = np.unique(canon, axis=0).shape[0]
+    classes = _distinct_rows(canon).shape[0]
 
     if classes * bkeys.shape[0] != zkeys.shape[0]:
         raise AssertionError("orbit counting is inconsistent")

@@ -3,11 +3,11 @@
 One elimination routine, `_reduce`, does all the row reduction: it
 takes sparse rows (dicts column -> nonzero entry mod q) to reduced row
 echelon form.  `LinearSystem` builds its equations as such rows from
-the nonzeros of its coefficient matrices and reduces them directly;
-`rref`, and through it `rank`, `nullspace`, `solve` and `Presolved`,
-take and return numpy int64 arrays with entries reduced mod q, and
-adapt them to `_reduce`.  No floating point is involved anywhere, so
-ranks and nullspaces are exact.  q must be prime (inverses via Fermat).
+the nonzeros of its coefficient matrices and reduces them directly,
+and so does `rank`, which only counts pivots.  `rref`, and through it
+`nullspace`, `solve` and `Presolved`, take and return numpy int64
+arrays with entries reduced mod q, and adapt them to `_reduce`.  No
+floating point is involved anywhere, so ranks and nullspaces are exact.  q must be prime (inverses via Fermat).
 """
 
 from __future__ import annotations
@@ -85,10 +85,14 @@ def rref(A, q: int):
     pivot rows are written back, zero rows last.
     """
     A = as_field(A, q)
-    rows = [{c: v for c, v in enumerate(line) if v} for line in A.tolist()]
-    reduced = _reduce(rows, q)
+    reduced = _reduce(_sparse_rows(A), q)
     pivots = sorted(reduced)
     return _dense(enumerate(reduced[c] for c in pivots), A.shape), pivots
+
+
+def _sparse_rows(A: np.ndarray) -> list[dict[int, int]]:
+    """The nonzeros of each row of an array reduced mod q."""
+    return [{c: v for c, v in enumerate(line) if v} for line in A.tolist()]
 
 
 def _dense(rows, shape: tuple[int, int]) -> np.ndarray:
@@ -105,11 +109,8 @@ def _dense(rows, shape: tuple[int, int]) -> np.ndarray:
 
 
 def rank(A, q: int) -> int:
-    A = as_field(A, q)
-    if A.size == 0:
-        return 0
-    _, pivots = rref(A, q)
-    return len(pivots)
+    """The number of pivots `_reduce` finds; no dense result is built."""
+    return len(_reduce(_sparse_rows(as_field(A, q)), q))
 
 
 def nullspace(A, q: int) -> np.ndarray:

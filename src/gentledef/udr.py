@@ -17,6 +17,7 @@ import numpy as np
 from . import claims
 from .homext import (
     DEFAULT_BUDGET,
+    cocycle_dim,
     end_is_trivial,
     ext1_dim,
     hom_dim,
@@ -372,7 +373,9 @@ def _classify(p: Presentation, w: StringWord, V: FinModule, n_max: int,
     """`universal_deformation_ring` for V = M[w], already built and
     known to have End(V) = k."""
     q = V.q
-    tangent = ext1_dim(V, V)
+    # dim Ext^1(V, V) = dim Z^1 - dim B^1, and dim B^1 is
+    # sum_v dims[v]^2 - dim End(V), which is the sum less 1 since End(V) = k.
+    tangent = cocycle_dim(V, V) - (sum(d * d for d in V.dims.values()) - 1)
     connectors = connecting_letters(p, w)
     evidence: dict = {
         "tangent_dim": tangent,

@@ -208,9 +208,13 @@ def _reference_ext(m, n):
 @pytest.mark.parametrize("q, max_width", [(2, 8), (3, 5)])
 def test_oracle_matches_per_tuple_reference(q, max_width):
     from gentledef.strings import enumerate_strings
-    seen = {"m != n": False, "loop relation": False, "0 x k block": False}
+    # A relation b*a's table is transposed into the grid when b's block
+    # precedes a's in the arrow layout, and broadcast as is when it follows.
+    seen = {"m != n": False, "loop relation": False, "0 x k block": False,
+            "b block before a": False, "b block after a": False}
     for name in ["qviii.1", "qvi.1", "qiii.1"]:
         p = catalog_presentation(name)
+        order = {a: i for i, a in enumerate(p.quiver.arrow_names)}
         mods = [string_module(p, w, q=q) for w in enumerate_strings(p, 2)]
         for m, n in itertools.product(mods, repeat=2):
             shapes = [(n.dims[p.target(a)], m.dims[p.source(a)])
@@ -222,7 +226,40 @@ def test_oracle_matches_per_tuple_reference(q, max_width):
             seen["m != n"] |= m is not n
             seen["loop relation"] |= any(b == a for b, a in p.relations)
             seen["0 x k block"] |= any(r == 0 < c for r, c in shapes)
+            for b, a in p.relations:
+                if b != a and n.dims[p.target(b)] * m.dims[p.source(a)]:
+                    seen["b block before a"] |= order[b] < order[a]
+                    seen["b block after a"] |= order[b] > order[a]
     assert all(seen.values()), seen
+
+
+def test_oracle_peak_memory_on_bca(lam0):
+    """The candidate grid holds one bool per candidate, no int64 index."""
+    import tracemalloc
+    m = _mod(lam0, "b*c*a")
+    brute_force_ext(m, m)
+    tracemalloc.start()
+    try:
+        assert brute_force_ext(m, m) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("words", [1, 3])
+@pytest.mark.parametrize("rows", [0, 1, 500])
+def test_distinct_rows_match_numpy_unique(rows, words):
+    from gentledef import homext
+    rng = np.random.default_rng(rows + 10 * words)
+    top = 2 ** 62
+    for keys in [rng.integers(0, top, size=(rows, words)),
+                 rng.integers(0, 3, size=(rows, words)),
+                 rng.integers(top - 4, top, size=(rows, words)),
+                 rng.integers(0, 2, size=(rows, words)) * (top - 1)]:
+        got = homext._distinct_rows(keys)
+        want = np.unique(keys, axis=0)
+        assert got.shape == want.shape and (got == want).all()
 
 
 @pytest.mark.parametrize("q, width", [(2, 22), (3, 31), (7, 12),

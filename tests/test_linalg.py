@@ -182,6 +182,17 @@ def test_rref_matches_textbook_gauss_jordan():
             assert R.shape == R_ref.shape and (R == R_ref).all()
 
 
+def test_rank_counts_textbook_pivots_on_random_draws(monkeypatch):
+    def dense(*args):
+        raise AssertionError("rank built a dense result")
+
+    monkeypatch.setattr(linalg, "_dense", dense)
+    rng = np.random.default_rng(31)
+    for q in (2, 3, 5, 7):
+        for A in _random_matrices(rng, q):
+            assert linalg.rank(A, q) == len(_gauss_jordan(A, q)[1])
+
+
 def test_presolve_matches_column_solves_on_random_draws():
     rng = np.random.default_rng(29)
     for q in (2, 3, 5, 7):
