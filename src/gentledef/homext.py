@@ -197,16 +197,17 @@ def _pack_keys(rows: np.ndarray, q: int) -> np.ndarray:
 
     Entry j is the field at bit bits * (j % per_word) of word
     j // per_word, where per_word = 63 // bits, so every word is
-    nonnegative; a row of width 0 is one zero word.
+    nonnegative; a row of width 0 is one zero word.  The keys are one
+    integer product of the rows with the matrix of field weights, which
+    holds 2^(bits * (j % per_word)) at (j, j // per_word).
     """
     bits = _field_bits(q)
     per_word = 63 // bits
     width = rows.shape[1]
-    words = max(1, -(-width // per_word))
-    padded = np.zeros((rows.shape[0], words * per_word), dtype=np.int64)
-    padded[:, :width] = rows
-    shifts = bits * np.arange(per_word, dtype=np.int64)
-    return (padded.reshape(-1, words, per_word) << shifts).sum(axis=2)
+    j = np.arange(width)
+    weights = np.zeros((width, max(1, -(-width // per_word))), dtype=np.int64)
+    weights[j, j // per_word] = 1 << (bits * (j % per_word))
+    return rows @ weights
 
 
 def _orbit_minima(zkeys: np.ndarray, bkeys: np.ndarray, q: int) -> np.ndarray:

@@ -14,8 +14,9 @@ every solvable one out by fixed level-one directions.  Deformations are
 counted by walking the obstruction tree, with one direction per
 coboundary coset, so each row is one class.  The oracles share the walk
 but no coset or torsor argument: `count_deformations_by_orbits` fans out
-by every cocycle and counts conjugation classes by union-find, and
-`Lift.validate` checks each lift from `enumerate_lifts` by whole
+by every cocycle and merges the lifts into conjugation classes, each
+generator applied to all of them at once by row and column operations,
+and `Lift.validate` checks each lift from `enumerate_lifts` by whole
 matrix-polynomial products, not by `_level_rhs`.
 """
 
@@ -32,11 +33,12 @@ from .homext import (
     BudgetExceededError,
     _arrow_layout,
     _mixed_radix,
+    _pack_keys,
     end_is_trivial,
     ext_system,
     hom_system,
 )
-from .linalg import Presolved, is_prime, nullspace, rank, rref
+from .linalg import Presolved, is_prime, nullspace, rref
 from .presentation import Presentation
 from .strings import FinModule
 
@@ -227,38 +229,18 @@ def enumerate_lifts(p: Presentation, V: FinModule, ring: CoeffRing,
     return [_rows_to_lift(V, ring, C[i]) for i in range(C.shape[0])]
 
 
-def _poly_inverse(U: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of a matrix polynomial whose constant term is the identity."""
-    n, d = U.shape[0], U.shape[1]
-    X = np.zeros_like(U)
-    X[0] = np.eye(d, dtype=np.int64)
-    for k in range(1, n):
-        acc = np.zeros((d, d), dtype=np.int64)
-        for i in range(1, k + 1):
-            acc += U[i] @ X[k - i]
-        X[k] = -acc % q
-    return X
-
-
 def _unit_generators(V: FinModule, ring: CoeffRing):
     """Congruent-to-identity conjugations that generate the whole group.
 
-    One generator per vertex, matrix entry, level >= 1, and nonzero
-    scalar; the filtration argument shows these generate every vertex
-    map U with U = I mod t.
+    Yields (v, i, j, k, c) for U = I + c t^k E_ij at vertex v: one per
+    vertex, matrix entry, level >= 1, and nonzero scalar; the filtration
+    argument shows these generate every vertex map U with U = I mod t.
     """
-    q, n = ring.q, ring.n
-    gens = []
     for v in V.presentation.quiver.vertices:
-        d = V.dims[v]
-        for i, j in itertools.product(range(d), repeat=2):
-            for k in range(1, n):
-                for c in range(1, q):
-                    U = np.zeros((n, d, d), dtype=np.int64)
-                    U[0] = np.eye(d, dtype=np.int64)
-                    U[k, i, j] = (U[k, i, j] + c) % q
-                    gens.append((v, U))
-    return gens
+        for i, j in itertools.product(range(V.dims[v]), repeat=2):
+            for k in range(1, ring.n):
+                for c in range(1, ring.q):
+                    yield v, i, j, k, c
 
 
 def _generator_count(V: FinModule, ring: CoeffRing) -> int:
@@ -266,80 +248,87 @@ def _generator_count(V: FinModule, ring: CoeffRing) -> int:
     return (ring.q - 1) * (ring.n - 1) * squares
 
 
-class _Orbits:
-    """Union-find partition of enumerated lifts under unit conjugation."""
+def _conjugate(V: FinModule, C: np.ndarray, gen, q: int) -> np.ndarray:
+    """U A U^-1 for every lift row of C, on a copy, for gen = (v, i, j, k, c).
 
-    def __init__(self, V: FinModule, ring: CoeffRing, C: np.ndarray):
-        self.V = V
-        self.ring = ring
-        self.C = C
-        self.layout = _arrow_layout(V, V)[0]
-        self.index = {self._key_of_row(C[i]): i for i in range(C.shape[0])}
-        self.parent = np.arange(C.shape[0], dtype=np.int64)
-        self._partition()
+    Only the arrow blocks at v change.  U A: row i at level l gains c
+    times row j at level l - k, every level at once from the rows before
+    the change.  A U^-1 is the B with B U = A: column j at level l loses
+    c times B's column i at level l - k, levels ascending so that each
+    reads a level of B already final; for i = j this sums the series of
+    (1 + c t^k)^-1.
+    """
+    v, i, j, k, c = gen
+    p, n = V.presentation, C.shape[1]
+    D = C.copy()
+    for a, off, (r, s) in _arrow_layout(V, V)[0]:
+        if r * s == 0:
+            continue
+        A = D[:, :, off:off + r * s].reshape(-1, n, r, s)
+        if p.target(a) == v:
+            A[:, k:, i] = (A[:, k:, i] + c * A[:, :n - k, j]) % q
+        if p.source(a) == v:
+            for l in range(k, n):
+                A[:, l, :, j] = (A[:, l, :, j] - c * A[:, l - k, :, i]) % q
+    return D
 
-    def _key_of_row(self, row: np.ndarray) -> bytes:
-        return row[1:].tobytes()
 
-    def _find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+def _row_keys(C: np.ndarray, q: int) -> np.ndarray:
+    """One void key per lift row: its levels above 0, packed."""
+    keys = _pack_keys(C[:, 1:].reshape(C.shape[0], -1), q)
+    return keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
 
-    def _union(self, x: int, y: int) -> None:
-        rx, ry = self._find(x), self._find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
 
-    def _partition(self) -> None:
-        p, q, n = self.V.presentation, self.ring.q, self.ring.n
-        C = self.C
-        L = C.shape[0]
-        for v, U in _unit_generators(self.V, self.ring):
-            Uinv = _poly_inverse(U, q)
-            D = C.copy()
-            for a, off, (r, c) in self.layout:
-                if r * c == 0:
-                    continue
-                A = C[:, :, off:off + r * c].reshape(L, n, r, c)
-                if p.target(a) == v:
-                    A = _poly_matmul(U, A, q)
-                if p.source(a) == v:
-                    A = _poly_matmul(A, Uinv, q)
-                D[:, :, off:off + r * c] = A.reshape(L, n, r * c)
-            for l in range(L):
-                other = self.index.get(self._key_of_row(D[l]))
-                if other is None:
-                    raise AssertionError(
-                        "conjugation left the enumerated set; enumeration bug")
-                self._union(l, other)
+def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
+    """Conjugation classes of the lift rows C.
 
-    def roots(self) -> np.ndarray:
-        return np.array([self._find(i) for i in range(self.C.shape[0])])
-
-    def class_count(self) -> int:
-        return np.unique(self.roots()).size
+    Each generator moves every lift to the lift whose key its conjugate
+    has, found by `searchsorted` among the sorted keys.  Classes merge by
+    array union-find: label[x] <= x leads to the least lift of x's
+    class.  Where a lift and its image have different roots, the larger
+    root is hooked under the smaller and labels jump to their labels'
+    labels until fixed, until every lift shares its image's root.
+    """
+    keys = _row_keys(C, ring.q)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    label = np.arange(C.shape[0])
+    for gen in _unit_generators(V, ring):
+        moved = _row_keys(_conjugate(V, C, gen, ring.q), ring.q)
+        pos = np.minimum(np.searchsorted(ordered, moved), len(ordered) - 1)
+        if (ordered[pos] != moved).any():
+            raise AssertionError(
+                "conjugation left the enumerated set; enumeration bug")
+        move = order[pos]
+        roots = label[move]
+        while (label != roots).any():
+            np.minimum.at(label, np.maximum(label, roots),
+                          np.minimum(label, roots))
+            while (label != label[label]).any():
+                label = label[label]
+            roots = label[move]
+    return int(np.count_nonzero(label == np.arange(C.shape[0])))
 
 
 def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
-    """One level-one coefficient per conjugation coset: the tree's fan."""
+    """One level-one coefficient per conjugation coset: the tree's fan.
+
+    The nonzero rows of rref([Z; B]) are a basis of the cocycles Z, and
+    those whose pivot is not a pivot of rref(B) span a complement of
+    the coboundaries B in Z.
+    """
     q = V.q
     Z = nullspace(M, q)
-    z = Z.shape[0]
-    if z == 0:
+    if Z.shape[0] == 0:
         return _span(Z, q, budget)
     # Row j is the coboundary of the j-th unit vertex map (up to sign).
     B = hom_system(V, V).matrix().T
-    if rank(np.concatenate([Z, B]), q) != z:
+    R, pivots = rref(np.concatenate([Z, B]), q)
+    if len(pivots) != Z.shape[0]:
         raise AssertionError("conjugation directions escape the cocycle space")
-    coords, ok = Presolved(Z.T, q).solve_many(B.T)
-    if not ok.all():
-        raise AssertionError("coboundary coordinates unsolvable")
-    _, pivots = rref(coords.T, q)
-    return _span(Z[[j for j in range(z) if j not in pivots]], q, budget)
+    coboundary = set(rref(B, q)[1])
+    rows = [r for r, col in enumerate(pivots) if col not in coboundary]
+    return _span(R[rows], q, budget)
 
 
 def _tree_census(V: FinModule, n_max: int,
@@ -378,7 +367,8 @@ def count_deformations_by_orbits(p: Presentation, V: FinModule,
 
     The count oracle for `count_deformations`: it shares the lift walk
     and its level equations but no coset or torsor argument, fanning out
-    by every cocycle and counting union-find classes of all the lifts.
+    by every cocycle and counting the classes that the unit generators'
+    conjugations merge the lifts into.
     """
     if not end_is_trivial(V):
         raise ValueError("deformation counts require End(V) = k")
@@ -391,7 +381,7 @@ def count_deformations_by_orbits(p: Presentation, V: FinModule,
     if cost > 32 * budget:
         raise BudgetExceededError(
             f"orbit pass needs {cost} conjugations, over budget {budget}")
-    return _Orbits(V, ring, C).class_count()
+    return _orbit_count(V, ring, C)
 
 
 _TRUNCATED = re.compile(r"^k\[\[?t\]\]?/\(t\^(\d+)\)$")

@@ -1,20 +1,30 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gentledef.homext import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    _arrow_layout,
     end_is_trivial,
+    ext1_dim,
+    ext_system,
+    hom_system,
 )
 from gentledef.lifts import (
     CoeffRing,
+    _conjugate,
+    _poly_matmul,
+    _tangent_line_reps,
+    _unit_generators,
     count_deformations,
     count_deformations_by_orbits,
     count_ring_morphisms,
     enumerate_lifts,
     fingerprint,
 )
+from gentledef.linalg import rank
 from gentledef.presentation import catalog_presentation, table1_catalog
 from gentledef.strings import (
     enumerate_strings,
@@ -136,9 +146,10 @@ def test_count_deformations_bca(lam0):
 
 
 def test_bca_level3_routes_agree(lam0):
-    # The obstruction tree's count is cross-checked by the full orbit
-    # partition of all 196608 lifts; this is the slowest test here.  The
-    # lift walk holds about 9.5 M entries, over the default budget.
+    # The obstruction tree's count is cross-checked by the orbit oracle,
+    # which conjugates all 196608 lifts by each of 16 unit generators and
+    # merges their classes; this is the slowest test here.  The lift walk
+    # holds about 9.5 M entries, over the default budget.
     m = _mod(lam0, "b*c*a")
     by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 3),
                                             budget=2 ** 24)
@@ -228,6 +239,88 @@ def test_orbit_oracle_above_q_256(lam0):
     ring = CoeffRing(257, 2)
     assert count_deformations_by_orbits(lam0, s1, ring) == 257
     assert count_deformations(lam0, s1, ring) == 257
+
+
+def _poly_inverse(U, q):
+    """Inverses of matrix polynomials whose constant term is the identity.
+
+    The level is axis -3 and the axes before it are a batch.
+    """
+    n, d = U.shape[-3], U.shape[-1]
+    X = np.zeros_like(U)
+    X[..., 0, :, :] = np.eye(d, dtype=np.int64)
+    for k in range(1, n):
+        acc = sum(U[..., i, :, :] @ X[..., k - i, :, :]
+                  for i in range(1, k + 1))
+        X[..., k, :, :] = -acc % q
+    return X
+
+
+def test_conjugate_matches_matrix_polynomial_products():
+    # _conjugate's row and column operations against U A U^-1 built from
+    # dense matrix polynomials, for every unit generator of every word.
+    rng = np.random.default_rng(12)
+    seen = {"i = j": False, "loop arrow": False, "zero-size block": False}
+    cases = 0
+    for _, p in table1_catalog():
+        for w in enumerate_strings(p, 2):
+            for q in (2, 3, 5):
+                V = string_module(p, w, q=q)
+                layout, width = _arrow_layout(V, V)
+                for n in (2, 3, 4):
+                    C = rng.integers(0, q, (3, n, width))
+                    gens = list(_unit_generators(V, CoeffRing(q, n)))
+                    got = np.stack([_conjugate(V, C, g, q) for g in gens])
+                    want = np.repeat(C[None], len(gens), axis=0)
+                    for v in p.quiver.vertices:
+                        at_v = [g for g, gen in enumerate(gens) if gen[0] == v]
+                        if not at_v:
+                            continue
+                        d = V.dims[v]
+                        U = np.zeros((len(at_v), n, d, d), dtype=np.int64)
+                        U[:, 0] = np.eye(d, dtype=np.int64)
+                        for u, g in enumerate(at_v):
+                            _, i, j, k, c = gens[g]
+                            U[u, k, i, j] = c
+                            seen["i = j"] |= i == j
+                        U = U[:, None]
+                        for a, off, (r, s) in layout:
+                            if v not in (p.source(a), p.target(a)):
+                                continue
+                            seen["loop arrow"] |= \
+                                p.source(a) == p.target(a) and r * s > 0
+                            seen["zero-size block"] |= r * s == 0
+                            A = C[:, :, off:off + r * s].reshape(3, n, r, s)
+                            if p.target(a) == v:
+                                A = _poly_matmul(U, A, q)
+                            if p.source(a) == v:
+                                A = _poly_matmul(A, _poly_inverse(U, q), q)
+                            want[at_v, :, :, off:off + r * s] = \
+                                A.reshape(len(at_v), 3, n, r * s)
+                    assert (got == want).all(), (w.display(), q, n)
+                    cases += len(gens)
+    assert all(seen.values()), seen
+    assert cases == 24444
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tangent_fan_complements_the_coboundaries(q):
+    checked = 0
+    for name, p in table1_catalog():
+        for w in enumerate_strings(p, 3):
+            V = string_module(p, w, q=q)
+            if not end_is_trivial(V):
+                continue
+            e = ext1_dim(V, V)
+            M = ext_system(V, V).matrix()
+            reps = _tangent_line_reps(V, M, DEFAULT_BUDGET)
+            B = hom_system(V, V).matrix().T
+            assert reps.shape[0] == q ** e, f"{name} {w.display()}"
+            assert not (M @ reps.T % q).any(), f"{name} {w.display()}"
+            assert rank(np.concatenate([reps, B]), q) == rank(B, q) + e, \
+                f"{name} {w.display()}"
+            checked += 1
+    assert checked == 86
 
 
 @pytest.mark.parametrize("q, max_len, levels, expected", [
