@@ -26,7 +26,12 @@ keys are found by a lexicographic sort and a comparison of neighbours.
 The linear engine's systems are sparse: each equation row holds only
 the products of the nonzeros of the action matrices, one-sided products
 X·I and I·X are written with None for the identity, and `hom_dim` and
-`ext1_dim` row-reduce those sparse rows without building a dense matrix.
+`ext1_dim` count ranks on those sparse rows by forward elimination,
+with no back-substitution and no dense matrix.  The nonzeros come from
+each module's `FinModule.sparse_action`, which reads an action matrix
+once for every system the module enters; `hom_system` negates the
+entries of m's action rather than the matrix.  Only `hom_basis` (and so
+`modules_isomorphic`) back-substitutes.
 The same systems carry the first-order deformation theory of a module V
 that `lifts` builds on, and `lifts` reads them as dense arrays through
 `matrix()`, rows in equation order: the cocycle equations of
@@ -69,9 +74,10 @@ def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
         s, t = p.source(a), p.target(a)
         if n.dims[t] * m.dims[s] == 0:
             continue
+        shape, entries = m.sparse_action(a)
         sys.add_equation([
-            (n.action[a], s, None),
-            (None, t, -m.action[a]),
+            (n.sparse_action(a), s, None),
+            (None, t, (shape, [(i, j, -v) for i, j, v in entries])),
         ])
     return sys
 
@@ -101,8 +107,8 @@ def ext_system(m: FinModule, n: FinModule) -> LinearSystem:
         sys.add_unknown(a, (n.dims[p.target(a)], m.dims[p.source(a)]))
     for beta, alpha in p.relations:
         sys.add_equation([
-            (n.action[beta], alpha, None),
-            (None, beta, m.action[alpha]),
+            (n.sparse_action(beta), alpha, None),
+            (None, beta, m.sparse_action(alpha)),
         ])
     return sys
 

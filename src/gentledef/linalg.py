@@ -1,17 +1,24 @@
 """Exact linear algebra over the prime fields F_q.
 
 One elimination routine, `_reduce`, does all the row reduction: it
-takes sparse rows (dicts column -> nonzero entry mod q) to reduced row
-echelon form.  `LinearSystem` builds its equations as such rows from
-the nonzeros of its coefficient matrices and reduces them directly,
-and so does `rank`, which only counts pivots.  `rref`, and through it
-`nullspace`, `solve` and `Presolved`, take and return numpy int64
-arrays with entries reduced mod q, and adapt them to `_reduce`.  No
-floating point is involved anywhere, so ranks and nullspaces are exact.  q must be prime (inverses via Fermat).
+takes sparse rows (dicts column -> nonzero entry mod q) to echelon form
+by forward elimination, and `_back_substitute` takes its pivot rows on
+to reduced row echelon form.  A rank count needs only the first step:
+`rank` and `LinearSystem.nullspace_dim` count `_reduce`'s pivots, and
+only `rref` and `LinearSystem.nullspace_basis` back-substitute.
+`LinearSystem` takes its coefficient matrices as sparse
+(shape, nonzeros) pairs from `_nonzeros`, the one dense-to-sparse
+converter, so a caller that enters one matrix in many systems reads its
+nonzeros once.  `rref`, and through it `nullspace`, `solve` and
+`Presolved`, take and return numpy int64 arrays with entries reduced
+mod q, and adapt them to the sparse routines.  No floating point is
+involved anywhere, so ranks and nullspaces are exact.  q must be prime
+(inverses via Fermat).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,48 +38,63 @@ def as_field(A, q: int) -> np.ndarray:
     return np.asarray(A, dtype=np.int64) % q
 
 
+def _subtract_row(r: dict[int, int], f: int, p: dict[int, int],
+                  q: int) -> None:
+    """r -= f * p over F_q in place, dropping the entries that vanish."""
+    for col, v in p.items():
+        x = (r.get(col, 0) - f * v) % q
+        if x:
+            r[col] = x
+        else:
+            del r[col]
+
+
 def _reduce(rows, q: int) -> dict[int, dict[int, int]]:
-    """Gauss-Jordan elimination of sparse rows over F_q.
+    """Forward elimination of sparse rows over F_q.
 
     Each row is a dict column -> entry, entries nonzero residues mod q;
-    the rows are not modified.  Returns the reduced pivot rows keyed by
-    pivot column: each has entry 1 at its pivot, which is its least
-    column, and no entry in any other pivot column, so sorted by pivot
-    they are the nonzero rows of the reduced row echelon form.
+    the rows are not modified.  Returns the pivot rows keyed by pivot
+    column: each has entry 1 at its pivot, which is its least column, so
+    their number is the rank.  Pivot rows are not cleared of each
+    other's pivot columns; `_back_substitute` does that.
 
-    Rows are taken one at a time.  A new row is cleared of the pivot
-    columns it meets by one pass, since pivot rows have no entries in
-    each other's pivot columns; if anything is left, it is scaled to a
-    new pivot at its least column, which is then cleared from the older
-    pivot rows.
+    Rows are taken one at a time.  While a new row's least column is
+    already a pivot, that pivot row is subtracted from it, which leaves
+    its least column strictly larger; if anything is left, it is scaled
+    to a new pivot at its least column.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         r = dict(row)
-        for c in [c for c in r if c in pivots]:
-            f = r[c]
-            for col, v in pivots[c].items():
-                x = (r.get(col, 0) - f * v) % q
-                if x:
-                    r[col] = x
-                else:
-                    del r[col]
+        while r:
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                break
+            _subtract_row(r, r[lead], p, q)
         if not r:
             continue
-        lead = min(r)
         if r[lead] != 1:
             inv = _inv_mod(r[lead], q)
             r = {col: v * inv % q for col, v in r.items()}
-        for p in pivots.values():
-            f = p.get(lead)
-            if f:
-                for col, v in r.items():
-                    x = (p.get(col, 0) - f * v) % q
-                    if x:
-                        p[col] = x
-                    else:
-                        del p[col]
         pivots[lead] = r
+    return pivots
+
+
+def _back_substitute(pivots: dict[int, dict[int, int]],
+                     q: int) -> dict[int, dict[int, int]]:
+    """Clears every pivot column from the other pivot rows, in place.
+
+    Takes `_reduce`'s pivot rows and returns them with no entry in any
+    other pivot column, so sorted by pivot they are the nonzero rows of
+    the reduced row echelon form.  Rows are cleared last pivot first: a
+    pivot row meets only larger pivots, whose rows are already clear,
+    so one pass over the pivot columns it meets clears it.
+    """
+    for c in sorted(pivots, reverse=True):
+        r = pivots[c]
+        for d in [d for d in r if d != c and d in pivots]:
+            _subtract_row(r, r[d], pivots[d], q)
     return pivots
 
 
@@ -81,11 +103,11 @@ def rref(A, q: int):
 
     Returns (R, pivot_cols) where R is a new array and pivot_cols lists
     the pivot column of each nonzero row in order.  A dense adapter over
-    `_reduce`: the nonzeros of A become sparse rows, and the reduced
-    pivot rows are written back, zero rows last.
+    `_reduce` and `_back_substitute`: the nonzeros of A become sparse
+    rows, and the reduced pivot rows are written back, zero rows last.
     """
     A = as_field(A, q)
-    reduced = _reduce(_sparse_rows(A), q)
+    reduced = _back_substitute(_reduce(_sparse_rows(A), q), q)
     pivots = sorted(reduced)
     return _dense(enumerate(reduced[c] for c in pivots), A.shape), pivots
 
@@ -109,7 +131,8 @@ def _dense(rows, shape: tuple[int, int]) -> np.ndarray:
 
 
 def rank(A, q: int) -> int:
-    """The number of pivots `_reduce` finds; no dense result is built."""
+    """The number of pivots `_reduce` finds; no back-substitution and
+    no dense result."""
     return len(_reduce(_sparse_rows(as_field(A, q)), q))
 
 
@@ -190,12 +213,16 @@ class LinearSystem:
 
     Unknowns are named matrices of fixed shape; each equation is a sum
     of terms A @ X @ B (A, B known, None standing for the identity) set
-    equal to zero.  Unknowns and equations are flattened row-major: the
-    equation's rows are the entries of A @ X @ B, and X[k, l] has
-    coefficient A[i, k] * B[l, j] in row (i, j).  Rows are stored sparse,
-    as dicts column -> nonzero entry mod q, built from the nonzeros of A
-    and B alone; `nullspace_dim` and `nullspace_basis` reduce them with
-    `_reduce` directly, and only `matrix` builds a dense array.
+    equal to zero.  A and B are given sparse, as the (shape, entries)
+    pairs `_nonzeros` makes, so the caller decides where a matrix's
+    nonzeros are read and can read them once for many equations.
+    Unknowns and equations are flattened row-major: the equation's rows
+    are the entries of A @ X @ B, and X[k, l] has coefficient
+    A[i, k] * B[l, j] in row (i, j).  Rows are stored sparse, as dicts
+    column -> nonzero entry mod q, built from those nonzeros alone.
+    `nullspace_dim` counts the pivots of `_reduce`'s forward elimination;
+    `nullspace_basis` back-substitutes them too; only `matrix` builds a
+    dense array.
     """
 
     def __init__(self, q: int):
@@ -220,16 +247,17 @@ class LinearSystem:
     def add_equation(self, terms) -> None:
         """terms: iterable of (A, name, B) whose sum is set to zero.
 
-        A or B may be None for the identity.  Every term's A @ X @ B
-        must share one output shape.
+        A and B are each None for the identity or a sparse pair
+        (shape, [(i, j, entry), ...]) as `_nonzeros` makes it; entries
+        need not be reduced mod q.  Every term's A @ X @ B must share one
+        output shape.
         """
         shape = None
         eq: dict[int, dict[int, int]] = {}
         for A, name, B in terms:
             rows, cols = self._shapes[name]
-            left, right = _nonzeros(A, rows), _nonzeros(B, cols)
-            a_shape = (rows, rows) if A is None else np.shape(A)
-            b_shape = (cols, cols) if B is None else np.shape(B)
+            a_shape, left = _identity(rows) if A is None else A
+            b_shape, right = _identity(cols) if B is None else B
             if a_shape[1] != rows or b_shape[0] != cols:
                 raise ValueError(f"term shape mismatch on {name!r}")
             if shape is None:
@@ -264,6 +292,7 @@ class LinearSystem:
         return out
 
     def nullspace_dim(self) -> int:
+        """width - rank, the rank counted without back-substitution."""
         return self._width - len(_reduce(self._rows.values(), self.q))
 
     def nullspace_basis(self) -> list[dict[str, np.ndarray]]:
@@ -271,7 +300,7 @@ class LinearSystem:
         reduced sparse rows: vector i sets free column free[i] to 1 and
         each pivot column p to -(entry of p's row at free[i])."""
         q = self.q
-        pivots = _reduce(self._rows.values(), q)
+        pivots = _back_substitute(_reduce(self._rows.values(), q), q)
         free = [c for c in range(self._width) if c not in pivots]
         index = {c: i for i, c in enumerate(free)}
         basis = np.zeros((len(free), self._width), dtype=np.int64)
@@ -284,13 +313,16 @@ class LinearSystem:
         return [self._unpack(v) for v in basis]
 
 
-def _nonzeros(M, size: int) -> list[tuple[int, int, int]]:
-    """Nonzero entries (i, j, M[i, j]) of M.
+def _nonzeros(M) -> tuple[tuple[int, int], list[tuple[int, int, int]]]:
+    """The sparse pair (shape, [(i, j, M[i, j]) for each nonzero]) of a
+    2-D array, nonzeros in row-major order: the one dense-to-sparse
+    conversion behind `LinearSystem.add_equation`'s coefficients."""
+    M = np.asarray(M, dtype=np.int64)
+    return M.shape, [(i, j, v) for i, line in enumerate(M.tolist())
+                     for j, v in enumerate(line) if v]
 
-    None stands for the size x size identity.
-    """
-    if M is None:
-        return [(k, k, 1) for k in range(size)]
-    return [(i, j, v)
-            for i, line in enumerate(np.asarray(M, dtype=np.int64).tolist())
-            for j, v in enumerate(line) if v]
+
+@functools.cache
+def _identity(size: int) -> tuple[tuple[int, int], list[tuple[int, int, int]]]:
+    """The sparse pair of the size x size identity, which None stands for."""
+    return (size, size), [(k, k, 1) for k in range(size)]

@@ -49,7 +49,7 @@ class Quiver:
     def _by_name(self):
         return {a[0]: a for a in self.arrows}
 
-    @property
+    @cached_property
     def arrow_names(self) -> tuple[str, ...]:
         return tuple(a[0] for a in self.arrows)
 

@@ -10,10 +10,11 @@ smaller of the two words is the canonical representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import _nonzeros
 from .presentation import Presentation
 
 
@@ -210,6 +211,11 @@ class FinModule:
     arrow to a (dim target) x (dim source) matrix.  For modules built
     from a walk, `walk` records the vertex of each basis element z_i
     and `local` its index inside that vertex's fiber.
+
+    The action matrices are made read-only here, so their nonzeros,
+    which `sparse_action` reads once for every Hom/Ext system the module
+    enters, cannot go stale; a matrix replaced in `action` is read again
+    (and made read-only then).
     """
 
     presentation: Presentation
@@ -219,6 +225,22 @@ class FinModule:
     provenance: str = "raw"
     walk: list[str] | None = None
     local: list[int] | None = None
+    _sparse: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def __post_init__(self):
+        for mat in self.action.values():
+            mat.flags.writeable = False
+
+    def sparse_action(self, arrow: str) -> tuple[tuple[int, int], list]:
+        """`linalg._nonzeros` of action[arrow], kept with the matrix it
+        was read from, so a replaced matrix is read afresh."""
+        mat = self.action[arrow]
+        seen = self._sparse.get(arrow)
+        if seen is None or seen[0] is not mat:
+            mat.flags.writeable = False
+            seen = self._sparse[arrow] = (mat, _nonzeros(mat))
+        return seen[1]
 
     @property
     def total_dim(self) -> int:

@@ -340,6 +340,80 @@ def test_oracle_shares_no_code_with_linear_engine():
     assert not names & forbidden, names & forbidden
 
 
+def test_hom_dim_reads_a_replaced_action_matrix(lam0):
+    m = _mod(lam0, "c")
+    assert hom_dim(m, m) == 1
+    m.action["c"] = np.zeros_like(m.action["c"])
+    # now the direct sum of the two simples
+    assert hom_dim(m, m) == 2
+    with pytest.raises(ValueError):
+        m.action["c"][0, 0] = 1
+    built = _mod(lam0, "b*c*a")
+    with pytest.raises(ValueError):
+        built.action["a"][0, 0] = 1
+    assert hom_dim(built, built) == 1
+
+
+def _kron_hom_matrix(m, n):
+    """hom_system(m, n).matrix() from the dense actions: each arrow a with
+    a nonempty equation gives n_a X_s - X_t m_a, flattened row-major."""
+    p, q = m.presentation, m.q
+    offsets, width = {}, 0
+    for v in p.quiver.vertices:
+        offsets[v] = width
+        width += n.dims[v] * m.dims[v]
+    blocks = []
+    for a in p.quiver.arrow_names:
+        s, t = p.source(a), p.target(a)
+        if n.dims[t] * m.dims[s] == 0:
+            continue
+        block = np.zeros((n.dims[t] * m.dims[s], width), dtype=np.int64)
+        block[:, offsets[s]:offsets[s] + n.dims[s] * m.dims[s]] += np.kron(
+            n.action[a], np.eye(m.dims[s], dtype=np.int64))
+        block[:, offsets[t]:offsets[t] + n.dims[t] * m.dims[t]] -= np.kron(
+            np.eye(n.dims[t], dtype=np.int64), m.action[a].T)
+        blocks.append(block)
+    return np.concatenate(blocks or [np.zeros((0, width), np.int64)]) % q
+
+
+def _kron_ext_matrix(m, n):
+    """ext_system(m, n).matrix() from the dense actions: each relation
+    b*a gives n_b F_a + F_b m_a, flattened row-major."""
+    p, q = m.presentation, m.q
+    offsets, width = {}, 0
+    for a in p.quiver.arrow_names:
+        offsets[a] = width
+        width += n.dims[p.target(a)] * m.dims[p.source(a)]
+    blocks = []
+    for b, a in p.relations:
+        rows, cols = n.dims[p.target(b)], m.dims[p.source(a)]
+        block = np.zeros((rows * cols, width), dtype=np.int64)
+        f_a = np.kron(n.action[b], np.eye(cols, dtype=np.int64))
+        f_b = np.kron(np.eye(rows, dtype=np.int64), m.action[a].T)
+        block[:, offsets[a]:offsets[a] + f_a.shape[1]] += f_a
+        block[:, offsets[b]:offsets[b] + f_b.shape[1]] += f_b
+        blocks.append(block)
+    return np.concatenate(blocks or [np.zeros((0, width), np.int64)]) % q
+
+
+def test_hom_and_ext_systems_match_kron_reference():
+    from gentledef.homext import ext_system, hom_system
+    from gentledef.presentation import table1_catalog
+    from gentledef.strings import enumerate_strings
+    pairs = 0
+    for q in (2, 3):
+        for _, p in table1_catalog():
+            mods = [string_module(p, w, q=q) for w in enumerate_strings(p, 2)]
+            for m, n in itertools.product(mods, repeat=2):
+                hom, ext = hom_system(m, n).matrix(), ext_system(m, n).matrix()
+                assert np.array_equal(hom, _kron_hom_matrix(m, n)), \
+                    (m.provenance, n.provenance)
+                assert np.array_equal(ext, _kron_ext_matrix(m, n)), \
+                    (m.provenance, n.provenance)
+                pairs += 1
+    assert pairs > 1000
+
+
 def test_hom_and_ext_dimensions_never_go_dense(monkeypatch):
     """hom_dim and ext1_dim reduce sparse rows: no matrix(), no np.eye."""
     from gentledef import linalg

@@ -36,12 +36,17 @@ def test_nullspace_of_empty_and_full_rank():
     assert full.shape == (3, 3)
 
 
-def test_kron_flattening_matches_direct_product():
+def _no_back_substitution(*args):
+    raise AssertionError("a rank count back-substituted")
+
+
+def test_kron_flattening_matches_direct_product(monkeypatch):
     # matrix() @ vec(unknowns) is vec(sum of A @ X @ B) for each equation,
     # with row-major vec and unknowns in declaration order.  A None factor
     # must give the same rows as the explicit identity, nullspace_dim
-    # must be width - rank(matrix()), and nullspace_basis must flatten to
-    # nullspace(matrix()) row for row.
+    # must be width - rank(matrix()) without back-substituting, and
+    # nullspace_basis must flatten to nullspace(matrix()) row for row.
+    sparse = linalg._nonzeros
     rng = np.random.default_rng(7)
     seen = {"A None": 0, "B None": 0, "0 rows": 0, "0 columns": 0}
     for q in (2, 3, 5, 7):
@@ -69,15 +74,15 @@ def test_kron_flattening_matches_direct_product():
                     side = int(rng.integers(0, 3))
                     if side == 1 and rows == out[0]:
                         A = np.eye(rows, dtype=np.int64)
-                        terms.append((None, name, B))
+                        terms.append((None, name, sparse(B)))
                         seen["A None"] += 1
                     elif side == 2 and cols == out[1]:
                         B = np.eye(cols, dtype=np.int64)
-                        terms.append((A, name, None))
+                        terms.append((sparse(A), name, None))
                         seen["B None"] += 1
                     else:
-                        terms.append((A, name, B))
-                    eye_terms.append((A, name, B))
+                        terms.append((sparse(A), name, sparse(B)))
+                    eye_terms.append((sparse(A), name, sparse(B)))
                     total += A @ X[name] @ B
                 sys.add_equation(terms)
                 explicit.add_equation(eye_terms)
@@ -89,7 +94,10 @@ def test_kron_flattening_matches_direct_product():
             assert (M @ vec % q == np.concatenate(expected)).all()
             assert np.array_equal(M, explicit.matrix())
             _, pivots = _gauss_jordan(M, q)
-            assert sys.nullspace_dim() == sys.width - len(pivots)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_back_substitute",
+                              _no_back_substitution)
+                assert sys.nullspace_dim() == sys.width - len(pivots)
             basis = [np.concatenate([sol[name].reshape(-1) for name in shapes])
                      for sol in sys.nullspace_basis()]
             dense = linalg.nullspace(M, q)
@@ -107,7 +115,10 @@ def test_linear_system_commutant_of_nilpotent_block():
         I2 = np.eye(2, dtype=np.int64)
         sys = linalg.LinearSystem(q)
         sys.add_unknown("X", (2, 2))
-        sys.add_equation([(N, "X", I2), (((-1) % q) * I2, "X", N)])
+        sys.add_equation([
+            (linalg._nonzeros(N), "X", linalg._nonzeros(I2)),
+            (linalg._nonzeros(((-1) % q) * I2), "X", linalg._nonzeros(N)),
+        ])
         assert sys.nullspace_dim() == 2
         for sol in sys.nullspace_basis():
             X = sol["X"]
@@ -183,14 +194,23 @@ def test_rref_matches_textbook_gauss_jordan():
 
 
 def test_rank_counts_textbook_pivots_on_random_draws(monkeypatch):
+    # rank neither builds a dense result nor back-substitutes; on the
+    # same draws, rref (which does both) still matches the textbook.
     def dense(*args):
         raise AssertionError("rank built a dense result")
 
-    monkeypatch.setattr(linalg, "_dense", dense)
     rng = np.random.default_rng(31)
-    for q in (2, 3, 5, 7):
-        for A in _random_matrices(rng, q):
+    draws = [(q, A) for q in (2, 3, 5, 7) for A in _random_matrices(rng, q)]
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_dense", dense)
+        patch.setattr(linalg, "_back_substitute", _no_back_substitution)
+        for q, A in draws:
             assert linalg.rank(A, q) == len(_gauss_jordan(A, q)[1])
+    for q, A in draws:
+        R, pivots = linalg.rref(A, q)
+        R_ref, pivots_ref = _gauss_jordan(A, q)
+        assert pivots == pivots_ref
+        assert R.shape == R_ref.shape and (R == R_ref).all()
 
 
 def test_presolve_matches_column_solves_on_random_draws():
