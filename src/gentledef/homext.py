@@ -23,9 +23,11 @@ reduces each field mod q.  Widths beyond one
 63-bit word use several words, compared lexicographically; distinct
 keys are found by a lexicographic sort and a comparison of neighbours.
 
-The linear engine's systems are sparse: each equation row holds only
-the products of the nonzeros of the action matrices, one-sided products
-X·I and I·X are written with None for the identity, and `hom_dim` and
+The linear engine's equations all have the form A·X + Y·B = 0 in
+unknown matrices X, Y: the intertwiners n_a·X_s - X_t·m_a = 0 for Hom,
+one per arrow a: s -> t, and the cocycles n_b·F_a + F_b·m_a = 0 for
+Ext^1, one per relation b*a.  The systems are sparse: each equation row
+holds only nonzeros of the action matrices, and `hom_dim` and
 `ext1_dim` count ranks on those sparse rows by forward elimination,
 with no back-substitution and no dense matrix.  The nonzeros come from
 each module's `FinModule.sparse_action`, which reads an action matrix
@@ -71,14 +73,9 @@ def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
     for v in p.quiver.vertices:
         sys.add_unknown(v, (n.dims[v], m.dims[v]))
     for a in p.quiver.arrow_names:
-        s, t = p.source(a), p.target(a)
-        if n.dims[t] * m.dims[s] == 0:
-            continue
         shape, entries = m.sparse_action(a)
-        sys.add_equation([
-            (n.sparse_action(a), s, None),
-            (None, t, (shape, [(i, j, -v) for i, j, v in entries])),
-        ])
+        sys.add_equation(n.sparse_action(a), p.source(a), p.target(a),
+                         (shape, [(i, j, -v) for i, j, v in entries]))
     return sys
 
 
@@ -106,10 +103,8 @@ def ext_system(m: FinModule, n: FinModule) -> LinearSystem:
     for a in p.quiver.arrow_names:
         sys.add_unknown(a, (n.dims[p.target(a)], m.dims[p.source(a)]))
     for beta, alpha in p.relations:
-        sys.add_equation([
-            (n.sparse_action(beta), alpha, None),
-            (None, beta, m.sparse_action(alpha)),
-        ])
+        sys.add_equation(n.sparse_action(beta), alpha, beta,
+                         m.sparse_action(alpha))
     return sys
 
 

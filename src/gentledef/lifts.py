@@ -313,22 +313,19 @@ def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
 def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
     """One level-one coefficient per conjugation coset: the tree's fan.
 
-    The nonzero rows of rref([Z; B]) are a basis of the cocycles Z, and
-    those whose pivot is not a pivot of rref(B) span a complement of
-    the coboundaries B in Z.
+    The pivot columns of rref([B; Z].T) past B's rows pick the cocycles
+    of the basis Z that extend a basis of the coboundaries B; they span
+    a complement of B in Z.
     """
     q = V.q
     Z = nullspace(M, q)
-    if Z.shape[0] == 0:
-        return _span(Z, q, budget)
     # Row j is the coboundary of the j-th unit vertex map (up to sign).
     B = hom_system(V, V).matrix().T
-    R, pivots = rref(np.concatenate([Z, B]), q)
+    _, pivots = rref(np.concatenate([B, Z]).T, q)
     if len(pivots) != Z.shape[0]:
         raise AssertionError("conjugation directions escape the cocycle space")
-    coboundary = set(rref(B, q)[1])
-    rows = [r for r, col in enumerate(pivots) if col not in coboundary]
-    return _span(R[rows], q, budget)
+    rows = [col - B.shape[0] for col in pivots if col >= B.shape[0]]
+    return _span(Z[rows], q, budget)
 
 
 def _tree_census(V: FinModule, n_max: int,

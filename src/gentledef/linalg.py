@@ -6,19 +6,18 @@ by forward elimination, and `_back_substitute` takes its pivot rows on
 to reduced row echelon form.  A rank count needs only the first step:
 `rank` and `LinearSystem.nullspace_dim` count `_reduce`'s pivots, and
 only `rref` and `LinearSystem.nullspace_basis` back-substitute.
-`LinearSystem` takes its coefficient matrices as sparse
-(shape, nonzeros) pairs from `_nonzeros`, the one dense-to-sparse
-converter, so a caller that enters one matrix in many systems reads its
-nonzeros once.  `rref`, and through it `nullspace`, `solve` and
-`Presolved`, take and return numpy int64 arrays with entries reduced
-mod q, and adapt them to the sparse routines.  No floating point is
-involved anywhere, so ranks and nullspaces are exact.  q must be prime
-(inverses via Fermat).
+`LinearSystem` holds equations A @ X + Y @ B = 0 in unknown matrices
+X, Y and takes its coefficient matrices A, B as sparse (shape, nonzeros)
+pairs from `_nonzeros`, the one dense-to-sparse converter, so a caller
+that enters one matrix in many systems reads its nonzeros once.
+`rref`, and through it `nullspace`, `solve` and `Presolved`, take and
+return numpy int64 arrays with entries reduced mod q, and adapt them to
+the sparse routines.  No floating point is involved anywhere, so ranks
+and nullspaces are exact.  q must be prime (inverses via Fermat).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -211,14 +210,15 @@ class Presolved:
 class LinearSystem:
     """Linear equations in several unknown matrices over F_q.
 
-    Unknowns are named matrices of fixed shape; each equation is a sum
-    of terms A @ X @ B (A, B known, None standing for the identity) set
-    equal to zero.  A and B are given sparse, as the (shape, entries)
-    pairs `_nonzeros` makes, so the caller decides where a matrix's
-    nonzeros are read and can read them once for many equations.
-    Unknowns and equations are flattened row-major: the equation's rows
-    are the entries of A @ X @ B, and X[k, l] has coefficient
-    A[i, k] * B[l, j] in row (i, j).  Rows are stored sparse, as dicts
+    Unknowns are named matrices of fixed shape; each equation is
+    A @ X + Y @ B = 0 for known A, B and unknowns X, Y (X may be Y), the
+    one shape that both the Hom and the Ext^1 equations of `homext`
+    take.  A and B are given sparse, as the (shape, entries) pairs
+    `_nonzeros` makes, so the caller decides where a matrix's nonzeros
+    are read and can read them once for many equations.  Unknowns and
+    equations are flattened row-major: the equation's rows are the
+    entries of A @ X + Y @ B, and row (i, j) has coefficient A[i, k] at
+    X[k, j] and B[l, j] at Y[i, l].  Rows are stored sparse, as dicts
     column -> nonzero entry mod q, built from those nonzeros alone.
     `nullspace_dim` counts the pivots of `_reduce`'s forward elimination;
     `nullspace_basis` back-substitutes them too; only `matrix` builds a
@@ -244,42 +244,41 @@ class LinearSystem:
     def width(self) -> int:
         return self._width
 
-    def add_equation(self, terms) -> None:
-        """terms: iterable of (A, name, B) whose sum is set to zero.
+    def add_equation(self, A, x: str, y: str, B) -> None:
+        """Adds the entrywise equations A @ X + Y @ B = 0.
 
-        A and B are each None for the identity or a sparse pair
-        (shape, [(i, j, entry), ...]) as `_nonzeros` makes it; entries
-        need not be reduced mod q.  Every term's A @ X @ B must share one
-        output shape.
+        X and Y are the unknowns named x and y, possibly the same.  A and
+        B are sparse pairs (shape, [(i, j, entry), ...]) as `_nonzeros`
+        makes them; entries need not be reduced mod q.  Row (i, j)
+        carries A[i, k] at X[k, j] and B[l, j] at Y[i, l].
         """
-        shape = None
+        (m, k_x), left = A
+        (l_y, n), right = B
+        x_rows, x_cols = self._shapes[x]
+        y_rows, y_cols = self._shapes[y]
+        if (k_x, n) != (x_rows, x_cols) or (m, l_y) != (y_rows, y_cols):
+            raise ValueError(f"shape mismatch in A @ {x} + {y} @ B")
+        q = self.q
         eq: dict[int, dict[int, int]] = {}
-        for A, name, B in terms:
-            rows, cols = self._shapes[name]
-            a_shape, left = _identity(rows) if A is None else A
-            b_shape, right = _identity(cols) if B is None else B
-            if a_shape[1] != rows or b_shape[0] != cols:
-                raise ValueError(f"term shape mismatch on {name!r}")
-            if shape is None:
-                shape = (a_shape[0], b_shape[1])
-            elif (a_shape[0], b_shape[1]) != shape:
-                raise ValueError("terms have mismatched output shapes")
-            off, out_cols = self._offsets[name], shape[1]
-            for i, k, a in left:
-                first_row, first_col = i * out_cols, off + k * cols
-                for l, j, b in right:
-                    row = eq.get(first_row + j)
-                    if row is None:
-                        row = eq[first_row + j] = {}
-                    row[first_col + l] = row.get(first_col + l, 0) + a * b
-        if shape is None:
-            raise ValueError("equation needs at least one term")
-        q, top = self.q, self._height
-        for r, row in eq.items():
-            row = {c: x for c, v in row.items() if (x := v % q)}
-            if row:
-                self._rows[top + r] = row
-        self._height += shape[0] * shape[1]
+        off = self._offsets[x]
+        for i, k, a in left:
+            if a := a % q:
+                for j in range(n):
+                    eq.setdefault(i * n + j, {})[off + k * n + j] = a
+        off = self._offsets[y]
+        right = [(l, j, b) for l, j, b in right if b % q]
+        for i in range(m):
+            first_col = off + i * l_y
+            for l, j, b in right:
+                row = eq.setdefault(i * n + j, {})
+                # Only when X is Y do A[i, i] and B[j, j] meet, at X[i, j].
+                if v := (row.get(first_col + l, 0) + b) % q:
+                    row[first_col + l] = v
+                else:
+                    del row[first_col + l]
+        top = self._height
+        self._rows.update((top + r, row) for r, row in eq.items() if row)
+        self._height += m * n
 
     def matrix(self) -> np.ndarray:
         return _dense(self._rows.items(), (self._height, self._width))
@@ -320,9 +319,3 @@ def _nonzeros(M) -> tuple[tuple[int, int], list[tuple[int, int, int]]]:
     M = np.asarray(M, dtype=np.int64)
     return M.shape, [(i, j, v) for i, line in enumerate(M.tolist())
                      for j, v in enumerate(line) if v]
-
-
-@functools.cache
-def _identity(size: int) -> tuple[tuple[int, int], list[tuple[int, int, int]]]:
-    """The sparse pair of the size x size identity, which None stands for."""
-    return (size, size), [(k, k, 1) for k in range(size)]

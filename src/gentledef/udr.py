@@ -38,6 +38,9 @@ from .strings import (
     word_from_letters,
 )
 
+# The n up to which `build_sequence` grows and checks (beta x)^n beta.
+CHAIN_LENGTH = 4
+
 
 @dataclass(frozen=True)
 class ConnectingLetter:
@@ -309,7 +312,7 @@ def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
 
 
 def build_sequence(p: Presentation, w: StringWord, x,
-                   n_max: int = 4, q: int = 2) -> SequenceReport:
+                   n_max: int = CHAIN_LENGTH, q: int = 2) -> SequenceReport:
     """Grow the chain from w along x and verify each collapse map.
 
     x may be a ConnectingLetter or a bare Letter; a bare letter is
@@ -352,8 +355,7 @@ def build_sequence(p: Presentation, w: StringWord, x,
 
 def universal_deformation_ring(p: Presentation, w: StringWord, q: int = 2,
                                n_max: int = 3,
-                               budget: int = DEFAULT_BUDGET,
-                               chain_check: int = 4) -> UDRDescriptor:
+                               budget: int = DEFAULT_BUDGET) -> UDRDescriptor:
     """Decide which ring represents the deformations of M[w].
 
     Raises unless End(M[w]) = k.  The returned descriptor carries the
@@ -365,11 +367,11 @@ def universal_deformation_ring(p: Presentation, w: StringWord, q: int = 2,
     if not end_is_trivial(V):
         raise ValueError(
             "universal deformation ring not guaranteed for End(V) != k")
-    return _classify(p, w, V, n_max, budget, chain_check)
+    return _classify(p, w, V, n_max, budget)
 
 
 def _classify(p: Presentation, w: StringWord, V: FinModule, n_max: int,
-              budget: int, chain_check: int = 4) -> UDRDescriptor:
+              budget: int) -> UDRDescriptor:
     """`universal_deformation_ring` for V = M[w], already built and
     known to have End(V) = k."""
     q = V.q
@@ -385,8 +387,7 @@ def _classify(p: Presentation, w: StringWord, V: FinModule, n_max: int,
     if tangent == 0:
         ring = "k"
     elif tangent == 1:
-        reports = [build_sequence(p, w, c, n_max=chain_check, q=q)
-                   for c in connectors]
+        reports = [build_sequence(p, w, c, q=q) for c in connectors]
         evidence["sequences"] = [r.as_dict() for r in reports]
         infinite = [r for r in reports if r.kind == "Infinite" and r.ok]
         finite = [r for r in reports if r.kind == "Finite" and r.ok]

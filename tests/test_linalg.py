@@ -1,6 +1,7 @@
 """Exact F_q linear algebra against hand-worked examples."""
 
 import numpy as np
+import pytest
 
 from gentledef import linalg
 
@@ -41,58 +42,52 @@ def _no_back_substitution(*args):
 
 
 def test_kron_flattening_matches_direct_product(monkeypatch):
-    # matrix() @ vec(unknowns) is vec(sum of A @ X @ B) for each equation,
-    # with row-major vec and unknowns in declaration order.  A None factor
-    # must give the same rows as the explicit identity, nullspace_dim
-    # must be width - rank(matrix()) without back-substituting, and
+    # Column c of matrix() is vec(A @ X + Y @ B) of each equation, stacked,
+    # with the unknowns set to the c-th unit vector (row-major vec,
+    # unknowns in declaration order).  nullspace_dim must be
+    # width - rank(matrix()) without back-substituting, and
     # nullspace_basis must flatten to nullspace(matrix()) row for row.
     sparse = linalg._nonzeros
     rng = np.random.default_rng(7)
-    seen = {"A None": 0, "B None": 0, "0 rows": 0, "0 columns": 0}
+    seen = {"X == Y": 0, "cancels": 0, "0 rows": 0, "0 columns": 0}
     for q in (2, 3, 5, 7):
         for _ in range(40):
             sys = linalg.LinearSystem(q)
-            explicit = linalg.LinearSystem(q)
             shapes = {f"X{i}": tuple(int(d) for d in rng.integers(0, 4, 2))
                       for i in range(int(rng.integers(1, 4)))}
             for name, shape in shapes.items():
                 sys.add_unknown(name, shape)
-                explicit.add_unknown(name, shape)
-            X = {name: rng.integers(0, q, size=shape)
-                 for name, shape in shapes.items()}
-            expected = []
+            equations = []
             for _ in range(int(rng.integers(1, 4))):
-                out = tuple(int(d) for d in rng.integers(0, 4, 2))
-                terms, eye_terms = [], []
-                total = np.zeros(out, dtype=np.int64)
-                for _ in range(int(rng.integers(1, 4))):
-                    name = str(rng.choice(list(shapes)))
-                    rows, cols = shapes[name]
-                    # entries outside [0, q) must be reduced by the system
-                    A = rng.integers(-q, 2 * q, size=(out[0], rows))
-                    B = rng.integers(-q, 2 * q, size=(cols, out[1]))
-                    side = int(rng.integers(0, 3))
-                    if side == 1 and rows == out[0]:
-                        A = np.eye(rows, dtype=np.int64)
-                        terms.append((None, name, sparse(B)))
-                        seen["A None"] += 1
-                    elif side == 2 and cols == out[1]:
-                        B = np.eye(cols, dtype=np.int64)
-                        terms.append((sparse(A), name, None))
-                        seen["B None"] += 1
-                    else:
-                        terms.append((sparse(A), name, sparse(B)))
-                    eye_terms.append((sparse(A), name, sparse(B)))
-                    total += A @ X[name] @ B
-                sys.add_equation(terms)
-                explicit.add_equation(eye_terms)
-                expected.append(total.reshape(-1) % q)
-            vec = np.concatenate([X[name].reshape(-1) for name in shapes])
+                x, y = (str(name) for name in rng.choice(list(shapes), 2))
+                # entries outside [0, q) must be reduced by the system
+                A = rng.integers(-q, 2 * q, size=(shapes[y][0], shapes[x][0]))
+                B = rng.integers(-q, 2 * q, size=(shapes[y][1], shapes[x][1]))
+                if x == y and A.size and B.size:
+                    # A[0, 0] and B[0, 0] both sit at X[0, 0] in row (0, 0)
+                    A[0, 0] = int(rng.integers(1, q)) + q * int(
+                        rng.integers(-1, 2))
+                    B[0, 0] = -A[0, 0] + q * int(rng.integers(-1, 2))
+                    seen["cancels"] += 1
+                seen["X == Y"] += x == y
+                sys.add_equation(sparse(A), x, y, sparse(B))
+                equations.append((A, x, y, B))
+
+            def apply(vec):
+                X, off = {}, 0
+                for name, (r, c) in shapes.items():
+                    X[name] = vec[off:off + r * c].reshape(r, c)
+                    off += r * c
+                return np.concatenate(
+                    [(A @ X[x] + X[y] @ B).reshape(-1)
+                     for A, x, y, B in equations]) % q
+
             M = sys.matrix()
-            assert M.shape == (sum(e.size for e in expected), vec.size)
-            assert ((M >= 0) & (M < q)).all()
-            assert (M @ vec % q == np.concatenate(expected)).all()
-            assert np.array_equal(M, explicit.matrix())
+            height = apply(np.zeros(sys.width, dtype=np.int64)).size
+            expected = np.zeros((height, sys.width), dtype=np.int64)
+            for c, e in enumerate(np.eye(sys.width, dtype=np.int64)):
+                expected[:, c] = apply(e)
+            assert np.array_equal(M, expected)
             _, pivots = _gauss_jordan(M, q)
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "_back_substitute",
@@ -112,17 +107,33 @@ def test_linear_system_commutant_of_nilpotent_block():
     # X with NX = XN for a regular nilpotent N: dim 2 over any field
     N = np.array([[0, 0], [1, 0]])
     for q in (2, 5):
-        I2 = np.eye(2, dtype=np.int64)
         sys = linalg.LinearSystem(q)
         sys.add_unknown("X", (2, 2))
-        sys.add_equation([
-            (linalg._nonzeros(N), "X", linalg._nonzeros(I2)),
-            (linalg._nonzeros(((-1) % q) * I2), "X", linalg._nonzeros(N)),
-        ])
+        sys.add_equation(linalg._nonzeros(N), "X", "X", linalg._nonzeros(-N))
         assert sys.nullspace_dim() == 2
         for sol in sys.nullspace_basis():
             X = sol["X"]
             assert ((N @ X - X @ N) % q == 0).all()
+
+
+def test_linear_system_rejects_mismatched_shapes_and_redeclared_names():
+    sparse = linalg._nonzeros
+    sys = linalg.LinearSystem(3)
+    sys.add_unknown("X", (2, 3))
+    sys.add_unknown("Y", (4, 5))
+    with pytest.raises(ValueError, match="already declared"):
+        sys.add_unknown("X", (2, 3))
+    # A @ X + Y @ B needs A: 4 x 2 and B: 5 x 3
+    good_A, good_B = np.ones((4, 2), int), np.ones((5, 3), int)
+    for A, B in [(np.ones((4, 3), int), good_B),   # A's columns != X's rows
+                 (np.ones((3, 2), int), good_B),   # A's rows != Y's rows
+                 (good_A, np.ones((4, 3), int)),   # B's rows != Y's columns
+                 (good_A, np.ones((5, 2), int))]:  # B's columns != X's columns
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sys.add_equation(sparse(A), "X", "Y", sparse(B))
+    assert sys.matrix().shape == (0, sys.width)
+    sys.add_equation(sparse(good_A), "X", "Y", sparse(good_B))
+    assert sys.matrix().shape == (12, sys.width)
 
 
 def test_presolve_matches_single_solve():
