@@ -22,6 +22,7 @@ matrix-polynomial products, not by `_level_rhs`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -381,31 +382,34 @@ def count_deformations_by_orbits(p: Presentation, V: FinModule,
     return _orbit_count(V, ring, C)
 
 
-_TRUNCATED = re.compile(r"^k\[\[?t\]\]?/\(t\^(\d+)\)$")
+_TRUNCATED = re.compile(r"^k(?:\[\[t\]\]|\[t\])/\(t\^(\d+)\)$")
 
 
+@functools.cache
 def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
     """Local k-algebra morphisms from the named ring into F_q[t]/(t^n).
 
     Counted by enumerating images of t among the maximal-ideal elements
-    rather than via a closed form.
+    rather than via a closed form.  A pure function of the descriptor
+    and the (frozen) ring, so each pair is enumerated once per process.
+    The truncations k[[t]]/(t^e) and k[t]/(t^e) need e >= 1: the zero
+    ring k[[t]]/(t^0) has no local morphisms and is rejected.
     """
     q, n = ring.q, ring.n
     if descriptor == "k":
         return 1
+    m = _TRUNCATED.match(descriptor)
+    if descriptor != "k[[t]]" and (m is None or int(m.group(1)) < 1):
+        raise ValueError(f"unsupported ring descriptor {descriptor!r}")
     free = n - 1
     # Each image of t is a 1x1 matrix polynomial with zero constant term.
     images = np.zeros((q ** free, n, 1, 1), dtype=np.int64)
     if free:
         images[:, 1:, 0, 0] = _mixed_radix(q ** free, free, q)
-    if descriptor == "k[[t]]":
-        return images.shape[0]
-    m = _TRUNCATED.match(descriptor)
     if m is None:
-        raise ValueError(f"unsupported ring descriptor {descriptor!r}")
-    power = int(m.group(1))
+        return images.shape[0]
     acc = images
-    for _ in range(power - 1):
+    for _ in range(int(m.group(1)) - 1):
         acc = _poly_matmul(acc, images, q)
     return int((~acc.any(axis=(1, 2, 3))).sum())
 

@@ -6,6 +6,13 @@ a search for connecting letters x, with the infinite chain (beta x)^n
 beta certifying power series and a finite chain plus the collapse-map
 hypotheses certifying a truncation; anything else stays undetermined
 and is reported with its lift census.
+
+Each collapse map sigma_ell of the chain is a 0/1 partial permutation
+of walk coordinates, so its kernel and the image of its ell-th power
+are coordinate sets, and for every candidate they are the same set.
+One span check per step, that this set spans a copy of V, serves both
+hypotheses; the check exits without a Hom-basis search when the span's
+action is entrywise V's (see `homext.modules_isomorphic`).
 """
 
 from __future__ import annotations
@@ -182,16 +189,16 @@ def _chain_word(p: Presentation, w: StringWord, x: Letter,
     return _try_word(p, (w.letters + (x,)) * n + w.letters)
 
 
-def _arrow_total_matrices(V: FinModule) -> dict[str, np.ndarray]:
+def _arrow_total_matrices(V: FinModule) -> np.ndarray:
+    """Every arrow's action as an endomorphism of the total space, stacked
+    in arrow order: an (arrows, total, total) array."""
     p, total = V.presentation, V.total_dim
     off = V.vertex_offsets()
-    out = {}
-    for a in p.quiver.arrow_names:
+    out = np.zeros((len(p.quiver.arrow_names), total, total), dtype=np.int64)
+    for T, a in zip(out, p.quiver.arrow_names):
         mat = V.action[a]
-        T = np.zeros((total, total), dtype=np.int64)
         r, c = off[p.target(a)], off[p.source(a)]
         T[r:r + mat.shape[0], c:c + mat.shape[1]] = mat
-        out[a] = T
     return out
 
 
@@ -202,21 +209,21 @@ def _coords(V: FinModule) -> list[int]:
 
 
 def _is_module_endo(V: FinModule, sigma: np.ndarray,
-                    arrows: dict[str, np.ndarray]) -> bool:
+                    arrows: np.ndarray) -> bool:
     """Whether sigma respects the vertices and commutes with
-    `arrows = _arrow_total_matrices(V)`."""
-    q = V.q
-    off = V.vertex_offsets()
-    for v in V.presentation.quiver.vertices:
-        r = range(off[v], off[v] + V.dims[v])
-        mask = np.ones(V.total_dim, dtype=bool)
-        mask[list(r)] = False
-        if sigma[np.ix_(mask, list(r))].any():
-            return False
-    for T in arrows.values():
-        if ((sigma @ T - T @ sigma) % q).any():
-            return False
-    return True
+    `arrows = _arrow_total_matrices(V)`.
+
+    Each total-space coordinate is labelled by the index of its vertex,
+    so sigma respects the vertices when it has no nonzero entry between
+    coordinates of different labels; the commutators with all arrows are
+    one batched product.
+    """
+    vertices = V.presentation.quiver.vertices
+    label = np.repeat(np.arange(len(vertices)),
+                      [V.dims[v] for v in vertices])
+    if sigma[label[:, None] != label[None, :]].any():
+        return False
+    return not ((sigma @ arrows - arrows @ sigma) % V.q).any()
 
 
 def _coordinate_submodule(V: FinModule,
@@ -280,7 +287,14 @@ def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
     Every candidate is a 0/1 partial permutation of walk coordinates, and
     so is each of its powers: its kernel is spanned by the unit vectors
     at its zero columns, and the image of sigma^level by those at the
-    nonzero rows of that power.
+    nonzero rows of that power.  V_level has (level + 1) * D walk
+    positions, D = dim v0, and both candidate shapes of
+    `_sigma_candidates` make that image the kernel's coordinate set: a
+    shift by +D (-D) kills the last (first) D positions and its
+    level-th power lands on them, and a reflection (level 1, 2D
+    positions) sends one half onto the other and kills that other half.
+    So one span check serves both hypotheses, and a power of rank D
+    whose image is any other set is an error.
     """
     q = v0.q
     D = v0.total_dim
@@ -298,14 +312,16 @@ def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
             continue
         step.sigma = S
         step.kernel_dim = D
-        step.kernel_is_v0 = _spans_copy_of(V_ell, kernel, v0)
         P = np.eye(V_ell.total_dim, dtype=np.int64)
         for _ in range(level):
             P = P @ S % q
         image = P.any(axis=1)
         step.power_rank = int(image.sum())
-        step.image_power_is_v0 = (step.power_rank == D
-                                  and _spans_copy_of(V_ell, image, v0))
+        if step.power_rank == D and (image != kernel).any():
+            raise AssertionError(
+                "image of the collapse map's power is not its kernel")
+        step.kernel_is_v0 = _spans_copy_of(V_ell, kernel, v0)
+        step.image_power_is_v0 = step.power_rank == D and step.kernel_is_v0
         step.nilpotent = not (P @ S % q).any()
         break
     return step

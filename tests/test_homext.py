@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+from gentledef import homext
 from gentledef.homext import (
     BudgetExceededError,
     brute_force_ext,
@@ -15,9 +16,15 @@ from gentledef.homext import (
     ext1_dim,
     hom_basis,
     hom_dim,
+    modules_isomorphic,
 )
 from gentledef.presentation import catalog_presentation
-from gentledef.strings import make_string, simple_module, string_module
+from gentledef.strings import (
+    FinModule,
+    make_string,
+    simple_module,
+    string_module,
+)
 
 
 @pytest.fixture(scope="module")
@@ -440,3 +447,57 @@ def test_hom_and_ext_dimensions_never_go_dense(monkeypatch):
         assert hom_dim(m, n) == hom, (m.provenance, n.provenance)
         assert ext1_dim(m, n) == ext, (m.provenance, n.provenance)
     assert len(cases) > 1000
+
+
+def _counting_hom_basis(monkeypatch):
+    calls = []
+    real = homext.hom_basis
+
+    def counted(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(homext, "hom_basis", counted)
+    return calls
+
+
+def test_isomorphic_equal_representations_skip_the_basis_search(
+        lam0, monkeypatch):
+    def refuse(m, n):
+        raise AssertionError("entrywise-equal modules searched a Hom basis")
+
+    monkeypatch.setattr(homext, "hom_basis", refuse)
+    for q in (2, 3):
+        for text in ("a", "c*a", "b*c*a"):
+            assert modules_isomorphic(_mod(lam0, text, q), _mod(lam0, text, q))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_isomorphic_base_change_goes_through_the_basis_search(
+        lam0, monkeypatch, q):
+    m = _mod(lam0, "b*c*a", q)
+    # Invertible over every F_q; g_v M g_v^-1 at vertex v.
+    g = {v: np.array([[1, 1], [0, 1]]) for v in ("1", "2")}
+    g_inv = {v: np.array([[1, q - 1], [0, 1]]) for v in ("1", "2")}
+    action = {a: g[lam0.target(a)] @ mat @ g_inv[lam0.source(a)] % q
+              for a, mat in m.action.items()}
+    n = FinModule(presentation=lam0, q=q, dims=dict(m.dims), action=action)
+    assert not n.validate()
+    assert any((n.action[a] != m.action[a]).any() for a in m.action)
+    calls = _counting_hom_basis(monkeypatch)
+    assert modules_isomorphic(m, n)
+    assert modules_isomorphic(n, m)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_same_dimension_modules_need_not_be_isomorphic(lam0, monkeypatch, q):
+    m = _mod(lam0, "c*a", q)
+    zero = FinModule(presentation=lam0, q=q, dims=dict(m.dims),
+                     action={a: np.zeros_like(mat)
+                             for a, mat in m.action.items()})
+    calls = _counting_hom_basis(monkeypatch)
+    for other in (_mod(lam0, "a*d", q), zero):
+        assert other.dims == m.dims
+        assert not modules_isomorphic(m, other)
+    assert len(calls) == 2

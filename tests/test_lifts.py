@@ -170,10 +170,24 @@ def test_count_ring_morphisms_table():
 
 
 def test_count_ring_morphisms_rejects_unknown():
-    with pytest.raises(ValueError):
-        count_ring_morphisms("undetermined", CoeffRing(2, 2))
-    with pytest.raises(ValueError):
-        count_ring_morphisms("k[x,y]/(x,y)^2", CoeffRing(2, 2))
+    # The zero ring (t^0) and unbalanced brackets are rejected too; the
+    # second call checks that memoization caches no accepted answer.
+    for descriptor in ["undetermined", "k[x,y]/(x,y)^2", "k[[t]]/(t^0)",
+                       "k[t]/(t^0)", "k[[t]/(t^2)", "k[t]]/(t^2)",
+                       "k[[t]]/(t^)", "k[[t]]/(t^-1)"]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                count_ring_morphisms(descriptor, CoeffRing(2, 2))
+
+
+def test_count_ring_morphisms_accepts_both_truncation_spellings():
+    for e in (1, 2, 3):
+        for n in (1, 2, 3, 4):
+            ring = CoeffRing(3, n)
+            # t -> u with u^e = 0: u in (t^ceil(n/e)), so q^(n - ceil(n/e)).
+            want = 3 ** (n - -(-n // e))
+            assert count_ring_morphisms(f"k[[t]]/(t^{e})", ring) == want
+            assert count_ring_morphisms(f"k[t]/(t^{e})", ring) == want
 
 
 def test_fingerprint_simple(lam0):

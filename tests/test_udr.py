@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gentledef import udr
+from gentledef import homext, udr
 from gentledef.claims import paper_agreement, published_ring
-from gentledef.homext import end_is_trivial, modules_isomorphic
+from gentledef.homext import end_is_trivial, ext1_dim, modules_isomorphic
 from gentledef.linalg import Presolved, nullspace, rank, rref
 from gentledef.presentation import LAMBDA0, catalog_presentation, table1_catalog
 from gentledef.strings import (
@@ -339,3 +339,110 @@ def test_sigma_steps_match_row_reduction_reference(q):
                     steps += 1
     assert all(seen.values()), seen
     assert steps > 100
+
+
+def _reference_is_endo(V, S):
+    """Whether S is a module endomorphism of V, and for each arrow
+    whether S's diagonal blocks intertwine it, from per-vertex blocks:
+    the reference for `udr._is_module_endo`."""
+    p, q = V.presentation, V.q
+    off = V.vertex_offsets()
+    block = {v: slice(off[v], off[v] + V.dims[v]) for v in p.quiver.vertices}
+    crosses = any(S[block[u], block[v]].any()
+                  for u in p.quiver.vertices for v in p.quiver.vertices
+                  if u != v)
+    commutes = []
+    for a in p.quiver.arrow_names:
+        s, t = block[p.source(a)], block[p.target(a)]
+        M = V.action[a]
+        commutes.append(not ((S[t, t] @ M - M @ S[s, s]) % q).any())
+    return not crosses and all(commutes), crosses, commutes
+
+
+def _random_partial_permutation(rng, total, groups):
+    """A random 0/1 partial permutation of range(total) that maps each
+    coordinate into its own group (groups is a list of index arrays)."""
+    S = np.zeros((total, total), dtype=np.int64)
+    for idx in groups:
+        kept = idx[rng.random(len(idx)) < 0.7]
+        S[rng.permutation(idx)[:len(kept)], kept] = 1
+    return S
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_module_endo_matches_block_reference(q):
+    """`udr._is_module_endo` agrees with per-vertex blocks and per-arrow
+    commutators on random partial permutations of chain modules."""
+    rng = np.random.default_rng(q)
+    seen = dict.fromkeys(["endomorphism", "crosses vertices",
+                          "commutes with some arrows only"], False)
+    maps = 0
+    for _, p in table1_catalog():
+        for w in enumerate_strings(p, 2):
+            for c in connecting_letters(p, w):
+                V = string_module(p, c.word, q)
+                total = V.total_dim
+                off = V.vertex_offsets()
+                by_vertex = [np.arange(off[v], off[v] + V.dims[v])
+                             for v in p.quiver.vertices]
+                candidates = udr._sigma_candidates(V, total // 2, c.form)
+                candidates += [np.eye(total, dtype=np.int64)]
+                for _ in range(3):
+                    candidates.append(_random_partial_permutation(
+                        rng, total, [np.arange(total)]))
+                    candidates.append(_random_partial_permutation(
+                        rng, total, by_vertex))
+                arrows = udr._arrow_total_matrices(V)
+                for S in candidates:
+                    want, crosses, commutes = _reference_is_endo(V, S)
+                    assert udr._is_module_endo(V, S, arrows) == want, (
+                        w.display(), c.letter.display(), S)
+                    seen["endomorphism"] |= want
+                    seen["crosses vertices"] |= crosses
+                    seen["commutes with some arrows only"] |= (
+                        not crosses and any(commutes) and not all(commutes))
+                    maps += 1
+    assert all(seen.values()), seen
+    assert maps > 500
+
+
+def test_one_span_check_per_accepted_collapse_map(monkeypatch):
+    """Over every tangent-1 catalog word of length at most 3 at q = 2,
+    each step whose collapse map is accepted checks one span, and only a
+    span whose action differs entrywise from v0's searches a Hom basis."""
+    q = 2
+    spans, searches = [], []
+    expected_searches = 0
+    real_spans, real_basis = udr._spans_copy_of, homext.hom_basis
+
+    def counted_spans(V, keep, v0):
+        nonlocal expected_searches
+        spans.append(keep)
+        sub = udr._coordinate_submodule(V, keep)
+        expected_searches += (
+            sub is not None and sub.dims == v0.dims and sub.total_dim > 0
+            and any((sub.action[a] != v0.action[a]).any()
+                    for a in v0.action))
+        return real_spans(V, keep, v0)
+
+    def counted_basis(m, n):
+        searches.append((m, n))
+        return real_basis(m, n)
+
+    monkeypatch.setattr(udr, "_spans_copy_of", counted_spans)
+    monkeypatch.setattr(homext, "hom_basis", counted_basis)
+    accepted = 0
+    for _, p in table1_catalog():
+        for w in enumerate_strings(p, 3):
+            v0 = string_module(p, w, q)
+            if not end_is_trivial(v0) or ext1_dim(v0, v0) != 1:
+                continue
+            for c in connecting_letters(p, w):
+                before = len(spans)
+                report = build_sequence(p, w, c, q=q)
+                steps = sum(step.sigma is not None for step in report.steps)
+                assert len(spans) - before == steps, (w.display(),
+                                                      c.letter.display())
+                accepted += steps
+    assert len(searches) == expected_searches
+    assert accepted > 100 and len(searches) < accepted // 10
