@@ -55,6 +55,8 @@ def paper_agreement(p: Presentation, w: StringWord, ring: str,
     `ring` is the computed descriptor ("undetermined" when the decision
     procedure could not certify one); `census_unique` is the single ring
     matching the lift census when that match is unique, else None.
+    Off the worked example a certified ring agrees exactly when it is
+    one of `TRICHOTOMY_RINGS`.
     """
     claim = published_ring(p, w)
     if claim is not None:
@@ -66,7 +68,7 @@ def paper_agreement(p: Presentation, w: StringWord, ring: str,
             return "not-stated"
         return "agrees" if census_unique == claim else "disagrees"
     if ring != "undetermined":
-        return "agrees"
+        return "agrees" if ring in TRICHOTOMY_RINGS else "disagrees"
     if tangent_dim >= 2:
         return "disagrees"
     return "not-stated"

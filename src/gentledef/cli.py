@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .homext import (
     DEFAULT_BUDGET,
@@ -22,7 +21,6 @@ from .homext import (
     hom_dim,
 )
 from .lifts import fingerprint
-from .linalg import is_prime
 from .presentation import (
     DSLError,
     Presentation,
@@ -37,31 +35,13 @@ from .sweep import sweep_catalog
 from .udr import universal_deformation_ring
 
 
-@dataclass
-class RunConfig:
-    q: int = 2
-    max_string_len: int = 6
-    n_max: int = 3
-    budget: int = DEFAULT_BUDGET
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError("q must be prime")
-        if self.n_max < 2:
-            raise ValueError("n-max must be at least 2")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if self.fmt not in ("json", "md"):
-            raise ValueError("format must be json or md")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(q=args.q,
-                     max_string_len=getattr(args, "max_len", 6),
-                     n_max=getattr(args, "n_max", 3),
-                     budget=getattr(args, "budget", DEFAULT_BUDGET),
-                     fmt=args.format)
+def _check_limits(args) -> None:
+    """The flag checks argparse does not make; a non-prime --q is
+    rejected where its first module is built."""
+    if "n_max" in args and args.n_max < 2:
+        raise ValueError("n-max must be at least 2")
+    if "budget" in args and args.budget <= 0:
+        raise ValueError("budget must be positive")
 
 
 def _load_presentation(args) -> tuple[str, Presentation]:
@@ -106,12 +86,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_udr(args) -> int:
-    cfg = _config(args)
     name, p = _load_presentation(args)
     w = make_string(p, args.word)
-    d = universal_deformation_ring(p, w, q=cfg.q, n_max=cfg.n_max,
-                                   budget=cfg.budget)
-    payload = {"algebra": name, "word": w.display(), "q": cfg.q,
+    d = universal_deformation_ring(p, w, q=args.q, n_max=args.n_max,
+                                   budget=args.budget)
+    payload = {"algebra": name, "word": w.display(), "q": args.q,
                **d.as_dict()}
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2))
@@ -128,18 +107,17 @@ def cmd_udr(args) -> int:
 
 
 def _pair_dims(args, which: str) -> int:
-    cfg = _config(args)
     name, p = _load_presentation(args)
     wm = make_string(p, args.word_m)
     wn = make_string(p, args.word_n)
-    m = string_module(p, wm, cfg.q)
-    n = string_module(p, wn, cfg.q)
+    m = string_module(p, wm, args.q)
+    n = string_module(p, wn, args.q)
     if which == "hom":
         value = hom_dim(m, n)
     else:
         value = ext1_dim(m, n)
     payload = {"algebra": name, "from": wm.display(), "to": wn.display(),
-               "q": cfg.q, f"{which}_dim": value}
+               "q": args.q, f"{which}_dim": value}
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2))
     else:
@@ -156,15 +134,14 @@ def cmd_ext(args) -> int:
 
 
 def cmd_tangent(args) -> int:
-    cfg = _config(args)
     name, p = _load_presentation(args)
     w = make_string(p, args.word)
-    V = string_module(p, w, cfg.q)
+    V = string_module(p, w, args.q)
     value = ext1_dim(V, V)
     brute = None
     if args.check:
-        brute = brute_force_ext(V, V, budget=cfg.budget)
-    payload = {"algebra": name, "word": w.display(), "q": cfg.q,
+        brute = brute_force_ext(V, V, budget=args.budget)
+    payload = {"algebra": name, "word": w.display(), "q": args.q,
                "tangent_dim": value}
     if brute is not None:
         payload["tangent_dim_brute"] = brute
@@ -180,11 +157,10 @@ def cmd_tangent(args) -> int:
 
 
 def cmd_census(args) -> int:
-    cfg = _config(args)
     name, p = _load_presentation(args)
     w = make_string(p, args.word)
-    V = string_module(p, w, cfg.q)
-    census = fingerprint(p, V, cfg.q, cfg.n_max, budget=cfg.budget)
+    census = fingerprint(string_module(p, w, args.q), args.n_max,
+                         budget=args.budget)
     payload = {"algebra": name, "word": w.display(), **census.as_dict()}
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2))
@@ -247,10 +223,9 @@ def _sweep_markdown(report) -> str:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config(args)
     names = args.only.split(",") if args.only else None
-    report = sweep_catalog(q=cfg.q, max_len=cfg.max_string_len,
-                           n_max=cfg.n_max, budget=cfg.budget, names=names)
+    report = sweep_catalog(q=args.q, max_len=args.max_len,
+                           n_max=args.n_max, budget=args.budget, names=names)
     if args.format == "json":
         _emit(args, json.dumps(report.as_dict(), indent=2))
     else:
@@ -265,8 +240,10 @@ def _add_source_args(sp) -> None:
                     help="use a built-in catalog presentation instead")
 
 
-def _add_common_flags(sp, max_len=False, n_max=False, budget=False) -> None:
-    sp.add_argument("--q", type=int, default=2, help="field size (prime)")
+def _add_common_flags(sp, q=True, max_len=False, n_max=False,
+                      budget=False) -> None:
+    if q:
+        sp.add_argument("--q", type=int, default=2, help="field size (prime)")
     if max_len:
         sp.add_argument("--max-len", type=int, default=6,
                         help="longest string word to consider")
@@ -291,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="check a presentation is gentle")
     _add_source_args(sp)
-    _add_common_flags(sp)
+    _add_common_flags(sp, q=False)
     sp.set_defaults(handler=cmd_validate)
 
     sp = sub.add_parser("udr", help="classify one module's deformation ring")
@@ -332,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(sp)
     sp.add_argument("vertex")
     sp.add_argument("depth", type=int)
-    _add_common_flags(sp)
+    _add_common_flags(sp, q=False)
     sp.set_defaults(handler=cmd_radical)
 
     sp = sub.add_parser("sweep", help="classify the whole catalog")
@@ -348,6 +325,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         return args.handler(args)
     except (DSLError, StringError, BudgetExceededError, ValueError,
             OSError) as err:

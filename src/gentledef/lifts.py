@@ -18,6 +18,11 @@ by every cocycle and merges the lifts into conjugation classes, each
 generator applied to all of them at once by row and column operations,
 and `Lift.validate` checks each lift from `enumerate_lifts` by whole
 matrix-polynomial products, not by `_level_rhs`.
+
+The entry points `enumerate_lifts(V, n)`, `count_deformations(V, n)`,
+`count_deformations_by_orbits(V, n)` and `fingerprint(V, n_max)` take
+the module and a level only: V fixes its presentation and its field
+F_q, and so the test rings F_q[t]/(t^n).
 """
 
 from __future__ import annotations
@@ -40,13 +45,19 @@ from .homext import (
     hom_system,
 )
 from .linalg import Presolved, is_prime, nullspace, rref
-from .presentation import Presentation
 from .strings import FinModule
+
+# The rings a census is matched against, in the order matches are listed.
+CANDIDATE_RINGS = ("k", "k[[t]]/(t^2)", "k[[t]]")
 
 
 @dataclass(frozen=True)
 class CoeffRing:
-    """The test ring F_q[t]/(t^n); n = 1 is the base field."""
+    """The test ring F_q[t]/(t^n); n = 1 is the base field.
+
+    Each census entry point builds CoeffRing(V.q, n) once, and that is
+    where a level n < 1 is rejected.
+    """
 
     q: int
     n: int
@@ -216,17 +227,15 @@ def _rows_to_lift(V: FinModule, ring: CoeffRing, row: np.ndarray) -> Lift:
     return Lift(module=V, ring=ring, coeffs=coeffs)
 
 
-def enumerate_lifts(p: Presentation, V: FinModule, ring: CoeffRing,
+def enumerate_lifts(V: FinModule, n: int,
                     budget: int = DEFAULT_BUDGET) -> list[Lift]:
-    """Every action tuple over the ring reducing to V and killing the relations.
+    """Every action tuple over F_q[t]/(t^n) reducing to V and killing the
+    relations, q being V's.
 
     An oracle: the orbit oracle's lifts, each checkable by `Lift.validate`.
     """
-    if p != V.presentation:
-        raise ValueError("module does not live over this presentation")
-    if ring.q != V.q:
-        raise ValueError("ring and module use different q")
-    C = _lift_walk(V, ring.n, _every_cocycle, budget)[0]
+    ring = CoeffRing(V.q, n)
+    C = _lift_walk(V, n, _every_cocycle, budget)[0]
     return [_rows_to_lift(V, ring, C[i]) for i in range(C.shape[0])]
 
 
@@ -329,9 +338,9 @@ def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
     return _span(Z[rows], q, budget)
 
 
-def _tree_census(V: FinModule, n_max: int,
+def _tree_census(V: FinModule, ring: CoeffRing,
                  budget: int) -> tuple[list[int], dict[int, bool]]:
-    """Class counts for n = 1..n_max by walking the obstruction tree.
+    """Class counts for n = 1..ring.n by walking the obstruction tree.
 
     Requires End(V) = k, so the classes over F_q[t]/(t^(n+1)) above one
     class over F_q[t]/(t^n) are none or a torsor under Ext^1(V, V).  The
@@ -341,25 +350,22 @@ def _tree_census(V: FinModule, n_max: int,
     """
     if not end_is_trivial(V):
         raise ValueError("deformation counts require End(V) = k")
-    _, counts, surjective = _lift_walk(V, n_max, _tangent_line_reps, budget)
+    _, counts, surjective = _lift_walk(V, ring.n, _tangent_line_reps, budget)
     return counts, surjective
 
 
-def count_deformations(p: Presentation, V: FinModule, ring: CoeffRing,
+def count_deformations(V: FinModule, n: int,
                        budget: int = DEFAULT_BUDGET) -> int:
-    """Number of isomorphism classes of lifts of V over the ring.
+    """Number of isomorphism classes of lifts of V over F_q[t]/(t^n).
 
     V must have trivial endomorphisms, so isomorphism of lifts reduces
     to conjugation by vertex maps congruent to the identity mod t.  The
     count is the last level of the obstruction-tree walk.
     """
-    if ring.q != V.q:
-        raise ValueError("ring and module use different q")
-    return _tree_census(V, ring.n, budget)[0][-1]
+    return _tree_census(V, CoeffRing(V.q, n), budget)[0][-1]
 
 
-def count_deformations_by_orbits(p: Presentation, V: FinModule,
-                                 ring: CoeffRing,
+def count_deformations_by_orbits(V: FinModule, n: int,
                                  budget: int = DEFAULT_BUDGET) -> int:
     """The same count by partitioning every lift under conjugation.
 
@@ -368,13 +374,12 @@ def count_deformations_by_orbits(p: Presentation, V: FinModule,
     by every cocycle and counting the classes that the unit generators'
     conjugations merge the lifts into.
     """
+    ring = CoeffRing(V.q, n)
     if not end_is_trivial(V):
         raise ValueError("deformation counts require End(V) = k")
-    if ring.q != V.q:
-        raise ValueError("ring and module use different q")
-    if ring.n == 1:
+    if n == 1:
         return 1
-    C = _lift_walk(V, ring.n, _every_cocycle, budget)[0]
+    C = _lift_walk(V, n, _every_cocycle, budget)[0]
     cost = C.shape[0] * max(_generator_count(V, ring), 1)
     if cost > 32 * budget:
         raise BudgetExceededError(
@@ -414,23 +419,18 @@ def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
     return int((~acc.any(axis=(1, 2, 3))).sum())
 
 
-def fingerprint(p: Presentation, V: FinModule, q: int, n_max: int,
+def fingerprint(V: FinModule, n_max: int,
                 budget: int = DEFAULT_BUDGET) -> LiftCensus:
-    """Deformation census for n = 1..n_max matched against candidate rings.
+    """Deformation census of V for n = 1..n_max matched against
+    `CANDIDATE_RINGS`, over F_q[t]/(t^n) with V's q.
 
     One obstruction-tree walk gives every level's count and, for each
     n >= 2, whether reduction from level n to level n - 1 is surjective
     on deformations.
     """
-    if q != V.q:
-        raise ValueError("module was built over a different q")
-    counts, reduction = _tree_census(V, n_max, budget)
-    census = list(enumerate(counts, start=1))
-    matches = []
-    for label in ["k", "k[[t]]/(t^2)", "k[[t]]"]:
-        expected = [count_ring_morphisms(label, CoeffRing(q, n))
-                    for n in range(1, n_max + 1)]
-        if expected == counts:
-            matches.append(label)
-    return LiftCensus(q=q, census=census, matches=matches,
-                      reduction_surjective=reduction)
+    counts, reduction = _tree_census(V, CoeffRing(V.q, n_max), budget)
+    matches = [label for label in CANDIDATE_RINGS
+               if counts == [count_ring_morphisms(label, CoeffRing(V.q, n))
+                             for n in range(1, n_max + 1)]]
+    return LiftCensus(q=V.q, census=list(enumerate(counts, start=1)),
+                      matches=matches, reduction_surjective=reduction)

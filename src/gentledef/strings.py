@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _nonzeros
+from .linalg import _nonzeros, is_prime
 from .presentation import Presentation
 
 
@@ -207,10 +207,10 @@ def enumerate_strings(p: Presentation, max_len: int) -> list[StringWord]:
 class FinModule:
     """A finite-dimensional representation over F_q.
 
-    dims maps each vertex to its fiber dimension; action maps each
-    arrow to a (dim target) x (dim source) matrix.  For modules built
-    from a walk, `walk` records the vertex of each basis element z_i
-    and `local` its index inside that vertex's fiber.
+    q must be prime.  dims maps each vertex to its fiber dimension;
+    action maps each arrow to a (dim target) x (dim source) matrix.  For
+    modules built from a walk, `walk` records the vertex of each basis
+    element z_i and `local` its index inside that vertex's fiber.
 
     The action matrices are made read-only here, so their nonzeros,
     which `sparse_action` reads once for every Hom/Ext system the module
@@ -229,6 +229,8 @@ class FinModule:
                           compare=False)
 
     def __post_init__(self):
+        if not is_prime(self.q):
+            raise ValueError(f"q must be prime, got {self.q}")
         for mat in self.action.values():
             mat.flags.writeable = False
 

@@ -19,11 +19,12 @@ from .homext import (
     end_is_trivial,
     ext1_dim,
 )
+from .lifts import CANDIDATE_RINGS
 from .presentation import Presentation, table1_catalog
 from .strings import enumerate_strings, string_module
 from .udr import _classify
 
-RING_BUCKETS = ("k", "k[[t]]/(t^2)", "k[[t]]", "undetermined")
+RING_BUCKETS = CANDIDATE_RINGS + ("undetermined",)
 
 
 @dataclass
@@ -105,24 +106,19 @@ def _sweep_one(name: str, p: Presentation, w, q: int, n_max: int,
     try:
         d = _classify(p, w, V, n_max, budget)
         # The descriptor's tangent dimension is ext1_dim(V, V).
-        ext_linear = d.tangent_dim
+        ring, ext_linear, agreement, error = (
+            d.ring, d.tangent_dim, d.paper_agreement, None)
         census = d.evidence["census"]
-        row = SweepRow(
-            algebra=name, word=w.display(), total_dim=V.total_dim,
-            ring=d.ring, tangent_dim=d.tangent_dim,
-            ext_linear=ext_linear, ext_brute=ext_brute,
-            census=census["census"], matches=census["matches"],
-            published=claims.published_ring(p, w),
-            agreement=d.paper_agreement)
     except BudgetExceededError as err:
-        ext_linear = ext1_dim(V, V)
-        row = SweepRow(
-            algebra=name, word=w.display(), total_dim=V.total_dim,
-            ring="undetermined", tangent_dim=ext_linear,
-            ext_linear=ext_linear, ext_brute=ext_brute,
-            census=[], matches=[],
-            published=claims.published_ring(p, w),
-            agreement="not-stated", error=str(err))
+        ring, ext_linear, agreement, error = (
+            "undetermined", ext1_dim(V, V), "not-stated", str(err))
+        census = {"census": [], "matches": []}
+    row = SweepRow(
+        algebra=name, word=w.display(), total_dim=V.total_dim, ring=ring,
+        tangent_dim=ext_linear, ext_linear=ext_linear, ext_brute=ext_brute,
+        census=census["census"], matches=census["matches"],
+        published=claims.published_ring(p, w), agreement=agreement,
+        error=error)
     if ext_brute is not None and ext_brute != ext_linear:
         report.internal_errors.append(
             f"{name} {w.display()}: ext engines disagree "

@@ -328,14 +328,13 @@ def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
 
 
 def build_sequence(p: Presentation, w: StringWord, x,
-                   n_max: int = CHAIN_LENGTH, q: int = 2) -> SequenceReport:
-    """Grow the chain from w along x and verify each collapse map.
+                   q: int = 2) -> SequenceReport:
+    """Grow the chain from w along x, up to n = CHAIN_LENGTH for an
+    infinite chain, and verify each collapse map over F_q.
 
     x may be a ConnectingLetter or a bare Letter; a bare letter is
     resolved against connecting_letters(p, w), direct form first.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
     if isinstance(x, Letter):
         matches = [c for c in connecting_letters(p, w)
                    if c.letter == x or c.letter == x.flip()]
@@ -350,7 +349,7 @@ def build_sequence(p: Presentation, w: StringWord, x,
         second = _chain_word(p, w, connector.letter, 2)
         if second is not None:
             kind, n_value = "Infinite", None
-            for n in range(2, n_max + 1):
+            for n in range(2, CHAIN_LENGTH + 1):
                 extended = _chain_word(p, w, connector.letter, n)
                 if extended is None:
                     raise AssertionError(
@@ -372,12 +371,13 @@ def build_sequence(p: Presentation, w: StringWord, x,
 def universal_deformation_ring(p: Presentation, w: StringWord, q: int = 2,
                                n_max: int = 3,
                                budget: int = DEFAULT_BUDGET) -> UDRDescriptor:
-    """Decide which ring represents the deformations of M[w].
+    """Decide which ring represents the deformations of M[w] over F_q.
 
-    Raises unless End(M[w]) = k.  The returned descriptor carries the
-    computed ring, the tangent dimension, an evidence bundle (census,
-    connecting letters, chain reports, hypothesis checks), and the
-    comparison against the published classification.
+    Raises unless End(M[w]) = k; q must be prime and n_max, the deepest
+    census level F_q[t]/(t^n_max), positive.  The returned descriptor
+    carries the computed ring, the tangent dimension, an evidence bundle
+    (census, connecting letters, chain reports, hypothesis checks), and
+    the comparison against the published classification.
     """
     V = string_module(p, w, q)
     if not end_is_trivial(V):
@@ -421,7 +421,7 @@ def _classify(p: Presentation, w: StringWord, V: FinModule, n_max: int,
                     ring = f"k[[t]]/(t^{r.n_value + 1})"
                     evidence["chosen"] = r.connector.as_dict()
                     break
-    census = fingerprint(p, V, q, n_max, budget=budget)
+    census = fingerprint(V, n_max, budget=budget)
     evidence["census"] = census.as_dict()
     unique = census.matches[0] if len(census.matches) == 1 else None
     agreement = claims.paper_agreement(p, w, ring, tangent, unique)

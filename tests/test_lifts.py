@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gentledef import lifts
 from gentledef.homext import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -33,6 +34,7 @@ from gentledef.strings import (
     string_module,
 )
 from gentledef.sweep import sweep_catalog
+from gentledef.udr import universal_deformation_ring
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +54,31 @@ def test_coeff_ring_validation():
         CoeffRing(2, 0)
 
 
+@pytest.mark.parametrize("call, value", [
+    *[("string_module", q) for q in (0, 1, 4)],
+    *[(call, n) for call in ("enumerate_lifts", "count_deformations",
+                             "count_deformations_by_orbits", "fingerprint",
+                             "universal_deformation_ring")
+      for n in (0, -1)]])
+def test_bad_field_size_or_level_is_rejected(lam0, call, value):
+    # A non-prime q is rejected where the module is built, and a level
+    # n < 1 where each entry point builds its CoeffRing(V.q, n).
+    w = make_string(lam0, "c")
+    if call == "string_module":
+        with pytest.raises(ValueError, match="prime"):
+            string_module(lam0, w, q=value)
+    elif call == "universal_deformation_ring":
+        with pytest.raises(ValueError, match="n must be positive"):
+            universal_deformation_ring(lam0, w, n_max=value)
+    else:
+        V = string_module(lam0, w)
+        with pytest.raises(ValueError, match="n must be positive"):
+            getattr(lifts, call)(V, value)
+
+
 def test_single_lift_at_level_one(lam0):
     m = _mod(lam0, "b*c*a")
-    lifts = enumerate_lifts(lam0, m, CoeffRing(2, 1))
+    lifts = enumerate_lifts(m, 1)
     assert len(lifts) == 1
     assert lifts[0].validate() == []
     assert all(not c[1:].any() if c.shape[0] > 1 else True
@@ -63,7 +87,7 @@ def test_single_lift_at_level_one(lam0):
 
 def test_simple_lifts_dual_numbers(lam0):
     s1 = simple_module(lam0, "1")
-    lifts = enumerate_lifts(lam0, s1, CoeffRing(2, 2))
+    lifts = enumerate_lifts(s1, 2)
     assert len(lifts) == 2
     values = sorted(int(l.coeffs["a"][1, 0, 0]) for l in lifts)
     assert values == [0, 1]
@@ -73,7 +97,7 @@ def test_simple_lifts_dual_numbers(lam0):
 
 def test_simple_lifts_level_three_kill_linear_term(lam0):
     s1 = simple_module(lam0, "1")
-    lifts = enumerate_lifts(lam0, s1, CoeffRing(2, 3))
+    lifts = enumerate_lifts(s1, 3)
     assert len(lifts) == 2
     for l in lifts:
         assert l.coeffs["a"][1, 0, 0] == 0
@@ -82,16 +106,16 @@ def test_simple_lifts_level_three_kill_linear_term(lam0):
 
 def test_lift_validate_flags_broken_relation(lam0):
     s1 = simple_module(lam0, "1")
-    lift = enumerate_lifts(lam0, s1, CoeffRing(2, 3))[0]
+    lift = enumerate_lifts(s1, 3)[0]
     lift.coeffs["a"][1, 0, 0] = 1
     assert any("relation" in msg for msg in lift.validate())
 
 
 def test_truncation_stays_enumerated(lam0):
     m = _mod(lam0, "c")
-    level3 = enumerate_lifts(lam0, m, CoeffRing(2, 3))
+    level3 = enumerate_lifts(m, 3)
     assert len(level3) == 16
-    level2 = enumerate_lifts(lam0, m, CoeffRing(2, 2))
+    level2 = enumerate_lifts(m, 2)
     keys = {tuple(int(x) for l in sorted(l2.coeffs) for x in
                   l2.coeffs[l].reshape(-1)) for l2 in level2}
 
@@ -105,44 +129,44 @@ def test_truncation_stays_enumerated(lam0):
 
 def test_count_deformations_simple(lam0):
     s1 = simple_module(lam0, "1")
-    assert count_deformations(lam0, s1, CoeffRing(2, 2)) == 2
-    assert count_deformations(lam0, s1, CoeffRing(2, 3)) == 2
-    assert count_deformations_by_orbits(lam0, s1, CoeffRing(2, 3)) == 2
+    assert count_deformations(s1, 2) == 2
+    assert count_deformations(s1, 3) == 2
+    assert count_deformations_by_orbits(s1, 3) == 2
 
 
 def test_count_deformations_needs_trivial_end(lam0):
     with pytest.raises(ValueError):
-        count_deformations(lam0, _mod(lam0, "a"), CoeffRing(2, 2))
+        count_deformations(_mod(lam0, "a"), 2)
 
 
 def test_count_deformations_c_both_routes(lam0):
     m = _mod(lam0, "c")
-    assert count_deformations(lam0, m, CoeffRing(2, 2)) == 4
-    by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 3))
-    by_tree = count_deformations(lam0, m, CoeffRing(2, 3))
+    assert count_deformations(m, 2) == 4
+    by_orbit = count_deformations_by_orbits(m, 3)
+    by_tree = count_deformations(m, 3)
     assert by_orbit == by_tree == 4
 
 
 def test_count_deformations_ca_both_routes(lam0):
     m = _mod(lam0, "c*a")
-    assert count_deformations(lam0, m, CoeffRing(2, 2)) == 2
-    by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 3))
-    by_tree = count_deformations(lam0, m, CoeffRing(2, 3))
+    assert count_deformations(m, 2) == 2
+    by_orbit = count_deformations_by_orbits(m, 3)
+    by_tree = count_deformations(m, 3)
     assert by_orbit == by_tree == 2
 
 
 def test_level2_linear_route_agrees(lam0):
     s1 = simple_module(lam0, "1")
     for m in [s1, _mod(lam0, "c"), _mod(lam0, "c*a"), _mod(lam0, "b*c*a")]:
-        by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 2))
-        by_tree = count_deformations(lam0, m, CoeffRing(2, 2))
+        by_orbit = count_deformations_by_orbits(m, 2)
+        by_tree = count_deformations(m, 2)
         assert by_orbit == by_tree
 
 
 def test_count_deformations_bca(lam0):
     m = _mod(lam0, "b*c*a")
-    assert count_deformations(lam0, m, CoeffRing(2, 2)) == 4
-    assert count_deformations(lam0, m, CoeffRing(2, 3)) == 12
+    assert count_deformations(m, 2) == 4
+    assert count_deformations(m, 3) == 12
 
 
 def test_bca_level3_routes_agree(lam0):
@@ -151,9 +175,9 @@ def test_bca_level3_routes_agree(lam0):
     # merges their classes; this is the slowest test here.  The lift walk
     # holds about 9.5 M entries, over the default budget.
     m = _mod(lam0, "b*c*a")
-    by_orbit = count_deformations_by_orbits(lam0, m, CoeffRing(2, 3),
+    by_orbit = count_deformations_by_orbits(m, 3,
                                             budget=2 ** 24)
-    assert by_orbit == count_deformations(lam0, m, CoeffRing(2, 3)) == 12
+    assert by_orbit == count_deformations(m, 3) == 12
 
 
 def test_count_ring_morphisms_table():
@@ -191,7 +215,7 @@ def test_count_ring_morphisms_accepts_both_truncation_spellings():
 
 
 def test_fingerprint_simple(lam0):
-    fp = fingerprint(lam0, simple_module(lam0, "1"), 2, 3)
+    fp = fingerprint(simple_module(lam0, "1"), 3)
     assert fp.census == [(1, 1), (2, 2), (3, 2)]
     assert fp.matches == ["k[[t]]/(t^2)"]
     assert fp.reduction_surjective == {2: True, 3: False}
@@ -203,19 +227,19 @@ def test_fingerprint_simple(lam0):
 
 
 def test_fingerprint_c_matches_nothing(lam0):
-    fp = fingerprint(lam0, _mod(lam0, "c"), 2, 3)
+    fp = fingerprint(_mod(lam0, "c"), 3)
     assert fp.census == [(1, 1), (2, 4), (3, 4)]
     assert fp.matches == []
 
 
 def test_fingerprint_ca(lam0):
-    fp = fingerprint(lam0, _mod(lam0, "c*a"), 2, 3)
+    fp = fingerprint(_mod(lam0, "c*a"), 3)
     assert fp.census == [(1, 1), (2, 2), (3, 2)]
     assert fp.matches == ["k[[t]]/(t^2)"]
 
 
 def test_fingerprint_bca(lam0):
-    fp = fingerprint(lam0, _mod(lam0, "b*c*a"), 2, 3)
+    fp = fingerprint(_mod(lam0, "b*c*a"), 3)
     assert fp.census == [(1, 1), (2, 4), (3, 12)]
     assert fp.matches == []
     # 12 = 3 extendable level-2 classes times 2^2 lifts of each.
@@ -224,7 +248,7 @@ def test_fingerprint_bca(lam0):
 
 def test_fingerprint_power_series_case():
     p = catalog_presentation("qiv.1")
-    fp = fingerprint(p, simple_module(p, "1"), 2, 3)
+    fp = fingerprint(simple_module(p, "1"), 3)
     assert fp.census == [(1, 1), (2, 2), (3, 4)]
     assert fp.matches == ["k[[t]]"]
     assert fp.reduction_surjective == {2: True, 3: True}
@@ -232,7 +256,7 @@ def test_fingerprint_power_series_case():
 
 def test_fingerprint_field_case():
     p = catalog_presentation("qiv.1")
-    fp = fingerprint(p, simple_module(p, "2"), 2, 3)
+    fp = fingerprint(simple_module(p, "2"), 3)
     assert fp.census == [(1, 1), (2, 1), (3, 1)]
     assert fp.matches == ["k"]
 
@@ -240,19 +264,18 @@ def test_fingerprint_field_case():
 def test_budget_errors(lam0):
     s1 = simple_module(lam0, "1")
     with pytest.raises(BudgetExceededError):
-        count_deformations_by_orbits(lam0, s1, CoeffRing(2, 2), budget=1)
+        count_deformations_by_orbits(s1, 2, budget=1)
     with pytest.raises(BudgetExceededError):
-        count_deformations(lam0, s1, CoeffRing(2, 4), budget=1)
+        count_deformations(s1, 4, budget=1)
     with pytest.raises(BudgetExceededError):
-        enumerate_lifts(lam0, _mod(lam0, "b*c*a"), CoeffRing(2, 2), budget=4)
+        enumerate_lifts(_mod(lam0, "b*c*a"), 2, budget=4)
 
 
 def test_orbit_oracle_above_q_256(lam0):
     # Coefficients up to q - 1 = 256 must key the orbit lookup exactly.
     s1 = simple_module(lam0, "1", q=257)
-    ring = CoeffRing(257, 2)
-    assert count_deformations_by_orbits(lam0, s1, ring) == 257
-    assert count_deformations(lam0, s1, ring) == 257
+    assert count_deformations_by_orbits(s1, 2) == 257
+    assert count_deformations(s1, 2) == 257
 
 
 def _poly_inverse(U, q):
@@ -351,9 +374,8 @@ def test_tree_matches_orbits_across_catalog(q, max_len, levels, expected):
             if not end_is_trivial(V):
                 continue
             for n in levels:
-                ring = CoeffRing(q, n)
-                assert count_deformations(p, V, ring) == \
-                    count_deformations_by_orbits(p, V, ring), \
+                assert count_deformations(V, n) == \
+                    count_deformations_by_orbits(V, n), \
                     f"{name} {w.display()} q={q} n={n}"
                 compared += 1
     assert compared == expected
@@ -373,9 +395,8 @@ def test_deep_fingerprint_fails_loudly_within_budget(lam0):
     # Both counters share one lift walk, whose budget bounds held entries:
     # the orbit oracle's 196608 lifts at n = 3 are 9.5 M entries, over 2^20.
     m = _mod(lam0, "b*c*a")
-    for count in (lambda: fingerprint(lam0, m, 2, 20),
-                  lambda: count_deformations_by_orbits(lam0, m,
-                                                       CoeffRing(2, 3))):
+    for count in (lambda: fingerprint(m, 20),
+                  lambda: count_deformations_by_orbits(m, 3)):
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):

@@ -80,7 +80,7 @@ def test_sequence_simple_is_finite_with_square_zero_map(lam0):
 
 def test_sequence_long_word_is_infinite_with_verified_collapses(lam0):
     w = make_string(lam0, "b*c*a")
-    report = build_sequence(lam0, w, Letter("d"), n_max=4)
+    report = build_sequence(lam0, w, Letter("d"))
     assert report.kind == "Infinite"
     assert report.n_value is None
     assert [len(x) for x in report.words] == [3, 7, 11, 15, 19]
@@ -203,6 +203,9 @@ def test_paper_agreement_trichotomy_cases():
     p = catalog_presentation("qiv.1")
     w = make_string(p, "simple 1")
     assert paper_agreement(p, w, "k[[t]]", 1) == "agrees"
+    # A certified ring outside the trichotomy contradicts it.
+    assert paper_agreement(p, w, "k[[x,y]]/(xy)", 2) == "disagrees"
+    assert paper_agreement(p, w, "k[[t]]/(t^3)", 1) == "disagrees"
     assert paper_agreement(p, w, "undetermined", 2) == "disagrees"
     assert paper_agreement(p, w, "undetermined", 1) == "not-stated"
 
@@ -318,7 +321,7 @@ def test_sigma_steps_match_row_reduction_reference(q):
             decoys = [string_module(p, u, q) for u in words
                       if len(u) == len(w) and u != w][:1]
             for c in connecting_letters(p, w):
-                report = build_sequence(p, w, c, n_max=4, q=q)
+                report = build_sequence(p, w, c, q=q)
                 seen["reflected"] |= c.form == "reflected"
                 seen["Infinite"] |= report.kind == "Infinite"
                 for step in report.steps:
