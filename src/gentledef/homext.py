@@ -35,12 +35,12 @@ once for every system the module enters; `hom_system` negates the
 entries of m's action rather than the matrix.  Only `hom_basis` (and so
 `modules_isomorphic`) back-substitutes.
 The same systems carry the first-order deformation theory of a module V
-that `lifts` builds on, and `lifts` reads them as dense arrays through
-`matrix()`, rows in equation order: the cocycle equations of
-ext_system(V, V) are the equations of each new coefficient level of a
-lift, and the columns of hom_system(V, V).matrix() span the
-coboundaries, the directions in which conjugation by 1 + t g moves a
-lift.
+that `lifts` builds on: the cocycle equations of ext_system(V, V) are
+the equations of each new coefficient level of a lift, and `lifts`
+reduces them once, sparse, as a `linalg.Presolved` that solves every
+level and gives the cocycle basis; the columns of
+hom_system(V, V).matrix() span the coboundaries, the directions in
+which conjugation by 1 + t g moves a lift.
 """
 
 from __future__ import annotations

@@ -9,15 +9,18 @@ up to conjugation by invertible vertex maps congruent to the identity
 mod t; at level one these move a lift by the coboundaries, read from
 `homext.hom_system`.
 
-One walk, `_lift_walk`, solves each held lift's next level and fans
-every solvable one out by fixed level-one directions.  Deformations are
-counted by walking the obstruction tree, with one direction per
-coboundary coset, so each row is one class.  The oracles share the walk
-but no coset or torsor argument: `count_deformations_by_orbits` fans out
-by every cocycle and merges the lifts into conjugation classes, each
-generator applied to all of them at once by row and column operations,
-and `Lift.validate` checks each lift from `enumerate_lifts` by whole
-matrix-polynomial products, not by `_level_rhs`.
+One walk, `_lift_walk`, reduces the cocycle equations once, as a
+`linalg.Presolved` of the sparse system, solves each held lift's next
+level against that reduction and fans every solvable one out by fixed
+level-one directions drawn from its nullspace, the cocycles.
+Deformations are counted by walking the obstruction tree, with one
+direction per coboundary coset, so each row is one class.  The oracles
+share the walk but no coset or torsor argument:
+`count_deformations_by_orbits` fans out by every cocycle and merges the
+lifts into conjugation classes, each generator applied to all of them at
+once by row and column operations, and `Lift.validate` checks each lift
+from `enumerate_lifts` by whole matrix-polynomial products, not by
+`_level_rhs`.
 
 The entry points `enumerate_lifts(V, n)`, `count_deformations(V, n)`,
 `count_deformations_by_orbits(V, n)` and `fingerprint(V, n_max)` take
@@ -44,7 +47,7 @@ from .homext import (
     ext_system,
     hom_system,
 )
-from .linalg import Presolved, is_prime, nullspace, rref
+from .linalg import Presolved, is_prime, rref
 from .strings import FinModule
 
 # The rings a census is matched against, in the order matches are listed.
@@ -172,9 +175,10 @@ def _span(basis: np.ndarray, q: int, budget: int) -> np.ndarray:
     return _mixed_radix(q ** d, d, q) @ basis % q
 
 
-def _every_cocycle(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
-    """Every level-one cocycle, as flat rows: the orbit oracle's fan."""
-    return _span(nullspace(M, V.q), V.q, budget)
+def _every_cocycle(V: FinModule, Z: np.ndarray, budget: int) -> np.ndarray:
+    """Every level-one cocycle, as flat rows, from the cocycle basis Z:
+    the orbit oracle's fan."""
+    return _span(Z, V.q, budget)
 
 
 def _lift_walk(V: FinModule, n: int, fan,
@@ -182,14 +186,16 @@ def _lift_walk(V: FinModule, n: int, fan,
     """Lifts of V to F_q[t]/(t^n), one coefficient level at a time.
 
     The rows at level k have shape (n, width of arrow tuple), zero from
-    level k on.  Level k's unknowns solve the cocycle equations
-    M = `ext_system(V, V)` with right-hand side `_level_rhs`; a row whose
-    system is solvable gets one solution plus each row of
-    `fan(V, M, budget)`, and the others are dropped.  Returns the rows at
-    level n, the row count per level and, for k >= 2, whether every row
-    at level k - 1 extended.  The parent and child levels held at once
-    may have at most `budget` entries, so they take at most 8 * budget
-    bytes; the child level is filled in place.
+    level k on.  The cocycle equations `ext_system(V, V)` are reduced
+    once, by `Presolved`, which gives both their solutions and their
+    nullspace Z, the cocycle basis.  Level k's unknowns solve those
+    equations with right-hand side `_level_rhs`; a row whose system is
+    solvable gets one solution plus each row of `fan(V, Z, budget)`, and
+    the others are dropped.  Returns the rows at level n, the row count
+    per level and, for k >= 2, whether every row at level k - 1
+    extended.  The parent and child levels held at once may have at most
+    `budget` entries, so they take at most 8 * budget bytes; the child
+    level is filled in place.
     """
     q = V.q
     layout, width = _arrow_layout(V, V)
@@ -199,9 +205,8 @@ def _lift_walk(V: FinModule, n: int, fan,
     counts, extended = [1], {}
     if n == 1:
         return C, counts, extended
-    M = ext_system(V, V).matrix()
-    reps = fan(V, M, budget)
-    pre = Presolved(M, q)
+    pre = Presolved(ext_system(V, V))
+    reps = fan(V, pre.nullspace, budget)
     for k in range(1, n):
         X, ok = pre.solve_many(_level_rhs(V, C, k))
         extended[k + 1] = bool(ok.all())
@@ -320,7 +325,7 @@ def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
     return int(np.count_nonzero(label == np.arange(C.shape[0])))
 
 
-def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
+def _tangent_line_reps(V: FinModule, Z: np.ndarray, budget: int) -> np.ndarray:
     """One level-one coefficient per conjugation coset: the tree's fan.
 
     The pivot columns of rref([B; Z].T) past B's rows pick the cocycles
@@ -328,7 +333,6 @@ def _tangent_line_reps(V: FinModule, M: np.ndarray, budget: int) -> np.ndarray:
     a complement of B in Z.
     """
     q = V.q
-    Z = nullspace(M, q)
     # Row j is the coboundary of the j-th unit vertex map (up to sign).
     B = hom_system(V, V).matrix().T
     _, pivots = rref(np.concatenate([B, Z]).T, q)

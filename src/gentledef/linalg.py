@@ -5,15 +5,19 @@ takes sparse rows (dicts column -> nonzero entry mod q) to echelon form
 by forward elimination, and `_back_substitute` takes its pivot rows on
 to reduced row echelon form.  A rank count needs only the first step:
 `rank` and `LinearSystem.nullspace_dim` count `_reduce`'s pivots, and
-only `rref` and `LinearSystem.nullspace_basis` back-substitute.
-`LinearSystem` holds equations A @ X + Y @ B = 0 in unknown matrices
-X, Y and takes its coefficient matrices A, B as sparse (shape, nonzeros)
-pairs from `_nonzeros`, the one dense-to-sparse converter, so a caller
-that enters one matrix in many systems reads its nonzeros once.
-`rref`, and through it `nullspace`, `solve` and `Presolved`, take and
-return numpy int64 arrays with entries reduced mod q, and adapt them to
-the sparse routines.  No floating point is involved anywhere, so ranks
-and nullspaces are exact.  q must be prime (inverses via Fermat).
+only `rref`, `Presolved` and `LinearSystem.nullspace_basis`
+back-substitute.  `LinearSystem` holds equations A @ X + Y @ B = 0 in
+unknown matrices X, Y and takes its coefficient matrices A, B as sparse
+(shape, nonzeros) pairs from `_nonzeros`, the one dense-to-sparse
+converter, so a caller that enters one matrix in many systems reads its
+nonzeros once.  `Presolved` reduces a `LinearSystem`'s sparse rows once
+and serves both its solutions against many right-hand sides and its
+nullspace; `_basis` is the one nullspace builder, shared with
+`LinearSystem.nullspace_basis`.  Only `rref`, `rank` and
+`Presolved.solve_many` take dense numpy arrays; results are int64
+arrays with entries reduced mod q.  No floating point is involved
+anywhere, so ranks and nullspaces are exact.  q must be prime (inverses
+via Fermat).
 """
 
 from __future__ import annotations
@@ -135,61 +139,48 @@ def rank(A, q: int) -> int:
     return len(_reduce(_sparse_rows(as_field(A, q)), q))
 
 
-def nullspace(A, q: int) -> np.ndarray:
-    """Basis of the right nullspace, one vector per ROW of the result.
+def _basis(pivots: dict[int, dict[int, int]], width: int,
+           q: int) -> np.ndarray:
+    """Nullspace basis read off reduced pivot rows, one vector per row.
 
-    The result has shape (nullity, n); for a full-rank square matrix it
-    is an empty (0, n) array.  Row i is the free column free[i] set to 1,
-    with each pivot variable solved from the reduced rows.
+    Vector i sets free column free[i] to 1 and each pivot column p to
+    -(entry of p's row at free[i]).  Pivots lie below width; entries
+    from width on are ignored.
     """
-    A = as_field(A, q)
-    n = A.shape[1]
-    R, pivots = rref(A, q)
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, n), dtype=np.int64)
-    basis[:, free] = np.eye(free.size, dtype=np.int64)
-    basis[:, pivots] = -R[:len(pivots), free].T % q
+    free = [c for c in range(width) if c not in pivots]
+    index = {c: i for i, c in enumerate(free)}
+    basis = np.zeros((len(free), width), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    for p, row in pivots.items():
+        for c, v in row.items():
+            if c in index:
+                basis[index[c], p] = -v % q
     return basis
 
 
-def solve(A, b, q: int):
-    """One solution x of A x = b over F_q, or None if inconsistent.
-
-    The reference that `Presolved.solve_many` is tested against.
-    """
-    A = as_field(A, q)
-    b = as_field(b, q).reshape(-1)
-    m, n = A.shape
-    aug = np.concatenate([A, b.reshape(m, 1)], axis=1)
-    R, pivots = rref(aug, q)
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, n]
-    return x
-
-
 class Presolved:
-    """A once-reduced matrix for solving A x = b against many b.
+    """A `LinearSystem` A x = 0 reduced once, to solve A x = b for many b.
 
-    Row-reducing [A | I] yields E with E @ A in echelon form; a system
-    is consistent iff E @ b vanishes on the rows below the last pivot
-    of A, and then the pivot rows of E @ b read off one solution.
+    Reducing the sparse rows of [A | I] yields E with E @ A in echelon
+    form; a system is consistent iff E @ b vanishes on the rows below the
+    last pivot of A, and then the pivot rows of E @ b read off one
+    solution.  The pivot rows below A's width are the reduced rows of A,
+    from which `nullspace` is read.
     """
 
-    def __init__(self, A, q: int):
-        A = as_field(A, q)
-        m, n = A.shape
+    def __init__(self, system: LinearSystem):
+        q, n, m = system.q, system.width, system.height
         self.q = q
         self.n_cols = n
-        aug = np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1)
-        R, pivots = rref(aug, q)
-        self.pivots = [p for p in pivots if p < n]
-        self.E = R[:, n:]
-        self.n_pivot_rows = len(self.pivots)
+        # Row r of [A | I]: zero rows of A still carry their 1.
+        rows = ({**system._rows.get(r, {}), n + r: 1} for r in range(m))
+        reduced = _back_substitute(_reduce(rows, q), q)
+        order = sorted(reduced)
+        self.pivots = [p for p in order if p < n]
+        self.E = _dense(((i, {c - n: v for c, v in reduced[p].items()
+                              if c >= n}) for i, p in enumerate(order)),
+                        (m, m))
+        self.nullspace = _basis({p: reduced[p] for p in self.pivots}, n, q)
 
     def solve_many(self, B) -> tuple[np.ndarray, np.ndarray]:
         """Solves A x = b for every column b of B.
@@ -199,7 +190,7 @@ class Presolved:
         """
         B = as_field(B, self.q)
         C = self.E @ B % self.q
-        ok = ~C[self.n_pivot_rows:].any(axis=0)
+        ok = ~C[len(self.pivots):].any(axis=0)
         X = np.zeros((self.n_cols, B.shape[1]), dtype=np.int64)
         for r, pc in enumerate(self.pivots):
             X[pc] = C[r]
@@ -243,6 +234,10 @@ class LinearSystem:
     @property
     def width(self) -> int:
         return self._width
+
+    @property
+    def height(self) -> int:
+        return self._height
 
     def add_equation(self, A, x: str, y: str, B) -> None:
         """Adds the entrywise equations A @ X + Y @ B = 0.
@@ -295,21 +290,10 @@ class LinearSystem:
         return self._width - len(_reduce(self._rows.values(), self.q))
 
     def nullspace_basis(self) -> list[dict[str, np.ndarray]]:
-        """The basis `nullspace(self.matrix(), q)` gives, read off the
-        reduced sparse rows: vector i sets free column free[i] to 1 and
-        each pivot column p to -(entry of p's row at free[i])."""
+        """`_basis` of the reduced sparse rows, unpacked by unknown."""
         q = self.q
         pivots = _back_substitute(_reduce(self._rows.values(), q), q)
-        free = [c for c in range(self._width) if c not in pivots]
-        index = {c: i for i, c in enumerate(free)}
-        basis = np.zeros((len(free), self._width), dtype=np.int64)
-        for c, i in index.items():
-            basis[i, c] = 1
-        for p, row in pivots.items():
-            for c, v in row.items():
-                if c != p:
-                    basis[index[c], p] = -v % q
-        return [self._unpack(v) for v in basis]
+        return [self._unpack(v) for v in _basis(pivots, self._width, q)]
 
 
 def _nonzeros(M) -> tuple[tuple[int, int], list[tuple[int, int, int]]]:

@@ -255,16 +255,17 @@ class FinModule:
             total += self.dims[v]
         return off
 
-    def total_action_matrix(self) -> np.ndarray:
-        """All arrow actions packed into one endomorphism of the total space."""
-        n = self.total_dim
-        off = self.vertex_offsets()
-        T = np.zeros((n, n), dtype=np.int64)
-        p = self.presentation
-        for a, mat in self.action.items():
+    def total_action_matrices(self) -> np.ndarray:
+        """Every arrow's action as an endomorphism of the total space,
+        stacked in arrow order: an (arrows, total, total) array."""
+        p, off = self.presentation, self.vertex_offsets()
+        out = np.zeros((len(p.quiver.arrow_names), self.total_dim,
+                        self.total_dim), dtype=np.int64)
+        for T, a in zip(out, p.quiver.arrow_names):
+            mat = self.action[a]
             r, c = off[p.target(a)], off[p.source(a)]
-            T[r:r + mat.shape[0], c:c + mat.shape[1]] += mat
-        return T % self.q
+            T[r:r + mat.shape[0], c:c + mat.shape[1]] = mat
+        return out
 
     def validate(self) -> list[str]:
         """Relation annihilation and nilpotence of the total action."""
@@ -284,7 +285,7 @@ class FinModule:
             prod = self.action[beta] @ self.action[alpha] % self.q
             if prod.size and prod.any():
                 problems.append(f"relation {beta}*{alpha} does not annihilate")
-        T = self.total_action_matrix()
+        T = self.total_action_matrices().sum(axis=0) % self.q
         P = np.eye(self.total_dim, dtype=np.int64)
         for _ in range(self.total_dim):
             P = P @ T % self.q

@@ -189,19 +189,6 @@ def _chain_word(p: Presentation, w: StringWord, x: Letter,
     return _try_word(p, (w.letters + (x,)) * n + w.letters)
 
 
-def _arrow_total_matrices(V: FinModule) -> np.ndarray:
-    """Every arrow's action as an endomorphism of the total space, stacked
-    in arrow order: an (arrows, total, total) array."""
-    p, total = V.presentation, V.total_dim
-    off = V.vertex_offsets()
-    out = np.zeros((len(p.quiver.arrow_names), total, total), dtype=np.int64)
-    for T, a in zip(out, p.quiver.arrow_names):
-        mat = V.action[a]
-        r, c = off[p.target(a)], off[p.source(a)]
-        T[r:r + mat.shape[0], c:c + mat.shape[1]] = mat
-    return out
-
-
 def _coords(V: FinModule) -> list[int]:
     """Total-space coordinate of each walk position z_i."""
     off = V.vertex_offsets()
@@ -211,7 +198,7 @@ def _coords(V: FinModule) -> list[int]:
 def _is_module_endo(V: FinModule, sigma: np.ndarray,
                     arrows: np.ndarray) -> bool:
     """Whether sigma respects the vertices and commutes with
-    `arrows = _arrow_total_matrices(V)`.
+    `arrows = V.total_action_matrices()`.
 
     Each total-space coordinate is labelled by the index of its vertex,
     so sigma respects the vertices when it has no nonzero entry between
@@ -299,7 +286,7 @@ def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
     q = v0.q
     D = v0.total_dim
     step = SigmaStep(level=level, word=word, sigma=None)
-    arrows = _arrow_total_matrices(V_ell)
+    arrows = V_ell.total_action_matrices()
     for S in _sigma_candidates(V_ell, D, form):
         if ((S != 0) & (S != 1)).any() or (S.sum(axis=0) > 1).any() \
                 or (S.sum(axis=1) > 1).any():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gentledef import lifts
+from gentledef import lifts, linalg
 from gentledef.homext import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -35,6 +35,7 @@ from gentledef.strings import (
 )
 from gentledef.sweep import sweep_catalog
 from gentledef.udr import universal_deformation_ring
+from test_linalg import _nullspace
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +179,26 @@ def test_bca_level3_routes_agree(lam0):
     by_orbit = count_deformations_by_orbits(m, 3,
                                             budget=2 ** 24)
     assert by_orbit == count_deformations(m, 3) == 12
+
+
+def test_one_reduction_of_the_cocycle_system(lam0, monkeypatch):
+    # End = k costs one reduction and the cocycle system one more, which
+    # both solves every level and gives the fan its cocycle basis; the
+    # tree's fan adds the rref that picks the coset representatives.
+    calls = []
+    reduce = linalg._reduce
+
+    def counted(rows, q):
+        calls.append(q)
+        return reduce(rows, q)
+
+    monkeypatch.setattr(linalg, "_reduce", counted)
+    m = _mod(lam0, "b*c*a")
+    assert count_deformations_by_orbits(m, 2) == 4
+    assert len(calls) == 2
+    calls.clear()
+    assert fingerprint(m, 3).census == [(1, 1), (2, 4), (3, 12)]
+    assert len(calls) == 3
 
 
 def test_count_ring_morphisms_table():
@@ -350,7 +371,7 @@ def test_tangent_fan_complements_the_coboundaries(q):
                 continue
             e = ext1_dim(V, V)
             M = ext_system(V, V).matrix()
-            reps = _tangent_line_reps(V, M, DEFAULT_BUDGET)
+            reps = _tangent_line_reps(V, _nullspace(M, q), DEFAULT_BUDGET)
             B = hom_system(V, V).matrix().T
             assert reps.shape[0] == q ** e, f"{name} {w.display()}"
             assert not (M @ reps.T % q).any(), f"{name} {w.display()}"

@@ -12,29 +12,77 @@ def test_rref_invertible_mod5():
     assert (R == np.eye(2, dtype=np.int64)).all()
 
 
+def _system(A, q):
+    """The dense matrix A as a LinearSystem A @ x + y @ B = 0 with x of
+    shape (n, 1) and y of shape (m, 0), so that its rows are A's."""
+    m, n = np.shape(A)
+    sys = linalg.LinearSystem(q)
+    sys.add_unknown("x", (n, 1))
+    sys.add_unknown("y", (m, 0))
+    sys.add_equation(linalg._nonzeros(A), "x", "y", ((0, 1), []))
+    return sys
+
+
+def _nullspace(A, q):
+    """Textbook nullspace basis from `_gauss_jordan`, one vector per row:
+    row i sets free column free[i] to 1 and solves the pivot variables."""
+    R, pivots = _gauss_jordan(A, q)
+    n = R.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for r, p in enumerate(pivots):
+            basis[i, p] = -R[r, f] % q
+    return basis
+
+
+def _solve(A, b, q):
+    """One solution x of A x = b from `_gauss_jordan` of [A | b], free
+    variables zero, or None if inconsistent."""
+    A = np.asarray(A, dtype=np.int64)
+    n = A.shape[1]
+    R, pivots = _gauss_jordan(
+        np.concatenate([A, np.reshape(b, (-1, 1))], axis=1), q)
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    for r, p in enumerate(pivots):
+        x[p] = R[r, n]
+    return x
+
+
 def test_rank_and_nullspace_of_rank_one_matrix():
     A = [[1, 2], [2, 4]]
     assert linalg.rank(A, 5) == 1
-    ns = linalg.nullspace(A, 5)
-    assert ns.shape == (1, 2)
-    # x + 2y = 0 over F_5 pins (3, 1) as the free-column vector
-    assert ns[0].tolist() == [3, 1]
-    assert (linalg.as_field(A, 5) @ ns[0] % 5 == 0).all()
+    for ns in (linalg.Presolved(_system(A, 5)).nullspace, _nullspace(A, 5)):
+        assert ns.shape == (1, 2)
+        # x + 2y = 0 over F_5 pins (3, 1) as the free-column vector
+        assert ns[0].tolist() == [3, 1]
+        assert (linalg.as_field(A, 5) @ ns[0] % 5 == 0).all()
 
 
 def test_solve_upper_triangular_mod3():
-    x = linalg.solve([[1, 1], [0, 1]], [1, 2], 3)
-    assert x.tolist() == [2, 2]
+    A, b = [[1, 1], [0, 1]], [1, 2]
+    X, ok = linalg.Presolved(_system(A, 3)).solve_many(np.reshape(b, (2, 1)))
+    assert ok.tolist() == [True]
+    assert X[:, 0].tolist() == _solve(A, b, 3).tolist() == [2, 2]
 
 
 def test_solve_inconsistent_returns_none():
-    assert linalg.solve([[1, 1], [2, 2]], [1, 1], 3) is None
+    A, b = [[1, 1], [2, 2]], [1, 1]
+    X, ok = linalg.Presolved(_system(A, 3)).solve_many(np.reshape(b, (2, 1)))
+    assert ok.tolist() == [False]
+    assert not X.any()
+    assert _solve(A, b, 3) is None
 
 
 def test_nullspace_of_empty_and_full_rank():
-    assert linalg.nullspace(np.eye(3, dtype=np.int64), 7).shape == (0, 3)
-    full = linalg.nullspace(np.zeros((0, 3), dtype=np.int64), 7)
-    assert full.shape == (3, 3)
+    eye, empty = np.eye(3, dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
+    assert linalg.Presolved(_system(eye, 7)).nullspace.shape == (0, 3)
+    assert _nullspace(eye, 7).shape == (0, 3)
+    assert linalg.Presolved(_system(empty, 7)).nullspace.shape == (3, 3)
+    assert _nullspace(empty, 7).shape == (3, 3)
 
 
 def _no_back_substitution(*args):
@@ -46,7 +94,8 @@ def test_kron_flattening_matches_direct_product(monkeypatch):
     # with the unknowns set to the c-th unit vector (row-major vec,
     # unknowns in declaration order).  nullspace_dim must be
     # width - rank(matrix()) without back-substituting, and
-    # nullspace_basis must flatten to nullspace(matrix()) row for row.
+    # nullspace_basis must flatten to the textbook nullspace of matrix()
+    # row for row.
     sparse = linalg._nonzeros
     rng = np.random.default_rng(7)
     seen = {"X == Y": 0, "cancels": 0, "0 rows": 0, "0 columns": 0}
@@ -95,7 +144,7 @@ def test_kron_flattening_matches_direct_product(monkeypatch):
                 assert sys.nullspace_dim() == sys.width - len(pivots)
             basis = [np.concatenate([sol[name].reshape(-1) for name in shapes])
                      for sol in sys.nullspace_basis()]
-            dense = linalg.nullspace(M, q)
+            dense = _nullspace(M, q)
             assert len(basis) == dense.shape[0]
             assert all(np.array_equal(b, d) for b, d in zip(basis, dense))
             seen["0 rows"] += M.shape[0] == 0
@@ -142,10 +191,10 @@ def test_presolve_matches_single_solve():
         for _ in range(10):
             A = rng.integers(0, q, size=(4, 3))
             B = rng.integers(0, q, size=(4, 6))
-            pre = linalg.Presolved(A, q)
+            pre = linalg.Presolved(_system(A, q))
             X, ok = pre.solve_many(B)
             for j in range(6):
-                single = linalg.solve(A, B[:, j], q)
+                single = _solve(A, B[:, j], q)
                 if single is None:
                     assert not ok[j]
                 else:
@@ -154,7 +203,7 @@ def test_presolve_matches_single_solve():
 
 
 def test_presolve_zero_width():
-    pre = linalg.Presolved(np.zeros((2, 0), dtype=np.int64), 2)
+    pre = linalg.Presolved(_system(np.zeros((2, 0), dtype=np.int64), 2))
     X, ok = pre.solve_many(np.array([[0, 1], [0, 0]]))
     assert X.shape == (0, 2)
     assert ok.tolist() == [True, False]
@@ -225,6 +274,8 @@ def test_rank_counts_textbook_pivots_on_random_draws(monkeypatch):
 
 
 def test_presolve_matches_column_solves_on_random_draws():
+    # The 0 x 4 and 3 x 0 draws come first; the nullspace is the
+    # textbook one row for row.
     rng = np.random.default_rng(29)
     for q in (2, 3, 5, 7):
         for A in _random_matrices(rng, q):
@@ -233,11 +284,16 @@ def test_presolve_matches_column_solves_on_random_draws():
             B = np.concatenate(
                 [A @ rng.integers(0, q, size=(n, 2)) % q,
                  rng.integers(0, q, size=(m, 2))], axis=1)
-            X, ok = linalg.Presolved(A, q).solve_many(B)
+            pre = linalg.Presolved(_system(A, q))
+            want = _nullspace(A, q)
+            assert pre.nullspace.shape == want.shape
+            assert (pre.nullspace == want).all()
+            X, ok = pre.solve_many(B)
             for j in range(B.shape[1]):
-                single = linalg.solve(A, B[:, j], q)
+                single = _solve(A, B[:, j], q)
                 assert ok[j] == (single is not None)
                 if single is not None:
                     assert (X[:, j] == single).all()
                 else:
                     assert not X[:, j].any()
+

@@ -4,7 +4,7 @@ import pytest
 from gentledef import homext, udr
 from gentledef.claims import paper_agreement, published_ring
 from gentledef.homext import end_is_trivial, ext1_dim, modules_isomorphic
-from gentledef.linalg import Presolved, nullspace, rank, rref
+from gentledef.linalg import Presolved, rank, rref
 from gentledef.presentation import LAMBDA0, catalog_presentation, table1_catalog
 from gentledef.strings import (
     FinModule,
@@ -19,6 +19,7 @@ from gentledef.udr import (
     connecting_letters,
     universal_deformation_ring,
 )
+from test_linalg import _nullspace, _system
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +242,7 @@ def _reference_submodule(V, cols):
         if imaged.size == 0:
             action[a] = np.zeros((dims[t], dims[s]), dtype=np.int64)
             continue
-        X, ok = Presolved(local_bases[t].T, q).solve_many(imaged)
+        X, ok = Presolved(_system(local_bases[t].T, q)).solve_many(imaged)
         if not ok.all():
             return None
         action[a] = X
@@ -258,12 +259,13 @@ def _same_submodule(got, want):
 
 
 def _reference_step(v0, V, level, form, word, seen):
-    """The collapse-map check with spans from nullspace and rref."""
+    """The collapse-map check with spans from the textbook nullspace and
+    rref."""
     q, D = v0.q, v0.total_dim
     step = SigmaStep(level=level, word=word, sigma=None)
-    arrows = udr._arrow_total_matrices(V)
+    arrows = V.total_action_matrices()
     for S in udr._sigma_candidates(V, D, form):
-        ker = nullspace(S, q)
+        ker = _nullspace(S, q)
         P = np.linalg.matrix_power(S, level) % q
         R, pivots = rref(P.T, q)
         # Every candidate's spans, accepted or not, so that coordinate
@@ -395,7 +397,7 @@ def test_module_endo_matches_block_reference(q):
                         rng, total, [np.arange(total)]))
                     candidates.append(_random_partial_permutation(
                         rng, total, by_vertex))
-                arrows = udr._arrow_total_matrices(V)
+                arrows = V.total_action_matrices()
                 for S in candidates:
                     want, crosses, commutes = _reference_is_endo(V, S)
                     assert udr._is_module_endo(V, S, arrows) == want, (
