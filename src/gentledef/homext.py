@@ -34,6 +34,13 @@ each module's `FinModule.sparse_action`, which reads an action matrix
 once for every system the module enters; `hom_system` negates the
 entries of m's action rather than the matrix.  Only `hom_basis` (and so
 `modules_isomorphic`) back-substitutes.
+Callers ask for Hom and then Ext^1 of one pair (End = k comes before
+the tangent space), and dim B^1 is the total vertex-map dimension less
+dim Hom, so the pair shares one Hom reduction: `hom_dim` keeps its last
+answer on the source module, in the one-entry memo `FinModule._hom`,
+and `coboundary_dim` (so `ext1_dim`) and `end_is_trivial` read it
+through `hom_dim`.  A hit needs the same presentation, q, `dims` and
+action matrices on both sides; nothing is kept across pairs.
 The same systems carry the first-order deformation theory of a module V
 that `lifts` builds on: the cocycle equations of ext_system(V, V) are
 the equations of each new coefficient level of a lift, and `lifts`
@@ -80,7 +87,22 @@ def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
 
 
 def hom_dim(m: FinModule, n: FinModule) -> int:
-    return hom_system(m, n).nullspace_dim()
+    """dim Hom(m, n), kept in m's one-entry memo `FinModule._hom`.
+
+    A hit needs an equal presentation and q, equal snapshots of both
+    `dims` and the same action matrix objects of both modules; the memo
+    holds those matrices, so none is freed and its address reused.
+    Anything else rebuilds and reduces hom_system(m, n).
+    """
+    p, q = _common(m, n)
+    key = (p, q, tuple(m.dims.items()), tuple(n.dims.items()))
+    mats = tuple(m.action[a] for a in p.quiver.arrow_names) + tuple(
+        n.action[a] for a in p.quiver.arrow_names)
+    seen = m._hom
+    if (seen is None or seen[0] != key
+            or any(x is not y for x, y in zip(seen[1], mats))):
+        seen = m._hom = (key, mats, hom_system(m, n).nullspace_dim())
+    return seen[2]
 
 
 def hom_basis(m: FinModule, n: FinModule) -> list[dict[str, np.ndarray]]:

@@ -216,6 +216,12 @@ class FinModule:
     which `sparse_action` reads once for every Hom/Ext system the module
     enters, cannot go stale; a matrix replaced in `action` is read again
     (and made read-only then).
+
+    `_hom` is `homext.hom_dim`'s one-entry memo with this module as the
+    source, so that the `ext1_dim` or `end_is_trivial` that follows a
+    `hom_dim` on the same pair reuses its Hom reduction.  It misses on
+    any other partner, presentation or q, on a replaced matrix and on a
+    `dims` entry edited in place.
     """
 
     presentation: Presentation
@@ -227,6 +233,8 @@ class FinModule:
     local: list[int] | None = None
     _sparse: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    _hom: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if not is_prime(self.q):

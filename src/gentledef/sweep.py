@@ -141,7 +141,8 @@ def sweep_catalog(q: int = 2, max_len: int = 6, n_max: int = 3,
         wanted = list(names)
         unknown = sorted(set(wanted) - {name for name, _ in catalog})
         if unknown:
-            raise ValueError(f"unknown catalog algebras: {', '.join(unknown)}")
+            raise ValueError("unknown catalog algebras: "
+                             + ", ".join(map(repr, unknown)))
         catalog = [(name, p) for name, p in catalog if name in wanted]
     report = SweepReport(q=q, max_len=max_len, n_max=n_max)
     for name, p in catalog:

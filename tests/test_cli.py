@@ -173,3 +173,17 @@ def test_non_prime_q_is_rejected(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "prime" in err
+
+
+def test_sweep_only_strips_spaces_around_names(capsys):
+    code, out = _run_json(capsys, ["sweep", "--only", "qi.1, qvi.1",
+                                   "--max-len", "1"])
+    assert code == 0
+    assert {row["algebra"] for row in out["rows"]} == {"qi.1", "qvi.1"}
+
+
+def test_sweep_only_quotes_an_empty_name(capsys):
+    code = main(["sweep", "--only", ",qi.1", "--max-len", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unknown catalog algebras: ''" in err

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import types
 
 import numpy as np
@@ -14,13 +15,16 @@ from gentledef.homext import (
     cocycle_dim,
     end_is_trivial,
     ext1_dim,
+    ext_system,
     hom_basis,
     hom_dim,
+    hom_system,
     modules_isomorphic,
 )
-from gentledef.presentation import catalog_presentation
+from gentledef.presentation import catalog_presentation, table1_catalog
 from gentledef.strings import (
     FinModule,
+    enumerate_strings,
     make_string,
     simple_module,
     string_module,
@@ -361,6 +365,155 @@ def test_hom_dim_reads_a_replaced_action_matrix(lam0):
     assert hom_dim(built, built) == 1
 
 
+def _memo_free(m, n):
+    """(dim Hom, dim Ext^1) of the pair from freshly built systems."""
+    hom = hom_system(m, n).nullspace_dim()
+    total = sum(n.dims[v] * m.dims[v] for v in m.presentation.quiver.vertices)
+    return hom, ext_system(m, n).nullspace_dim() - (total - hom)
+
+
+def _counting(monkeypatch, name):
+    """Records the arguments of every call to homext.<name>."""
+    calls = []
+    real = getattr(homext, name)
+
+    def counted(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(homext, name, counted)
+    return calls
+
+
+def _counting_hom_reductions(monkeypatch):
+    """Records (m, n) each time the dimension of a hom_system(m, n) is
+    reduced, that is, each time its nullspace_dim runs."""
+    reduced = []
+    real = homext.hom_system
+
+    def counted(m, n):
+        system = real(m, n)
+        dim = system.nullspace_dim
+
+        def nullspace_dim():
+            reduced.append((m, n))
+            return dim()
+
+        system.nullspace_dim = nullspace_dim
+        return system
+
+    monkeypatch.setattr(homext, "hom_system", counted)
+    return reduced
+
+
+def test_hom_memo_keeps_the_two_orders_of_a_pair_apart(lam0):
+    m, n = _mod(lam0, "c"), simple_module(lam0, "2")
+    want, back = _memo_free(m, n), _memo_free(n, m)
+    assert want[0] == 0 and back[0] == 1
+    for _ in range(2):
+        assert (hom_dim(m, n), ext1_dim(m, n)) == want
+        assert (hom_dim(n, m), ext1_dim(n, m)) == back
+        assert hom_dim(m, m) == 1 and hom_dim(n, n) == 1
+        assert ext1_dim(m, n) == want[1] and ext1_dim(n, m) == back[1]
+
+
+def test_hom_memo_misses_a_matrix_replaced_on_either_side(lam0):
+    # Zeroing c turns M[c] into S1 + S2, which changes each Hom below.
+    m, s2 = _mod(lam0, "c"), simple_module(lam0, "2")
+    s1, n = simple_module(lam0, "1"), _mod(lam0, "c")
+    assert hom_dim(m, s2) == 0 and hom_dim(s1, n) == 0
+    m.action["c"] = np.zeros_like(m.action["c"])
+    n.action["c"] = np.zeros_like(n.action["c"])
+    assert hom_dim(m, s2) == 1 and hom_dim(s1, n) == 1
+    assert ext1_dim(m, s2) == _memo_free(m, s2)[1]
+    assert ext1_dim(s1, n) == _memo_free(s1, n)[1]
+
+
+def test_hom_memo_keeps_the_fields_apart(lam0):
+    for text in ("c", "b*c*a"):
+        m2, m3 = _mod(lam0, text, 2), _mod(lam0, text, 3)
+        for m in (m2, m3, m2, m3):
+            assert (hom_dim(m, m), ext1_dim(m, m)) == _memo_free(m, m)
+    # The entry 2 vanishes over F_2 only: on the same matrices and dims,
+    # S1 + S2 at q = 2 and the uniserial M[c] at q = 3.
+    m2 = _mod(lam0, "c")
+    m2.action["c"] = np.array([[2]])
+    m3 = FinModule(presentation=lam0, q=3, dims=m2.dims, action=m2.action)
+    assert hom_dim(m2, m2) == 2 and hom_dim(m3, m3) == 1
+    m2.q = 3
+    assert hom_dim(m2, m2) == 1 == _memo_free(m2, m2)[0]
+    assert ext1_dim(m2, m2) == _memo_free(m2, m2)[1]
+    m2.q = 2
+    assert hom_dim(m2, m2) == 2 and end_is_trivial(m3)
+
+
+def test_hom_memo_snapshots_dims_edited_in_place(lam0):
+    m, n = simple_module(lam0, "1"), _mod(lam0, "c")
+    want = _memo_free(m, n)
+    assert hom_dim(m, n) == want[0]
+    for module, v in ((n, "1"), (m, "2")):
+        # The matrices stay, so they no longer fit the edited dims.
+        module.dims[v] += 1
+        with pytest.raises(ValueError, match="shape mismatch"):
+            hom_dim(m, n)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ext1_dim(m, n)
+        module.dims[v] -= 1
+        assert (hom_dim(m, n), ext1_dim(m, n)) == want
+
+
+def test_hom_memo_still_rejects_mismatched_pairs(lam0):
+    m, n = _mod(lam0, "c*a"), _mod(lam0, "c")
+    other = catalog_presentation("qviii.2")
+    # Each shares n's dims and matrices, so only the presentation or the
+    # field tells it apart from the pair just stored on m.
+    mismatched = [
+        FinModule(presentation=other, q=2, dims=n.dims, action=n.action),
+        FinModule(presentation=lam0, q=3, dims=n.dims, action=n.action),
+    ]
+    for bad in mismatched:
+        assert hom_dim(m, n) == _memo_free(m, n)[0]
+        for f in (hom_dim, ext1_dim, coboundary_dim):
+            with pytest.raises(ValueError, match="different"):
+                f(m, bad)
+            with pytest.raises(ValueError, match="different"):
+                f(bad, m)
+
+
+def test_hom_memo_agrees_with_fresh_systems_in_any_order(monkeypatch):
+    ops, pairs = [], 0
+    for q in (2, 3):
+        for _, p in table1_catalog():
+            mods = [string_module(p, w, q=q) for w in enumerate_strings(p, 2)]
+            for m, n in itertools.product(mods, repeat=2):
+                hom, ext = _memo_free(m, n)
+                ops += [(hom_dim, m, n, hom), (ext1_dim, m, n, ext)]
+                pairs += 1
+    # Consecutive pairs share m, so shuffling short windows mixes calls
+    # that repeat m's last pair with calls that replace it.
+    rng = random.Random(0)
+    for i in range(0, len(ops), 8):
+        window = ops[i:i + 8]
+        rng.shuffle(window)
+        ops[i:i + 8] = window
+    builds = _counting(monkeypatch, "hom_system")
+    for f, m, n, want in ops:
+        assert f(m, n) == want, (f.__name__, m.provenance, n.provenance)
+    assert pairs <= len(builds) < 2 * pairs
+    assert pairs > 1000
+
+
+def test_hom_then_ext_of_a_pair_builds_each_system_once(lam0, monkeypatch):
+    m, n = _mod(lam0, "b*c*a"), _mod(lam0, "c")
+    want = _memo_free(m, n)
+    homs = _counting(monkeypatch, "hom_system")
+    exts = _counting(monkeypatch, "ext_system")
+    assert (hom_dim(m, n), ext1_dim(m, n)) == want
+    assert len(homs) == 1 and len(exts) == 1
+    assert end_is_trivial(m) and ext1_dim(m, m) == 2
+    assert len(homs) == 2 and len(exts) == 2
+
+
 def _kron_hom_matrix(m, n):
     """hom_system(m, n).matrix() from the dense actions: each arrow a with
     a nonempty equation gives n_a X_s - X_t m_a, flattened row-major."""
@@ -449,18 +602,6 @@ def test_hom_and_ext_dimensions_never_go_dense(monkeypatch):
     assert len(cases) > 1000
 
 
-def _counting_hom_basis(monkeypatch):
-    calls = []
-    real = homext.hom_basis
-
-    def counted(m, n):
-        calls.append((m, n))
-        return real(m, n)
-
-    monkeypatch.setattr(homext, "hom_basis", counted)
-    return calls
-
-
 def test_isomorphic_equal_representations_skip_the_basis_search(
         lam0, monkeypatch):
     def refuse(m, n):
@@ -484,7 +625,7 @@ def test_isomorphic_base_change_goes_through_the_basis_search(
     n = FinModule(presentation=lam0, q=q, dims=dict(m.dims), action=action)
     assert not n.validate()
     assert any((n.action[a] != m.action[a]).any() for a in m.action)
-    calls = _counting_hom_basis(monkeypatch)
+    calls = _counting(monkeypatch, "hom_basis")
     assert modules_isomorphic(m, n)
     assert modules_isomorphic(n, m)
     assert len(calls) == 2
@@ -496,7 +637,7 @@ def test_same_dimension_modules_need_not_be_isomorphic(lam0, monkeypatch, q):
     zero = FinModule(presentation=lam0, q=q, dims=dict(m.dims),
                      action={a: np.zeros_like(mat)
                              for a, mat in m.action.items()})
-    calls = _counting_hom_basis(monkeypatch)
+    calls = _counting(monkeypatch, "hom_basis")
     for other in (_mod(lam0, "a*d", q), zero):
         assert other.dims == m.dims
         assert not modules_isomorphic(m, other)

@@ -185,6 +185,8 @@ def test_one_reduction_of_the_cocycle_system(lam0, monkeypatch):
     # End = k costs one reduction and the cocycle system one more, which
     # both solves every level and gives the fan its cocycle basis; the
     # tree's fan adds the rref that picks the coset representatives.
+    # A module whose End = k was already decided reads it from its Hom
+    # memo and skips the first.
     calls = []
     reduce = linalg._reduce
 
@@ -198,6 +200,10 @@ def test_one_reduction_of_the_cocycle_system(lam0, monkeypatch):
     assert len(calls) == 2
     calls.clear()
     assert fingerprint(m, 3).census == [(1, 1), (2, 4), (3, 12)]
+    assert len(calls) == 2
+    calls.clear()
+    assert fingerprint(_mod(lam0, "b*c*a"), 3).census == [
+        (1, 1), (2, 4), (3, 12)]
     assert len(calls) == 3
 
 

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from gentledef.presentation import LAMBDA0
-from gentledef.sweep import sweep_catalog
+from gentledef.homext import DEFAULT_BUDGET
+from gentledef.presentation import LAMBDA0, catalog_presentation
+from gentledef.strings import make_string
+from gentledef.sweep import SweepReport, _sweep_one, sweep_catalog
+from test_homext import _counting_hom_reductions
 
 # json.dumps(sweep_catalog(**kwargs).as_dict()) plus a newline.  A speedup
 # counts only if the sweep stays byte-identical to these; a change that
@@ -67,8 +70,21 @@ def test_empty_filter_gives_empty_report():
 
 
 def test_unknown_algebra_is_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="algebras: 'nope.7'$"):
         sweep_catalog(max_len=2, names=["nope.7"])
+
+
+def test_a_row_reduces_the_hom_system_of_its_module_once(monkeypatch):
+    # _sweep_one's End = k test and fingerprint's guard share one reduction.
+    p = catalog_presentation(LAMBDA0)
+    reduced = _counting_hom_reductions(monkeypatch)
+    for text in ("simple 1", "b*c*a"):
+        reduced.clear()
+        report = SweepReport(q=2, max_len=3, n_max=3)
+        row = _sweep_one(LAMBDA0, p, make_string(p, text), 2, 3,
+                         DEFAULT_BUDGET, report)
+        assert row is not None and row.census
+        assert [m.provenance for m, n in reduced if m is n] == [text]
 
 
 def test_rows_only_list_trivial_end_modules():

@@ -19,6 +19,7 @@ from gentledef.udr import (
     connecting_letters,
     universal_deformation_ring,
 )
+from test_homext import _counting_hom_reductions
 from test_linalg import _nullspace, _system
 
 
@@ -126,6 +127,17 @@ def test_udr_two_letter_word_disagrees_with_published_table(lam0):
     assert d.paper_agreement == "disagrees"
     hyp = d.evidence["hypotheses"]["~a*~c*b*c*a"]
     assert hyp == {"hom_dim": 1, "ext1_dim": 0}
+
+
+def test_each_hypothesis_pair_reduces_one_hom_system(lam0, monkeypatch):
+    # hom_dim(v_last, V) and then ext1_dim(v_last, V) share one reduction.
+    reduced = _counting_hom_reductions(monkeypatch)
+    d = universal_deformation_ring(lam0, make_string(lam0, "c*a"), n_max=1)
+    hyps = d.evidence["hypotheses"]
+    pairs = [(m, n) for m, n in reduced if m is not n]
+    assert len(pairs) == len(hyps) >= 1
+    assert all(n.provenance == "c*a" for _, n in pairs)
+    assert len({id(m) for m, _ in pairs}) == len(pairs)
 
 
 def test_udr_all_four_two_letter_words_close_the_same_way(lam0):
