@@ -52,6 +52,8 @@ which conjugation by 1 + t g moves a lift.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .linalg import LinearSystem, rank
@@ -66,11 +68,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def _common(m: FinModule, n: FinModule) -> tuple[Presentation, int]:
-    if m.presentation != n.presentation:
+    p = m.presentation
+    if p is not n.presentation and p != n.presentation:
         raise ValueError("modules live over different presentations")
     if m.q != n.q:
         raise ValueError("modules live over different fields")
-    return m.presentation, m.q
+    return p, m.q
 
 
 def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
@@ -79,9 +82,9 @@ def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
     sys = LinearSystem(q)
     for v in p.quiver.vertices:
         sys.add_unknown(v, (n.dims[v], m.dims[v]))
-    for a in p.quiver.arrow_names:
+    for a, s, t in p.quiver.arrows:
         shape, entries = m.sparse_action(a)
-        sys.add_equation(n.sparse_action(a), p.source(a), p.target(a),
+        sys.add_equation(n.sparse_action(a), s, t,
                          (shape, [(i, j, -v) for i, j, v in entries]))
     return sys
 
@@ -96,11 +99,12 @@ def hom_dim(m: FinModule, n: FinModule) -> int:
     """
     p, q = _common(m, n)
     key = (p, q, tuple(m.dims.items()), tuple(n.dims.items()))
-    mats = tuple(m.action[a] for a in p.quiver.arrow_names) + tuple(
-        n.action[a] for a in p.quiver.arrow_names)
+    names = p.quiver.arrow_names
+    mats = (*map(m.action.__getitem__, names),
+            *map(n.action.__getitem__, names))
     seen = m._hom
     if (seen is None or seen[0] != key
-            or any(x is not y for x, y in zip(seen[1], mats))):
+            or any(map(operator.is_not, seen[1], mats))):
         seen = m._hom = (key, mats, hom_system(m, n).nullspace_dim())
     return seen[2]
 
@@ -122,8 +126,8 @@ def ext_system(m: FinModule, n: FinModule) -> LinearSystem:
     """
     p, q = _common(m, n)
     sys = LinearSystem(q)
-    for a in p.quiver.arrow_names:
-        sys.add_unknown(a, (n.dims[p.target(a)], m.dims[p.source(a)]))
+    for a, s, t in p.quiver.arrows:
+        sys.add_unknown(a, (n.dims[t], m.dims[s]))
     for beta, alpha in p.relations:
         sys.add_equation(n.sparse_action(beta), alpha, beta,
                          m.sparse_action(alpha))

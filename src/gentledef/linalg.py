@@ -3,7 +3,10 @@
 One elimination routine, `_reduce`, does all the row reduction: it
 takes sparse rows (dicts column -> nonzero entry mod q) to echelon form
 by forward elimination, and `_back_substitute` takes its pivot rows on
-to reduced row echelon form.  A rank count needs only the first step:
+to reduced row echelon form.  Neither modifies the rows it is given:
+`_reduce` copies a row only to subtract from or scale it, so a pivot row
+may be the caller's own row, and `_back_substitute` copies a pivot row
+before it clears it.  A rank count needs only the first step:
 `rank` and `LinearSystem.nullspace_dim` count `_reduce`'s pivots, and
 only `rref`, `Presolved` and `LinearSystem.nullspace_basis`
 back-substitute.  `LinearSystem` holds equations A @ X + Y @ B = 0 in
@@ -56,7 +59,7 @@ def _reduce(rows, q: int) -> dict[int, dict[int, int]]:
     """Forward elimination of sparse rows over F_q.
 
     Each row is a dict column -> entry, entries nonzero residues mod q;
-    the rows are not modified.  Returns the pivot rows keyed by pivot
+    empty rows are skipped.  Returns the pivot rows keyed by pivot
     column: each has entry 1 at its pivot, which is its least column, so
     their number is the rank.  Pivot rows are not cleared of each
     other's pivot columns; `_back_substitute` does that.
@@ -64,16 +67,20 @@ def _reduce(rows, q: int) -> dict[int, dict[int, int]]:
     Rows are taken one at a time.  While a new row's least column is
     already a pivot, that pivot row is subtracted from it, which leaves
     its least column strictly larger; if anything is left, it is scaled
-    to a new pivot at its least column.
+    to a new pivot at its least column.  A row is copied only when it is
+    changed, so the rows given are never modified, and a row that needs
+    neither step is kept as its own pivot row.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = dict(row)
+        r = row
         while r:
             lead = min(r)
             p = pivots.get(lead)
             if p is None:
                 break
+            if r is row:
+                r = dict(row)
             _subtract_row(r, r[lead], p, q)
         if not r:
             continue
@@ -86,18 +93,21 @@ def _reduce(rows, q: int) -> dict[int, dict[int, int]]:
 
 def _back_substitute(pivots: dict[int, dict[int, int]],
                      q: int) -> dict[int, dict[int, int]]:
-    """Clears every pivot column from the other pivot rows, in place.
+    """Clears every pivot column from the other pivot rows.
 
-    Takes `_reduce`'s pivot rows and returns them with no entry in any
-    other pivot column, so sorted by pivot they are the nonzero rows of
-    the reduced row echelon form.  Rows are cleared last pivot first: a
+    Takes `_reduce`'s pivot rows and returns the same dict with no entry
+    in any other pivot column, so sorted by pivot they are the nonzero
+    rows of the reduced row echelon form.  A row that meets another
+    pivot is copied before it is cleared, since `_reduce` may have kept
+    a caller's row as a pivot row.  Rows are cleared last pivot first: a
     pivot row meets only larger pivots, whose rows are already clear,
     so one pass over the pivot columns it meets clears it.
     """
     for c in sorted(pivots, reverse=True):
-        r = pivots[c]
-        for d in [d for d in r if d != c and d in pivots]:
-            _subtract_row(r, r[d], pivots[d], q)
+        if meets := [d for d in pivots[c] if d != c and d in pivots]:
+            r = pivots[c] = dict(pivots[c])
+            for d in meets:
+                _subtract_row(r, r[d], pivots[d], q)
     return pivots
 
 
@@ -245,7 +255,9 @@ class LinearSystem:
         X and Y are the unknowns named x and y, possibly the same.  A and
         B are sparse pairs (shape, [(i, j, entry), ...]) as `_nonzeros`
         makes them; entries need not be reduced mod q.  Row (i, j)
-        carries A[i, k] at X[k, j] and B[l, j] at Y[i, l].
+        carries A[i, k] at X[k, j] and B[l, j] at Y[i, l].  Each entry is
+        written straight into its row; a row that cancels to zero is not
+        stored, though `height` counts it.
         """
         (m, k_x), left = A
         (l_y, n), right = B
@@ -253,26 +265,30 @@ class LinearSystem:
         y_rows, y_cols = self._shapes[y]
         if (k_x, n) != (x_rows, x_cols) or (m, l_y) != (y_rows, y_cols):
             raise ValueError(f"shape mismatch in A @ {x} + {y} @ B")
-        q = self.q
-        eq: dict[int, dict[int, int]] = {}
+        q, rows, top = self.q, self._rows, self._height
         off = self._offsets[x]
         for i, k, a in left:
             if a := a % q:
+                first_row, first_col = top + i * n, off + k * n
                 for j in range(n):
-                    eq.setdefault(i * n + j, {})[off + k * n + j] = a
+                    if (row := rows.get(first_row + j)) is None:
+                        rows[first_row + j] = {first_col + j: a}
+                    else:
+                        row[first_col + j] = a
         off = self._offsets[y]
-        right = [(l, j, b) for l, j, b in right if b % q]
+        right = [(l, j, v) for l, j, b in right if (v := b % q)]
         for i in range(m):
-            first_col = off + i * l_y
+            first_row, first_col = top + i * n, off + i * l_y
             for l, j, b in right:
-                row = eq.setdefault(i * n + j, {})
+                if (row := rows.get(first_row + j)) is None:
+                    rows[first_row + j] = {first_col + l: b}
                 # Only when X is Y do A[i, i] and B[j, j] meet, at X[i, j].
-                if v := (row.get(first_col + l, 0) + b) % q:
+                elif v := (row.get(first_col + l, 0) + b) % q:
                     row[first_col + l] = v
                 else:
                     del row[first_col + l]
-        top = self._height
-        self._rows.update((top + r, row) for r, row in eq.items() if row)
+                    if not row:
+                        del rows[first_row + j]
         self._height += m * n
 
     def matrix(self) -> np.ndarray:

@@ -99,7 +99,7 @@ class Presentation:
                 raise ValueError(f"duplicate relation {rel[0]}*{rel[1]}")
             seen.add(rel)
 
-    @property
+    @cached_property
     def relation_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.relations)
 

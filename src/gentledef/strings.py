@@ -116,6 +116,15 @@ def _check_pair(p: Presentation, a: Letter, b: Letter, pos: int) -> None:
                 position=pos)
 
 
+def _composes(p: Presentation, a: Letter, b: Letter) -> bool:
+    """Whether letter b may follow letter a, by `_check_pair`."""
+    try:
+        _check_pair(p, a, b, 1)
+    except StringError:
+        return False
+    return True
+
+
 def validate_word(p: Presentation, letters: tuple[Letter, ...]) -> None:
     names = set(p.quiver.arrow_names)
     for i, letter in enumerate(letters, start=1):
@@ -184,16 +193,13 @@ def enumerate_strings(p: Presentation, max_len: int) -> list[StringWord]:
         for letters in frontier:
             w = StringWord(letters).canonical()
             found[w.sort_key()] = w
+    follow = {a: [b for b in all_letters if _composes(p, a, b)]
+              for a in all_letters}
     length = 1
     while length < max_len and frontier:
         new = []
         for letters in frontier:
-            last = letters[-1]
-            for nxt in all_letters:
-                try:
-                    _check_pair(p, last, nxt, len(letters))
-                except StringError:
-                    continue
+            for nxt in follow[letters[-1]]:
                 ext = letters + (nxt,)
                 new.append(ext)
                 w = StringWord(ext).canonical()

@@ -1,5 +1,7 @@
 """Exact F_q linear algebra against hand-worked examples."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,28 @@ def _no_back_substitution(*args):
     raise AssertionError("a rank count back-substituted")
 
 
+def _kron_reference(shapes, equations, q):
+    """The dense matrix of equations (A, x, y, B), each A @ X + Y @ B = 0
+    over unknowns of the given shapes: column c is every equation's
+    row-major vec, stacked, with the unknowns set to the c-th unit
+    vector (row-major vec, unknowns in declaration order)."""
+    def apply(vec):
+        X, off = {}, 0
+        for name, (r, c) in shapes.items():
+            X[name] = vec[off:off + r * c].reshape(r, c)
+            off += r * c
+        return np.concatenate(
+            [(A @ X[x] + X[y] @ B).reshape(-1)
+             for A, x, y, B in equations]) % q
+
+    width = sum(r * c for r, c in shapes.values())
+    height = apply(np.zeros(width, dtype=np.int64)).size
+    expected = np.zeros((height, width), dtype=np.int64)
+    for c, e in enumerate(np.eye(width, dtype=np.int64)):
+        expected[:, c] = apply(e)
+    return expected
+
+
 def test_kron_flattening_matches_direct_product(monkeypatch):
     # Column c of matrix() is vec(A @ X + Y @ B) of each equation, stacked,
     # with the unknowns set to the c-th unit vector (row-major vec,
@@ -122,21 +146,8 @@ def test_kron_flattening_matches_direct_product(monkeypatch):
                 sys.add_equation(sparse(A), x, y, sparse(B))
                 equations.append((A, x, y, B))
 
-            def apply(vec):
-                X, off = {}, 0
-                for name, (r, c) in shapes.items():
-                    X[name] = vec[off:off + r * c].reshape(r, c)
-                    off += r * c
-                return np.concatenate(
-                    [(A @ X[x] + X[y] @ B).reshape(-1)
-                     for A, x, y, B in equations]) % q
-
             M = sys.matrix()
-            height = apply(np.zeros(sys.width, dtype=np.int64)).size
-            expected = np.zeros((height, sys.width), dtype=np.int64)
-            for c, e in enumerate(np.eye(sys.width, dtype=np.int64)):
-                expected[:, c] = apply(e)
-            assert np.array_equal(M, expected)
+            assert np.array_equal(M, _kron_reference(shapes, equations, q))
             _, pivots = _gauss_jordan(M, q)
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "_back_substitute",
@@ -150,6 +161,49 @@ def test_kron_flattening_matches_direct_product(monkeypatch):
             seen["0 rows"] += M.shape[0] == 0
             seen["0 columns"] += M.shape[1] == 0
     assert all(seen.values()), seen
+
+
+def test_row_that_cancels_is_dropped_or_refilled():
+    # A @ X + X @ B with B[0, 0] = -A[0, 0]: row (0, 0) cancels at
+    # X[0, 0]; in the first case B[1, 0] then refills it at X[0, 1], in
+    # the second nothing does and the row stays empty.
+    A = np.array([[1, 0], [0, 0]])
+    for B, empty in ((np.array([[-1, 0], [1, 0]]), [3]),
+                     (np.array([[-1, 0], [0, 0]]), [0, 3])):
+        for q in (2, 3):
+            sys = linalg.LinearSystem(q)
+            sys.add_unknown("X", (2, 2))
+            sys.add_equation(linalg._nonzeros(A), "X", "X",
+                             linalg._nonzeros(B))
+            want = _kron_reference({"X": (2, 2)}, [(A, "X", "X", B)], q)
+            assert np.array_equal(sys.matrix(), want)
+            assert sys.height == 4
+            assert sorted(sys._rows) == [r for r in range(4)
+                                         if r not in empty]
+            assert all(sys._rows.values())
+
+
+def test_reductions_never_modify_their_input():
+    # _reduce keeps an input row whose least column is a new pivot with
+    # entry 1 as that pivot, uncopied, and back-substitution then clears
+    # such rows: every reduction must leave the caller's rows as given.
+    rng = np.random.default_rng(41)
+    kept = 0
+    for q in (2, 3, 5, 7):
+        for A in _random_matrices(rng, q):
+            sys, dense = _system(A, q), A.copy()
+            before = copy.deepcopy(sys._rows)
+            pivots = linalg._reduce(sys._rows.values(), q).values()
+            kept += any(p is r for p in pivots for r in sys._rows.values())
+            sys.nullspace_dim()
+            sys.nullspace_basis()
+            pre = linalg.Presolved(sys)
+            pre.solve_many(rng.integers(0, q, size=(sys.height, 2)))
+            assert sys._rows == before
+            linalg.rank(A, q)
+            linalg.rref(A, q)
+            assert np.array_equal(A, dense)
+    assert kept
 
 
 def test_linear_system_commutant_of_nilpotent_block():

@@ -177,3 +177,14 @@ def test_arm_stops_when_the_path_dies():
     assert rep.arms == [
         {"first_arrow": "b", "targets": ["S2"], "paths": ["b"]}]
     assert rep.layers[2] == []
+
+
+def test_relation_set_is_built_once_and_leaves_equality_alone():
+    p, fresh = parse_presentation(LAMBDA0_DSL), parse_presentation(LAMBDA0_DSL)
+    h = hash(p)
+    assert p.relation_set is p.relation_set
+    assert p.relation_set == frozenset(p.relations)
+    assert hash(p) == h == hash(fresh)
+    assert p == fresh and "relation_set" not in vars(fresh)
+    other = Presentation(p.quiver, p.relations[:-1])
+    assert other.relation_set != p.relation_set and other != p

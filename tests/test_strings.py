@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gentledef.strings import (
     make_string,
     simple_module,
     string_module,
+    validate_word,
 )
 
 
@@ -94,6 +97,28 @@ def test_enumerate_len3_contains_key_words(lam0):
     got = set(_displays(lam0, 3))
     assert "b*c*a" in got
     assert "a*d*b" in got
+
+
+def test_enumerate_matches_every_validated_letter_tuple():
+    # The reference validates every tuple of letters with validate_word,
+    # so enumerate_strings' successor table must admit exactly the pairs
+    # that _check_pair does, in the same order.
+    for _, p in table1_catalog():
+        letters = [Letter(a, inv) for inv in (False, True)
+                   for a in p.quiver.arrow_names]
+        simples = [StringWord((), basepoint=v) for v in p.quiver.vertices]
+        want = {w.sort_key(): w for w in simples}
+        for length in (1, 2, 3):
+            for word in itertools.product(letters, repeat=length):
+                try:
+                    validate_word(p, word)
+                except StringError:
+                    continue
+                w = StringWord(word).canonical()
+                want[w.sort_key()] = w
+        got = enumerate_strings(p, 3)
+        assert got == sorted(want.values(),
+                             key=lambda w: (len(w), w.sort_key()))
 
 
 def test_enumerate_deterministic(lam0):
