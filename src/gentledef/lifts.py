@@ -191,11 +191,12 @@ def _lift_walk(V: FinModule, n: int, fan,
     nullspace Z, the cocycle basis.  Level k's unknowns solve those
     equations with right-hand side `_level_rhs`; a row whose system is
     solvable gets one solution plus each row of `fan(V, Z, budget)`, and
-    the others are dropped.  Returns the rows at level n, the row count
-    per level and, for k >= 2, whether every row at level k - 1
-    extended.  The parent and child levels held at once may have at most
-    `budget` entries, so they take at most 8 * budget bytes; the child
-    level is filled in place.
+    the others are dropped.  Level 1 has no cross terms, so its one row
+    extends by the solution 0 without a solve.  Returns the rows at
+    level n, the row count per level and, for k >= 2, whether every row
+    at level k - 1 extended.  The parent and child levels held at once
+    may have at most `budget` entries, so they take at most 8 * budget
+    bytes; the child level is filled in place.
     """
     q = V.q
     layout, width = _arrow_layout(V, V)
@@ -208,7 +209,10 @@ def _lift_walk(V: FinModule, n: int, fan,
     pre = Presolved(ext_system(V, V))
     reps = fan(V, pre.nullspace, budget)
     for k in range(1, n):
-        X, ok = pre.solve_many(_level_rhs(V, C, k))
+        if k == 1:
+            X, ok = np.zeros((width, 1), dtype=np.int64), np.ones(1, bool)
+        else:
+            X, ok = pre.solve_many(_level_rhs(V, C, k))
         extended[k + 1] = bool(ok.all())
         parents = int(ok.sum())
         held = C.shape[0] + parents * reps.shape[0]
@@ -432,9 +436,11 @@ def fingerprint(V: FinModule, n_max: int,
     n >= 2, whether reduction from level n to level n - 1 is surjective
     on deformations.
     """
-    counts, reduction = _tree_census(V, CoeffRing(V.q, n_max), budget)
+    top = CoeffRing(V.q, n_max)
+    counts, reduction = _tree_census(V, top, budget)
+    rings = [CoeffRing(V.q, n) for n in range(1, n_max)] + [top]
     matches = [label for label in CANDIDATE_RINGS
-               if counts == [count_ring_morphisms(label, CoeffRing(V.q, n))
-                             for n in range(1, n_max + 1)]]
+               if counts == [count_ring_morphisms(label, ring)
+                             for ring in rings]]
     return LiftCensus(q=V.q, census=list(enumerate(counts, start=1)),
                       matches=matches, reduction_surjective=reduction)

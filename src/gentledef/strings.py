@@ -299,10 +299,11 @@ class FinModule:
             prod = self.action[beta] @ self.action[alpha] % self.q
             if prod.size and prod.any():
                 problems.append(f"relation {beta}*{alpha} does not annihilate")
-        T = self.total_action_matrices().sum(axis=0) % self.q
-        P = np.eye(self.total_dim, dtype=np.int64)
-        for _ in range(self.total_dim):
-            P = P @ T % self.q
+        # An N x N matrix T is nilpotent iff T^N = 0, so iff T^M = 0 for
+        # any M >= N; M = 2^ceil(log2 N) takes ceil(log2 N) squarings.
+        P = self.total_action_matrices().sum(axis=0) % self.q
+        for _ in range(max(self.total_dim - 1, 0).bit_length()):
+            P = P @ P % self.q
         if P.any():
             problems.append("total arrow action is not nilpotent")
         return problems

@@ -7,12 +7,16 @@ beta certifying power series and a finite chain plus the collapse-map
 hypotheses certifying a truncation; anything else stays undetermined
 and is reported with its lift census.
 
-Each collapse map sigma_ell of the chain is a 0/1 partial permutation
-of walk coordinates, so its kernel and the image of its ell-th power
-are coordinate sets, and for every candidate they are the same set.
-One span check per step, that this set spans a copy of V, serves both
-hypotheses; the check exits without a Hom-basis search when the span's
-action is entrywise V's (see `homext.modules_isomorphic`).
+Each collapse map sigma_ell of the chain is a partial permutation of
+walk coordinates, and every check reads it as an index map: dst[c] is
+the total-space coordinate that c goes to, or -1 where c is killed.
+Its kernel and the image of its ell-th power are then coordinate sets,
+and for every candidate they are the same set.  One span check per
+step, that this set spans a copy of V, serves both hypotheses; a span
+whose action is entrywise V's is answered by V's own validation, made
+once per chain, and only any other span builds a module and searches a
+Hom basis (`homext.modules_isomorphic`).  The accepted map alone is
+kept as a dense 0/1 matrix, `SigmaStep.sigma`.
 """
 
 from __future__ import annotations
@@ -195,22 +199,44 @@ def _coords(V: FinModule) -> list[int]:
     return [off[v] + l for v, l in zip(V.walk, V.local)]
 
 
-def _is_module_endo(V: FinModule, sigma: np.ndarray,
-                    arrows: np.ndarray) -> bool:
-    """Whether sigma respects the vertices and commutes with
-    `arrows = V.total_action_matrices()`.
+def _total_entries(V: FinModule, a: str) -> list[tuple[int, int, int]]:
+    """The nonzero entries of arrow a's action in total-space coordinates,
+    as (row, column, residue mod q), read from `sparse_action`."""
+    p, q = V.presentation, V.q
+    off = V.vertex_offsets()
+    t, s = off[p.target(a)], off[p.source(a)]
+    return [(t + i, s + j, x % q) for i, j, x in V.sparse_action(a)[1]
+            if x % q]
 
-    Each total-space coordinate is labelled by the index of its vertex,
-    so sigma respects the vertices when it has no nonzero entry between
-    coordinates of different labels; the commutators with all arrows are
-    one batched product.
+
+def _is_module_endo(V: FinModule, dst: list[int]) -> bool:
+    """Whether the partial permutation dst of total-space coordinates is
+    a module endomorphism S of V.
+
+    S respects the vertices when dst keeps the vertex of every coordinate
+    it does not kill.  S commutes with an arrow's action T when S T and
+    T S have the same nonzero entries: since dst is injective, an entry
+    x = T[r, c] puts x at (dst[r], c) in S T and at (r, src[c]) in T S,
+    src being dst's inverse, and no two entries land on the same place.
     """
     vertices = V.presentation.quiver.vertices
-    label = np.repeat(np.arange(len(vertices)),
-                      [V.dims[v] for v in vertices])
-    if sigma[label[:, None] != label[None, :]].any():
-        return False
-    return not ((sigma @ arrows - arrows @ sigma) % V.q).any()
+    label = [v for v in vertices for _ in range(V.dims[v])]
+    src = [-1] * len(dst)
+    for c, d in enumerate(dst):
+        if d >= 0:
+            if label[d] != label[c]:
+                return False
+            src[d] = c
+    for a in V.presentation.quiver.arrow_names:
+        left, right = {}, {}
+        for r, c, x in _total_entries(V, a):
+            if dst[r] >= 0:
+                left[dst[r], c] = x
+            if src[c] >= 0:
+                right[r, src[c]] = x
+        if left != right:
+            return False
+    return True
 
 
 def _coordinate_submodule(V: FinModule,
@@ -238,78 +264,125 @@ def _coordinate_submodule(V: FinModule,
     return sub if not sub.validate() else None
 
 
-def _spans_copy_of(V: FinModule, keep: np.ndarray, v0: FinModule) -> bool:
-    sub = _coordinate_submodule(V, keep)
+def _spans_copy_of(V: FinModule, keep: list[bool], v0: FinModule,
+                   v0_valid: bool) -> bool:
+    """Whether the unit vectors at the total-space coordinates where keep
+    is set span a submodule of V isomorphic to v0.
+
+    The span's action is read from V's nonzeros, each vertex's basis
+    being its kept coordinates in increasing order; an arrow that leads
+    a kept coordinate out of the span makes it unstable, and the answer
+    False.  A span whose dims and action equal v0's entrywise mod q is a
+    copy exactly when it validates, and `FinModule.validate` reads only
+    the presentation, q, dims and action, so the caller's v0_valid
+    (whether v0 validates) is the answer.  Any other span is built by
+    `_coordinate_submodule` and compared by `modules_isomorphic`.
+    """
+    p, q = V.presentation, V.q
+    off = V.vertex_offsets()
+    index, dims = {}, {}
+    for v in p.quiver.vertices:
+        kept = [c for c in range(off[v], off[v] + V.dims[v]) if keep[c]]
+        index.update((c, i) for i, c in enumerate(kept))
+        dims[v] = len(kept)
+    same = dims == v0.dims
+    for a in p.quiver.arrow_names:
+        entries = {}
+        for r, c, x in _total_entries(V, a):
+            if keep[c]:
+                if not keep[r]:
+                    return False
+                entries[index[r], index[c]] = x
+        if same:
+            shape, nonzeros = v0.sparse_action(a)
+            same = (shape == (dims[p.target(a)], dims[p.source(a)])
+                    and entries == {(i, j): x % q for i, j, x in nonzeros
+                                    if x % q})
+    if same:
+        return v0_valid
+    sub = _coordinate_submodule(V, np.array(keep, dtype=bool))
     return sub is not None and modules_isomorphic(sub, v0)
 
 
-def _sigma_candidates(V_ell: FinModule, D: int, form: str) -> list[np.ndarray]:
+def _sigma_candidates(V_ell: FinModule, D: int, form: str) -> list[list[int]]:
+    """The collapse-map candidates of V_ell as index maps on total-space
+    coordinates: dst[c] is the coordinate c goes to, or -1.
+
+    A direct chain gives the shifts of the walk positions by +D and -D;
+    a reflected one the reflections i -> total - 1 - i of its first D
+    positions and of the others, the rest being killed.
+    """
     total = V_ell.total_dim
     coords = _coords(V_ell)
-    mats = []
+    maps = []
     if form == "direct":
         for shift in (D, -D):
-            S = np.zeros((total, total), dtype=np.int64)
-            for i in range(total):
-                j = i + shift
-                if 0 <= j < total:
-                    S[coords[j], coords[i]] = 1
-            mats.append(S)
+            dst = [-1] * total
+            for i in range(max(0, -shift), min(total, total - shift)):
+                dst[coords[i]] = coords[i + shift]
+            maps.append(dst)
     else:
         for keep_low in (True, False):
-            S = np.zeros((total, total), dtype=np.int64)
+            dst = [-1] * total
             for i in range(total):
-                if (i < D) != keep_low:
-                    continue
-                S[coords[total - 1 - i], coords[i]] = 1
-            mats.append(S)
-    return mats
+                if (i < D) == keep_low:
+                    dst[coords[i]] = coords[total - 1 - i]
+            maps.append(dst)
+    return maps
 
 
 def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
-                  form: str, word: StringWord) -> SigmaStep:
+                  form: str, word: StringWord, v0_valid: bool) -> SigmaStep:
     """Check the first candidate collapse map that is a module endomorphism
-    with a kernel of dimension dim v0.
+    with a kernel of dimension dim v0; v0_valid is whether v0 validates.
 
-    Every candidate is a 0/1 partial permutation of walk coordinates, and
-    so is each of its powers: its kernel is spanned by the unit vectors
-    at its zero columns, and the image of sigma^level by those at the
-    nonzero rows of that power.  V_level has (level + 1) * D walk
-    positions, D = dim v0, and both candidate shapes of
+    Every candidate is an index map dst on walk coordinates, injective
+    where it is defined, and so is each of its powers, dst composed with
+    itself: its kernel is spanned by the unit vectors at the coordinates
+    where dst is -1, and the image of sigma^level by those that
+    dst^level reaches, one per coordinate where it is defined, which is
+    its rank.  sigma is nilpotent of index at most level + 1 when
+    dst^(level + 1) is nowhere defined.  V_level has (level + 1) * D
+    walk positions, D = dim v0, and both candidate shapes of
     `_sigma_candidates` make that image the kernel's coordinate set: a
     shift by +D (-D) kills the last (first) D positions and its
     level-th power lands on them, and a reflection (level 1, 2D
     positions) sends one half onto the other and kills that other half.
     So one span check serves both hypotheses, and a power of rank D
-    whose image is any other set is an error.
+    whose image is any other set is an error.  Only the accepted
+    candidate is built as the dense 0/1 matrix `SigmaStep.sigma`.
     """
-    q = v0.q
     D = v0.total_dim
     step = SigmaStep(level=level, word=word, sigma=None)
-    arrows = V_ell.total_action_matrices()
-    for S in _sigma_candidates(V_ell, D, form):
-        if ((S != 0) & (S != 1)).any() or (S.sum(axis=0) > 1).any() \
-                or (S.sum(axis=1) > 1).any():
+    for dst in _sigma_candidates(V_ell, D, form):
+        domain = [c for c, d in enumerate(dst) if d >= 0]
+        image = [dst[c] for c in domain]
+        if len(set(image)) != len(image):
             raise AssertionError(
                 "collapse map is not a partial permutation of coordinates")
-        if not _is_module_endo(V_ell, S, arrows):
+        if not _is_module_endo(V_ell, dst):
             continue
-        kernel = ~S.any(axis=0)
-        if kernel.sum() != D:
+        kernel = [d < 0 for d in dst]
+        if sum(kernel) != D:
             continue
-        step.sigma = S
+        total = len(dst)
+        step.sigma = np.zeros((total, total), dtype=np.int64)
+        step.sigma[image, domain] = 1
         step.kernel_dim = D
-        P = np.eye(V_ell.total_dim, dtype=np.int64)
+        power = list(range(total))
         for _ in range(level):
-            P = P @ S % q
-        image = P.any(axis=1)
-        step.power_rank = int(image.sum())
-        if step.power_rank == D and (image != kernel).any():
+            power = [dst[c] if c >= 0 else -1 for c in power]
+        reached = [False] * total
+        for c in power:
+            if c >= 0:
+                reached[c] = True
+        step.power_rank = sum(reached)
+        if step.power_rank == D and reached != kernel:
             raise AssertionError(
                 "image of the collapse map's power is not its kernel")
-        step.kernel_is_v0 = _spans_copy_of(V_ell, kernel, v0)
+        step.kernel_is_v0 = _spans_copy_of(V_ell, kernel, v0, v0_valid)
         step.image_power_is_v0 = step.power_rank == D and step.kernel_is_v0
-        step.nilpotent = not (P @ S % q).any()
+        step.nilpotent = all(c < 0 or dst[c] < 0 for c in power)
         break
     return step
 
@@ -320,7 +393,8 @@ def build_sequence(p: Presentation, w: StringWord, x,
     infinite chain, and verify each collapse map over F_q.
 
     x may be a ConnectingLetter or a bare Letter; a bare letter is
-    resolved against connecting_letters(p, w), direct form first.
+    resolved against connecting_letters(p, w), direct form first.  The
+    module of w is validated once, for every step's span check.
     """
     if isinstance(x, Letter):
         matches = [c for c in connecting_letters(p, w)
@@ -331,6 +405,7 @@ def build_sequence(p: Presentation, w: StringWord, x,
     else:
         connector = x
     v0 = string_module(p, w, q)
+    v0_valid = not v0.validate()
     words = [w, connector.word]
     if connector.form == "direct":
         second = _chain_word(p, w, connector.letter, 2)
@@ -351,7 +426,8 @@ def build_sequence(p: Presentation, w: StringWord, x,
     for level in range(1, len(words)):
         V_ell = string_module(p, words[level], q)
         report.steps.append(
-            _verify_sigma(v0, V_ell, level, connector.form, words[level]))
+            _verify_sigma(v0, V_ell, level, connector.form, words[level],
+                          v0_valid))
     return report
 
 

@@ -387,6 +387,52 @@ def test_tangent_fan_complements_the_coboundaries(q):
     assert checked == 86
 
 
+def _reference_walk(V, n, fan, budget):
+    """`lifts._lift_walk` with `_level_rhs` and a solve at every level,
+    level 1 included."""
+    layout, width = _arrow_layout(V, V)
+    C = np.zeros((1, n, width), dtype=np.int64)
+    for a, off, shape in layout:
+        C[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
+    counts, extended = [1], {}
+    if n == 1:
+        return C, counts, extended
+    pre = linalg.Presolved(ext_system(V, V))
+    reps = fan(V, pre.nullspace, budget)
+    for k in range(1, n):
+        X, ok = pre.solve_many(lifts._level_rhs(V, C, k))
+        extended[k + 1] = bool(ok.all())
+        C = np.repeat(C, np.where(ok, reps.shape[0], 0), axis=0)
+        level = C.reshape(int(ok.sum()), reps.shape[0], n, width)[:, :, k]
+        level[...] = (X.T[ok][:, None] + reps) % V.q
+        counts.append(C.shape[0])
+    return C, counts, extended
+
+
+@pytest.mark.parametrize("q, expected", [(2, 549), (3, 516)])
+def test_lift_walk_skips_only_the_zero_level_one_solve(q, expected):
+    """The walk, which takes X = 0 at level 1 without a solve, gives the
+    rows, counts and `extended` of solving level 1 too, obstructed
+    walks included."""
+    walks = obstructed = 0
+    for name, p in table1_catalog():
+        for w in enumerate_strings(p, 3):
+            V = string_module(p, w, q=q)
+            for n, fan in ((3, _tangent_line_reps),
+                           (2, lifts._every_cocycle)):
+                try:
+                    got = lifts._lift_walk(V, n, fan, DEFAULT_BUDGET)
+                except BudgetExceededError:
+                    continue
+                want = _reference_walk(V, n, fan, DEFAULT_BUDGET)
+                context = (name, w.display(), n)
+                assert np.array_equal(got[0], want[0]), context
+                assert got[1:] == want[1:], context
+                walks += 1
+                obstructed += not all(got[2].values())
+    assert walks == expected and obstructed > 0
+
+
 @pytest.mark.parametrize("q, max_len, levels, expected", [
     (2, 2, (2, 3), 160),
     (3, 2, (2,), 80),

@@ -3,8 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from gentledef.presentation import catalog_presentation, table1_catalog
+from gentledef.presentation import (
+    Presentation,
+    Quiver,
+    catalog_presentation,
+    table1_catalog,
+)
 from gentledef.strings import (
+    FinModule,
     HitsRelationError,
     Letter,
     NonComposableError,
@@ -192,3 +198,45 @@ def test_total_action_nilpotent_detects_loop(lam0):
     m = simple_module(lam0, "1")
     m.action["a"] = np.array([[1]], dtype=np.int64)
     assert any("nilpotent" in msg for msg in m.validate())
+
+
+def _loop_module(T, q):
+    """A module of one vertex and one loop, relation-free, acting by T."""
+    p = Presentation(Quiver(("1",), (("x", "1", "1"),)), ())
+    return FinModule(presentation=p, q=q, dims={"1": T.shape[0]},
+                     action={"x": T})
+
+
+def _nilpotent_by_n_products(T, q):
+    P = np.eye(T.shape[0], dtype=np.int64)
+    for _ in range(T.shape[0]):
+        P = P @ T % q
+    return not P.any()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_nilpotence_by_squaring_matches_n_products(q):
+    """`validate`'s repeated squaring flags exactly the matrices T with
+    T^N != 0, N being the total dimension."""
+    rng = np.random.default_rng(q)
+    cases = []
+    for n in (0, 1, 2, 3, 5):
+        jordan = np.eye(n, k=-1, dtype=np.int64)
+        cases += [jordan, (jordan + np.eye(n, dtype=np.int64)) % q,
+                  np.zeros((n, n), dtype=np.int64)]
+        cases += [rng.integers(0, q, (n, n)) for _ in range(40)]
+        # Strictly lower triangular, conjugated by a permutation: nilpotent.
+        for _ in range(20):
+            perm = np.eye(n, dtype=np.int64)[rng.permutation(n)]
+            L = np.tril(rng.integers(0, q, (n, n)), k=-1)
+            cases.append(perm @ L @ perm.T)
+    seen = {True: 0, False: 0}
+    for T in cases:
+        want = _nilpotent_by_n_products(T, q)
+        if len(T) > 1 and np.array_equal(T, np.eye(len(T), k=-1)):
+            # The Jordan block of index N: T^(N-1) != 0 = T^N.
+            assert np.linalg.matrix_power(T, len(T) - 1).any() and want
+        problems = _loop_module(T, q).validate()
+        assert (not any("nilpotent" in msg for msg in problems)) == want, T
+        seen[want] += 1
+    assert min(seen.values()) > 50, seen

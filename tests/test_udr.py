@@ -270,13 +270,23 @@ def _same_submodule(got, want):
         np.array_equal(got.action[a], want.action[a]) for a in want.action)
 
 
+def _dense_map(dst):
+    """The 0/1 matrix S of an index map: S[dst[c], c] = 1 where dst[c] >= 0."""
+    S = np.zeros((len(dst), len(dst)), dtype=np.int64)
+    for c, d in enumerate(dst):
+        if d >= 0:
+            S[d, c] = 1
+    return S
+
+
 def _reference_step(v0, V, level, form, word, seen):
-    """The collapse-map check with spans from the textbook nullspace and
-    rref."""
+    """The collapse-map check on dense matrices, with spans from the
+    textbook nullspace and rref."""
     q, D = v0.q, v0.total_dim
     step = SigmaStep(level=level, word=word, sigma=None)
-    arrows = V.total_action_matrices()
-    for S in udr._sigma_candidates(V, D, form):
+    for dst in udr._sigma_candidates(V, D, form):
+        S = _dense_map(dst)
+        assert not (S.sum(axis=1) > 1).any(), (word.display(), dst)
         ker = _nullspace(S, q)
         P = np.linalg.matrix_power(S, level) % q
         R, pivots = rref(P.T, q)
@@ -288,7 +298,7 @@ def _reference_step(v0, V, level, form, word, seen):
             got = udr._coordinate_submodule(V, keep)
             assert _same_submodule(got, want), (word.display(), level)
             seen["unstable coordinate set"] |= want is None
-        if not udr._is_module_endo(V, S, arrows) or ker.shape[0] != D:
+        if not _reference_is_endo(V, S)[0] or ker.shape[0] != D:
             seen["rejected candidate"] = True
             continue
         step.sigma = S
@@ -315,8 +325,10 @@ def _assert_same_step(got, want, context):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_sigma_steps_match_row_reduction_reference(q):
-    """Collapse maps read on walk coordinates give the SigmaStep fields
-    that row-reducing their kernel and image spans gives.
+    """Collapse maps read as index maps give the SigmaStep fields, the
+    dense sigma included, that dense matrices give when their kernel and
+    image spans are row-reduced and their module property is checked by
+    per-vertex blocks.
 
     Every chain step of the catalog passes its checks, so each step is
     also checked against a decoy: another word of the same length, whose
@@ -347,8 +359,9 @@ def test_sigma_steps_match_row_reduction_reference(q):
                         step, _reference_step(v0, *args, seen), context)
                     for decoy in decoys:
                         want = _reference_step(decoy, *args, seen)
-                        _assert_same_step(udr._verify_sigma(decoy, *args),
-                                          want, context + ("decoy",))
+                        got = udr._verify_sigma(decoy, *args,
+                                                not decoy.validate())
+                        _assert_same_step(got, want, context + ("decoy",))
                         seen["failed kernel or image"] |= (
                             want.sigma is not None and not (
                                 want.kernel_is_v0
@@ -377,19 +390,22 @@ def _reference_is_endo(V, S):
 
 
 def _random_partial_permutation(rng, total, groups):
-    """A random 0/1 partial permutation of range(total) that maps each
-    coordinate into its own group (groups is a list of index arrays)."""
-    S = np.zeros((total, total), dtype=np.int64)
+    """A random injective index map on range(total), -1 where it kills,
+    that maps each coordinate into its own group (groups is a list of
+    index arrays)."""
+    dst = np.full(total, -1, dtype=np.int64)
     for idx in groups:
         kept = idx[rng.random(len(idx)) < 0.7]
-        S[rng.permutation(idx)[:len(kept)], kept] = 1
-    return S
+        dst[kept] = rng.permutation(idx)[:len(kept)]
+    return dst.tolist()
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_module_endo_matches_block_reference(q):
-    """`udr._is_module_endo` agrees with per-vertex blocks and per-arrow
-    commutators on random partial permutations of chain modules."""
+    """`udr._is_module_endo` on index maps agrees with per-vertex blocks
+    and per-arrow commutators of their dense matrices, on the collapse-map
+    candidates, the identity and random partial permutations of chain
+    modules."""
     rng = np.random.default_rng(q)
     seen = dict.fromkeys(["endomorphism", "crosses vertices",
                           "commutes with some arrows only"], False)
@@ -403,17 +419,17 @@ def test_module_endo_matches_block_reference(q):
                 by_vertex = [np.arange(off[v], off[v] + V.dims[v])
                              for v in p.quiver.vertices]
                 candidates = udr._sigma_candidates(V, total // 2, c.form)
-                candidates += [np.eye(total, dtype=np.int64)]
+                candidates.append(list(range(total)))
                 for _ in range(3):
                     candidates.append(_random_partial_permutation(
                         rng, total, [np.arange(total)]))
                     candidates.append(_random_partial_permutation(
                         rng, total, by_vertex))
-                arrows = V.total_action_matrices()
-                for S in candidates:
-                    want, crosses, commutes = _reference_is_endo(V, S)
-                    assert udr._is_module_endo(V, S, arrows) == want, (
-                        w.display(), c.letter.display(), S)
+                for dst in candidates:
+                    want, crosses, commutes = _reference_is_endo(
+                        V, _dense_map(dst))
+                    assert udr._is_module_endo(V, dst) == want, (
+                        w.display(), c.letter.display(), dst)
                     seen["endomorphism"] |= want
                     seen["crosses vertices"] |= crosses
                     seen["commutes with some arrows only"] |= (
@@ -432,15 +448,15 @@ def test_one_span_check_per_accepted_collapse_map(monkeypatch):
     expected_searches = 0
     real_spans, real_basis = udr._spans_copy_of, homext.hom_basis
 
-    def counted_spans(V, keep, v0):
+    def counted_spans(V, keep, v0, v0_valid):
         nonlocal expected_searches
         spans.append(keep)
-        sub = udr._coordinate_submodule(V, keep)
+        sub = udr._coordinate_submodule(V, np.array(keep, dtype=bool))
         expected_searches += (
             sub is not None and sub.dims == v0.dims and sub.total_dim > 0
             and any((sub.action[a] != v0.action[a]).any()
                     for a in v0.action))
-        return real_spans(V, keep, v0)
+        return real_spans(V, keep, v0, v0_valid)
 
     def counted_basis(m, n):
         searches.append((m, n))
@@ -463,3 +479,57 @@ def test_one_span_check_per_accepted_collapse_map(monkeypatch):
                 accepted += steps
     assert len(searches) == expected_searches
     assert accepted > 100 and len(searches) < accepted // 10
+
+
+def test_one_v0_validation_per_chain_and_no_module_for_equal_spans(
+        monkeypatch):
+    """Over every tangent-1 catalog word of length at most 3 at q = 2, a
+    chain validates v0 once, and a span whose action equals v0's
+    entrywise is answered without building a `_coordinate_submodule`
+    module; a decoy v0 still reaches that fallback."""
+    q = 2
+    validations, built = [], []
+    real_validate = FinModule.validate
+    real_submodule = udr._coordinate_submodule
+
+    def counted_validate(self):
+        if self.provenance != "submodule":
+            validations.append(self)
+        return real_validate(self)
+
+    def counted_submodule(V, keep):
+        built.append((V, keep))
+        return real_submodule(V, keep)
+
+    monkeypatch.setattr(FinModule, "validate", counted_validate)
+    monkeypatch.setattr(udr, "_coordinate_submodule", counted_submodule)
+    chains = accepted = decoy_fallbacks = 0
+    for _, p in table1_catalog():
+        words = enumerate_strings(p, 3)
+        for w in words:
+            v0 = string_module(p, w, q)
+            if not end_is_trivial(v0) or ext1_dim(v0, v0) != 1:
+                continue
+            decoy = next(string_module(p, u, q) for u in words
+                         if len(u) == len(w) and u != w)
+            for c in connecting_letters(p, w):
+                validations.clear()
+                built.clear()
+                report = build_sequence(p, w, c, q=q)
+                assert len(validations) == 1, (w.display(), c.letter.display())
+                assert validations[0].provenance == w.display()
+                for V, keep in built:
+                    sub = real_submodule(V, keep)
+                    assert sub is None or sub.dims != v0.dims or any(
+                        (sub.action[a] != v0.action[a]).any()
+                        for a in v0.action), (w.display(), keep)
+                chains += 1
+                accepted += sum(s.sigma is not None for s in report.steps)
+                for step in report.steps:
+                    built.clear()
+                    V = string_module(p, step.word, q)
+                    udr._verify_sigma(decoy, V, step.level, c.form,
+                                      step.word, not real_validate(decoy))
+                    decoy_fallbacks += bool(built)
+    assert chains > 20 and accepted > 100
+    assert decoy_fallbacks > 0
