@@ -27,7 +27,6 @@ from .presentation import (
     catalog_presentation,
     parse_presentation,
     radical_series,
-    table1_catalog,
     validate_gentle,
 )
 from .strings import StringError, make_string, string_module

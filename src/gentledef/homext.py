@@ -39,8 +39,8 @@ the tangent space), and dim B^1 is the total vertex-map dimension less
 dim Hom, so the pair shares one Hom reduction: `hom_dim` keeps its last
 answer on the source module, in the one-entry memo `FinModule._hom`,
 and `coboundary_dim` (so `ext1_dim`) and `end_is_trivial` read it
-through `hom_dim`.  A hit needs the same presentation, q, `dims` and
-action matrices on both sides; nothing is kept across pairs.
+through `hom_dim`.  Modules are immutable, so a hit needs only the same
+partner object, held weakly; nothing is kept across pairs.
 The same systems carry the first-order deformation theory of a module V
 that `lifts` builds on: the cocycle equations of ext_system(V, V) are
 the equations of each new coefficient level of a lift, and `lifts`
@@ -52,7 +52,7 @@ which conjugation by 1 + t g moves a lift.
 
 from __future__ import annotations
 
-import operator
+import weakref
 
 import numpy as np
 
@@ -83,8 +83,8 @@ def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
     for v in p.quiver.vertices:
         sys.add_unknown(v, (n.dims[v], m.dims[v]))
     for a, s, t in p.quiver.arrows:
-        shape, entries = m.sparse_action(a)
-        sys.add_equation(n.sparse_action(a), s, t,
+        shape, entries = m.sparse_action[a]
+        sys.add_equation(n.sparse_action[a], s, t,
                          (shape, [(i, j, -v) for i, j, v in entries]))
     return sys
 
@@ -92,21 +92,15 @@ def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
 def hom_dim(m: FinModule, n: FinModule) -> int:
     """dim Hom(m, n), kept in m's one-entry memo `FinModule._hom`.
 
-    A hit needs an equal presentation and q, equal snapshots of both
-    `dims` and the same action matrix objects of both modules; the memo
-    holds those matrices, so none is freed and its address reused.
-    Anything else rebuilds and reduces hom_system(m, n).
+    Modules are immutable, so the memo is a weak reference to n and the
+    answer; it hits only on that same object, which `_common` accepted on
+    the miss that stored it, and keeps no partner alive.
     """
-    p, q = _common(m, n)
-    key = (p, q, tuple(m.dims.items()), tuple(n.dims.items()))
-    names = p.quiver.arrow_names
-    mats = (*map(m.action.__getitem__, names),
-            *map(n.action.__getitem__, names))
     seen = m._hom
-    if (seen is None or seen[0] != key
-            or any(map(operator.is_not, seen[1], mats))):
-        seen = m._hom = (key, mats, hom_system(m, n).nullspace_dim())
-    return seen[2]
+    if seen is None or seen[0]() is not n:
+        seen = (weakref.ref(n), hom_system(m, n).nullspace_dim())
+        object.__setattr__(m, "_hom", seen)
+    return seen[1]
 
 
 def hom_basis(m: FinModule, n: FinModule) -> list[dict[str, np.ndarray]]:
@@ -129,8 +123,8 @@ def ext_system(m: FinModule, n: FinModule) -> LinearSystem:
     for a, s, t in p.quiver.arrows:
         sys.add_unknown(a, (n.dims[t], m.dims[s]))
     for beta, alpha in p.relations:
-        sys.add_equation(n.sparse_action(beta), alpha, beta,
-                         m.sparse_action(alpha))
+        sys.add_equation(n.sparse_action[beta], alpha, beta,
+                         m.sparse_action[alpha])
     return sys
 
 

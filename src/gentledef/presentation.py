@@ -407,7 +407,7 @@ def catalog_presentation(name: str) -> Presentation:
     for entry_name, pres in table1_catalog():
         if entry_name == name:
             return pres
-    raise KeyError(f"no catalog entry named {name!r}")
+    raise ValueError(f"no catalog entry named {name!r}")
 
 
 LAMBDA0 = "qviii.1"

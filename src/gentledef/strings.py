@@ -10,7 +10,10 @@ smaller of the two words is the canonical representative.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -209,54 +212,56 @@ def enumerate_strings(p: Presentation, max_len: int) -> list[StringWord]:
     return sorted(found.values(), key=lambda w: (len(w), w.sort_key()))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FinModule:
-    """A finite-dimensional representation over F_q.
+    """A finite-dimensional representation over F_q, immutable once built.
 
     q must be prime.  dims maps each vertex to its fiber dimension;
-    action maps each arrow to a (dim target) x (dim source) matrix.  For
-    modules built from a walk, `walk` records the vertex of each basis
-    element z_i and `local` its index inside that vertex's fiber.
-
-    The action matrices are made read-only here, so their nonzeros,
-    which `sparse_action` reads once for every Hom/Ext system the module
-    enters, cannot go stale; a matrix replaced in `action` is read again
-    (and made read-only then).
-
-    `_hom` is `homext.hom_dim`'s one-entry memo with this module as the
-    source, so that the `ext1_dim` or `end_is_trivial` that follows a
-    `hom_dim` on the same pair reuses its Hom reduction.  It misses on
-    any other partner, presentation or q, on a replaced matrix and on a
-    `dims` entry edited in place.
+    action maps each arrow to a (dim target) x (dim source) matrix.  Both
+    are read-only mappings over copies of the dicts passed in, and the
+    matrices are made read-only, so every mutation raises and nothing
+    read from a module goes stale.  Equality is identity.  `word` is the
+    string of a module built by `string_module`, else None; `walk` is
+    then the vertex of each basis element z_i and `local` its index
+    inside that vertex's fiber.  `_hom` is `homext.hom_dim`'s one-entry
+    memo with this module as the source.
     """
 
     presentation: Presentation
     q: int
-    dims: dict[str, int]
-    action: dict[str, np.ndarray]
-    provenance: str = "raw"
-    walk: list[str] | None = None
-    local: list[int] | None = None
-    _sparse: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-    _hom: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
+    dims: Mapping[str, int]
+    action: Mapping[str, np.ndarray]
+    word: StringWord | None = None
+    _hom: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not is_prime(self.q):
             raise ValueError(f"q must be prime, got {self.q}")
         for mat in self.action.values():
             mat.flags.writeable = False
+        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
+        object.__setattr__(self, "action",
+                           MappingProxyType(dict(self.action)))
 
-    def sparse_action(self, arrow: str) -> tuple[tuple[int, int], list]:
-        """`linalg._nonzeros` of action[arrow], kept with the matrix it
-        was read from, so a replaced matrix is read afresh."""
-        mat = self.action[arrow]
-        seen = self._sparse.get(arrow)
-        if seen is None or seen[0] is not mat:
-            mat.flags.writeable = False
-            seen = self._sparse[arrow] = (mat, _nonzeros(mat))
-        return seen[1]
+    def __reduce__(self):
+        return FinModule, (self.presentation, self.q, dict(self.dims),
+                           dict(self.action), self.word)
+
+    @cached_property
+    def sparse_action(self) -> Mapping[str, tuple[tuple[int, int], list]]:
+        """`linalg._nonzeros` of each arrow's matrix, read once."""
+        return MappingProxyType({a: _nonzeros(mat)
+                                 for a, mat in self.action.items()})
+
+    @property
+    def walk(self) -> list[str] | None:
+        return None if self.word is None else _walk(self.presentation,
+                                                    self.word)[0]
+
+    @property
+    def local(self) -> list[int] | None:
+        return None if self.word is None else _walk(self.presentation,
+                                                    self.word)[1]
 
     @property
     def total_dim(self) -> int:
@@ -309,23 +314,30 @@ class FinModule:
         return problems
 
 
-def string_module(p: Presentation, w: StringWord, q: int = 2) -> FinModule:
-    """The module of a walk: basis z_0..z_n threaded along the letters.
-
-    A direct letter alpha at position i contributes alpha: z_{i-1} -> z_i,
-    an inverse letter the reverse.
-    """
+def _walk(p: Presentation, w: StringWord) -> tuple[list[str], list[int]]:
+    """The vertex of each z_i of M[w] and its index in that fiber."""
     if w.is_simple:
         walk = [w.basepoint]
     else:
         walk = [w.letters[0].source(p)]
         for letter in w.letters:
             walk.append(letter.target(p))
-    dims = {v: 0 for v in p.quiver.vertices}
+    seen = dict.fromkeys(p.quiver.vertices, 0)
     local = []
     for v in walk:
-        local.append(dims[v])
-        dims[v] += 1
+        local.append(seen[v])
+        seen[v] += 1
+    return walk, local
+
+
+def string_module(p: Presentation, w: StringWord, q: int = 2) -> FinModule:
+    """The module of a walk: basis z_0..z_n threaded along the letters.
+
+    A direct letter alpha at position i contributes alpha: z_{i-1} -> z_i,
+    an inverse letter the reverse.
+    """
+    walk, local = _walk(p, w)
+    dims = {v: walk.count(v) for v in p.quiver.vertices}
     action = {
         a: np.zeros((dims[p.target(a)], dims[p.source(a)]), dtype=np.int64)
         for a in p.quiver.arrow_names
@@ -335,8 +347,7 @@ def string_module(p: Presentation, w: StringWord, q: int = 2) -> FinModule:
             action[letter.arrow][local[i - 1], local[i]] = 1
         else:
             action[letter.arrow][local[i], local[i - 1]] = 1
-    return FinModule(presentation=p, q=q, dims=dims, action=action,
-                     provenance=w.display(), walk=walk, local=local)
+    return FinModule(presentation=p, q=q, dims=dims, action=action, word=w)
 
 
 def simple_module(p: Presentation, vertex: str, q: int = 2) -> FinModule:

@@ -104,7 +104,7 @@ def _sweep_one(name: str, p: Presentation, w, q: int, n_max: int,
     except BudgetExceededError:
         ext_brute = None
     try:
-        d = _classify(p, w, V, n_max, budget)
+        d = _classify(V, n_max, budget)
         # The descriptor's tangent dimension is ext1_dim(V, V).
         ring, ext_linear, agreement, error = (
             d.ring, d.tangent_dim, d.paper_agreement, None)

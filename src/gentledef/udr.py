@@ -5,7 +5,8 @@ tangent dimension 0 gives the base field; tangent dimension 1 triggers
 a search for connecting letters x, with the infinite chain (beta x)^n
 beta certifying power series and a finite chain plus the collapse-map
 hypotheses certifying a truncation; anything else stays undetermined
-and is reported with its lift census.
+and is reported with its lift census.  `_classify` and `build_sequence`
+take V itself and read the presentation, q and beta from it.
 
 Each collapse map sigma_ell of the chain is a partial permutation of
 walk coordinates, and every check reads it as an index map: dst[c] is
@@ -28,7 +29,6 @@ import numpy as np
 from . import claims
 from .homext import (
     DEFAULT_BUDGET,
-    cocycle_dim,
     end_is_trivial,
     ext1_dim,
     hom_dim,
@@ -193,19 +193,13 @@ def _chain_word(p: Presentation, w: StringWord, x: Letter,
     return _try_word(p, (w.letters + (x,)) * n + w.letters)
 
 
-def _coords(V: FinModule) -> list[int]:
-    """Total-space coordinate of each walk position z_i."""
-    off = V.vertex_offsets()
-    return [off[v] + l for v, l in zip(V.walk, V.local)]
-
-
 def _total_entries(V: FinModule, a: str) -> list[tuple[int, int, int]]:
     """The nonzero entries of arrow a's action in total-space coordinates,
     as (row, column, residue mod q), read from `sparse_action`."""
     p, q = V.presentation, V.q
     off = V.vertex_offsets()
     t, s = off[p.target(a)], off[p.source(a)]
-    return [(t + i, s + j, x % q) for i, j, x in V.sparse_action(a)[1]
+    return [(t + i, s + j, x % q) for i, j, x in V.sparse_action[a][1]
             if x % q]
 
 
@@ -259,8 +253,7 @@ def _coordinate_submodule(V: FinModule,
             return None
         action[a] = cols[local[t]]
     dims = {v: int(local[v].sum()) for v in p.quiver.vertices}
-    sub = FinModule(presentation=p, q=V.q, dims=dims, action=action,
-                    provenance="submodule")
+    sub = FinModule(presentation=p, q=V.q, dims=dims, action=action)
     return sub if not sub.validate() else None
 
 
@@ -294,7 +287,7 @@ def _spans_copy_of(V: FinModule, keep: list[bool], v0: FinModule,
                     return False
                 entries[index[r], index[c]] = x
         if same:
-            shape, nonzeros = v0.sparse_action(a)
+            shape, nonzeros = v0.sparse_action[a]
             same = (shape == (dims[p.target(a)], dims[p.source(a)])
                     and entries == {(i, j): x % q for i, j, x in nonzeros
                                     if x % q})
@@ -312,8 +305,8 @@ def _sigma_candidates(V_ell: FinModule, D: int, form: str) -> list[list[int]]:
     a reflected one the reflections i -> total - 1 - i of its first D
     positions and of the others, the rest being killed.
     """
-    total = V_ell.total_dim
-    coords = _coords(V_ell)
+    total, off = V_ell.total_dim, V_ell.vertex_offsets()
+    coords = [off[v] + l for v, l in zip(V_ell.walk, V_ell.local)]
     maps = []
     if form == "direct":
         for shift in (D, -D):
@@ -387,15 +380,17 @@ def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
     return step
 
 
-def build_sequence(p: Presentation, w: StringWord, x,
-                   q: int = 2) -> SequenceReport:
-    """Grow the chain from w along x, up to n = CHAIN_LENGTH for an
-    infinite chain, and verify each collapse map over F_q.
+def build_sequence(V: FinModule, x) -> SequenceReport:
+    """Grow the chain from the string module V = M[w] along x, up to
+    n = CHAIN_LENGTH for an infinite chain, and verify each collapse map.
 
     x may be a ConnectingLetter or a bare Letter; a bare letter is
-    resolved against connecting_letters(p, w), direct form first.  The
-    module of w is validated once, for every step's span check.
+    resolved against connecting_letters(p, w), direct form first.  V is
+    validated once, for every step's span check, and never rebuilt.
     """
+    p, q, w = V.presentation, V.q, V.word
+    if w is None:
+        raise ValueError("build_sequence needs a string module")
     if isinstance(x, Letter):
         matches = [c for c in connecting_letters(p, w)
                    if c.letter == x or c.letter == x.flip()]
@@ -404,8 +399,7 @@ def build_sequence(p: Presentation, w: StringWord, x,
         connector = sorted(matches, key=lambda c: c.form != "direct")[0]
     else:
         connector = x
-    v0 = string_module(p, w, q)
-    v0_valid = not v0.validate()
+    v0_valid = not V.validate()
     words = [w, connector.word]
     if connector.form == "direct":
         second = _chain_word(p, w, connector.letter, 2)
@@ -426,7 +420,7 @@ def build_sequence(p: Presentation, w: StringWord, x,
     for level in range(1, len(words)):
         V_ell = string_module(p, words[level], q)
         report.steps.append(
-            _verify_sigma(v0, V_ell, level, connector.form, words[level],
+            _verify_sigma(V, V_ell, level, connector.form, words[level],
                           v0_valid))
     return report
 
@@ -446,17 +440,14 @@ def universal_deformation_ring(p: Presentation, w: StringWord, q: int = 2,
     if not end_is_trivial(V):
         raise ValueError(
             "universal deformation ring not guaranteed for End(V) != k")
-    return _classify(p, w, V, n_max, budget)
+    return _classify(V, n_max, budget)
 
 
-def _classify(p: Presentation, w: StringWord, V: FinModule, n_max: int,
-              budget: int) -> UDRDescriptor:
-    """`universal_deformation_ring` for V = M[w], already built and
-    known to have End(V) = k."""
-    q = V.q
-    # dim Ext^1(V, V) = dim Z^1 - dim B^1, and dim B^1 is
-    # sum_v dims[v]^2 - dim End(V), which is the sum less 1 since End(V) = k.
-    tangent = cocycle_dim(V, V) - (sum(d * d for d in V.dims.values()) - 1)
+def _classify(V: FinModule, n_max: int, budget: int) -> UDRDescriptor:
+    """`universal_deformation_ring` for a string module V known to have
+    End(V) = k, so ext1_dim(V, V) reuses that test's Hom reduction."""
+    p, w = V.presentation, V.word
+    tangent = ext1_dim(V, V)
     connectors = connecting_letters(p, w)
     evidence: dict = {
         "tangent_dim": tangent,
@@ -466,7 +457,7 @@ def _classify(p: Presentation, w: StringWord, V: FinModule, n_max: int,
     if tangent == 0:
         ring = "k"
     elif tangent == 1:
-        reports = [build_sequence(p, w, c, q=q) for c in connectors]
+        reports = [build_sequence(V, c) for c in connectors]
         evidence["sequences"] = [r.as_dict() for r in reports]
         infinite = [r for r in reports if r.kind == "Infinite" and r.ok]
         finite = [r for r in reports if r.kind == "Finite" and r.ok]
@@ -475,7 +466,7 @@ def _classify(p: Presentation, w: StringWord, V: FinModule, n_max: int,
             evidence["chosen"] = infinite[0].connector.as_dict()
         else:
             for r in finite:
-                v_last = string_module(p, r.words[-1], q)
+                v_last = string_module(p, r.words[-1], V.q)
                 hyp = {"hom_dim": hom_dim(v_last, V),
                        "ext1_dim": ext1_dim(v_last, V)}
                 evidence.setdefault("hypotheses", {})[

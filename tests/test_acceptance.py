@@ -193,7 +193,7 @@ def test_criterion_4_collapse_map_machinery(capsys):
     problems = []
     for vertex, letter in (("1", "a"), ("2", "b")):
         w = make_string(p, f"simple {vertex}")
-        rep = build_sequence(p, w, Letter(letter))
+        rep = build_sequence(string_module(p, w), Letter(letter))
         if rep.kind != "Finite" or rep.n_value != 1:
             problems.append(f"simple {vertex}: {rep.kind}(N={rep.n_value})")
             continue
@@ -208,7 +208,8 @@ def test_criterion_4_collapse_map_machinery(capsys):
         problems.append(
             f"hom {hom_dim(ma, s1)}, ext {ext1_dim(ma, s1)} for the "
             f"chain over simple 1")
-    rep = build_sequence(p, make_string(p, "b*c*a"), Letter("d"))
+    rep = build_sequence(string_module(p, make_string(p, "b*c*a")),
+                         Letter("d"))
     if rep.kind != "Infinite" or len(rep.steps) != 4:
         problems.append(f"b*c*a: kind {rep.kind}, {len(rep.steps)} levels")
     else:

@@ -187,3 +187,10 @@ def test_sweep_only_quotes_an_empty_name(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "unknown catalog algebras: ''" in err
+
+
+def test_unknown_catalog_name_exits_with_usage_code(capsys):
+    code = main(["udr", "--catalog", "nope", "a"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: no catalog entry named 'nope'" in err

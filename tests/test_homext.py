@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -146,7 +147,7 @@ def _all_pairs_agree(p, max_len, q=2):
     mods = [string_module(p, w, q=q) for w in enumerate_strings(p, max_len)]
     for m, n in itertools.product(mods, repeat=2):
         assert ext1_dim(m, n) == brute_force_ext(m, n), (
-            m.provenance, n.provenance)
+            m.word, n.word)
 
 
 def test_engines_agree_lambda0(lam0):
@@ -233,7 +234,7 @@ def test_oracle_matches_per_tuple_reference(q, max_width):
             if sum(r * c for r, c in shapes) > max_width:
                 continue
             assert brute_force_ext(m, n) == _reference_ext(m, n), (
-                name, m.provenance, n.provenance)
+                name, m.word, n.word)
             seen["m != n"] |= m is not n
             seen["loop relation"] |= any(b == a for b, a in p.relations)
             seen["0 x k block"] |= any(r == 0 < c for r, c in shapes)
@@ -321,7 +322,7 @@ def test_oracle_matches_linear_engine_with_wide_fields(q, bits, max_total):
             if width + gwidth > max_total:
                 continue
             got = brute_force_ext(m, n)
-            assert got == ext1_dim(m, n), (m.provenance, n.provenance)
+            assert got == ext1_dim(m, n), (m.word, n.word)
             values.add(got)
     assert {0, 1} <= values, values
 
@@ -351,17 +352,20 @@ def test_oracle_shares_no_code_with_linear_engine():
     assert not names & forbidden, names & forbidden
 
 
-def test_hom_dim_reads_a_replaced_action_matrix(lam0):
+def _with(m, q=None, **action):
+    """A module built directly from m's dims and action, with the given
+    arrows' matrices in place of m's and, if given, another q."""
+    return FinModule(presentation=m.presentation, q=q or m.q, dims=m.dims,
+                     action={**m.action, **action})
+
+
+def test_hom_dim_reads_each_modules_own_action(lam0):
     m = _mod(lam0, "c")
-    assert hom_dim(m, m) == 1
-    m.action["c"] = np.zeros_like(m.action["c"])
-    # now the direct sum of the two simples
-    assert hom_dim(m, m) == 2
-    with pytest.raises(ValueError):
-        m.action["c"][0, 0] = 1
+    # With c acting by zero, the direct sum of the two simples.
+    split = _with(m, c=np.zeros((1, 1), dtype=np.int64))
+    for _ in range(2):
+        assert hom_dim(m, m) == 1 and hom_dim(split, split) == 2
     built = _mod(lam0, "b*c*a")
-    with pytest.raises(ValueError):
-        built.action["a"][0, 0] = 1
     assert hom_dim(built, built) == 1
 
 
@@ -417,16 +421,16 @@ def test_hom_memo_keeps_the_two_orders_of_a_pair_apart(lam0):
         assert ext1_dim(m, n) == want[1] and ext1_dim(n, m) == back[1]
 
 
-def test_hom_memo_misses_a_matrix_replaced_on_either_side(lam0):
+def test_hom_memo_misses_a_partner_with_other_matrices_on_either_side(lam0):
     # Zeroing c turns M[c] into S1 + S2, which changes each Hom below.
-    m, s2 = _mod(lam0, "c"), simple_module(lam0, "2")
-    s1, n = simple_module(lam0, "1"), _mod(lam0, "c")
-    assert hom_dim(m, s2) == 0 and hom_dim(s1, n) == 0
-    m.action["c"] = np.zeros_like(m.action["c"])
-    n.action["c"] = np.zeros_like(n.action["c"])
-    assert hom_dim(m, s2) == 1 and hom_dim(s1, n) == 1
-    assert ext1_dim(m, s2) == _memo_free(m, s2)[1]
-    assert ext1_dim(s1, n) == _memo_free(s1, n)[1]
+    m, s1, s2 = _mod(lam0, "c"), simple_module(lam0, "1"), \
+        simple_module(lam0, "2")
+    split = _with(m, c=np.zeros((1, 1), dtype=np.int64))
+    for _ in range(2):
+        assert hom_dim(m, s2) == 0 and hom_dim(s1, m) == 0
+        assert hom_dim(split, s2) == 1 and hom_dim(s1, split) == 1
+        assert ext1_dim(split, s2) == _memo_free(split, s2)[1]
+        assert ext1_dim(s1, split) == _memo_free(s1, split)[1]
 
 
 def test_hom_memo_keeps_the_fields_apart(lam0):
@@ -436,30 +440,46 @@ def test_hom_memo_keeps_the_fields_apart(lam0):
             assert (hom_dim(m, m), ext1_dim(m, m)) == _memo_free(m, m)
     # The entry 2 vanishes over F_2 only: on the same matrices and dims,
     # S1 + S2 at q = 2 and the uniserial M[c] at q = 3.
-    m2 = _mod(lam0, "c")
-    m2.action["c"] = np.array([[2]])
-    m3 = FinModule(presentation=lam0, q=3, dims=m2.dims, action=m2.action)
-    assert hom_dim(m2, m2) == 2 and hom_dim(m3, m3) == 1
-    m2.q = 3
-    assert hom_dim(m2, m2) == 1 == _memo_free(m2, m2)[0]
-    assert ext1_dim(m2, m2) == _memo_free(m2, m2)[1]
-    m2.q = 2
-    assert hom_dim(m2, m2) == 2 and end_is_trivial(m3)
+    m2 = _with(_mod(lam0, "c"), c=np.array([[2]]))
+    m3 = _with(m2, q=3)
+    assert m3.action["c"] is m2.action["c"]
+    for _ in range(2):
+        assert hom_dim(m2, m2) == 2 and hom_dim(m3, m3) == 1
+        assert ext1_dim(m2, m2) == _memo_free(m2, m2)[1]
+        assert ext1_dim(m3, m3) == _memo_free(m3, m3)[1]
+    assert not end_is_trivial(m2) and end_is_trivial(m3)
 
 
-def test_hom_memo_snapshots_dims_edited_in_place(lam0):
+def test_hom_memo_survives_a_partner_whose_dims_do_not_fit(lam0):
     m, n = simple_module(lam0, "1"), _mod(lam0, "c")
     want = _memo_free(m, n)
     assert hom_dim(m, n) == want[0]
-    for module, v in ((n, "1"), (m, "2")):
-        # The matrices stay, so they no longer fit the edited dims.
-        module.dims[v] += 1
+    # Each pair has one side with a dims entry one too big for its
+    # matrices.
+    unfit = ((m, FinModule(presentation=lam0, q=2,
+                           dims={**n.dims, "1": 2}, action=n.action)),
+             (FinModule(presentation=lam0, q=2, dims={**m.dims, "2": 1},
+                        action=m.action), n))
+    for left, right in unfit:
         with pytest.raises(ValueError, match="shape mismatch"):
-            hom_dim(m, n)
+            hom_dim(left, right)
         with pytest.raises(ValueError, match="shape mismatch"):
-            ext1_dim(m, n)
-        module.dims[v] -= 1
+            ext1_dim(left, right)
         assert (hom_dim(m, n), ext1_dim(m, n)) == want
+
+
+def test_hom_memo_hits_only_its_own_partner_and_keeps_it_weakly(
+        lam0, monkeypatch):
+    m, n, twin = _mod(lam0, "c*a"), _mod(lam0, "c"), _mod(lam0, "c")
+    builds = _counting(monkeypatch, "hom_system")
+    assert hom_dim(m, n) == hom_dim(m, n) == hom_dim(m, twin)
+    assert hom_dim(m, twin) == _memo_free(m, n)[0]
+    assert builds == [(m, n), (m, twin)]
+    ref = m._hom[0]
+    assert ref() is twin
+    del twin, builds[:]
+    gc.collect()
+    assert ref() is None
 
 
 def test_hom_memo_still_rejects_mismatched_pairs(lam0):
@@ -498,7 +518,7 @@ def test_hom_memo_agrees_with_fresh_systems_in_any_order(monkeypatch):
         ops[i:i + 8] = window
     builds = _counting(monkeypatch, "hom_system")
     for f, m, n, want in ops:
-        assert f(m, n) == want, (f.__name__, m.provenance, n.provenance)
+        assert f(m, n) == want, (f.__name__, m.word, n.word)
     assert pairs <= len(builds) < 2 * pairs
     assert pairs > 1000
 
@@ -567,9 +587,9 @@ def test_hom_and_ext_systems_match_kron_reference():
             for m, n in itertools.product(mods, repeat=2):
                 hom, ext = hom_system(m, n).matrix(), ext_system(m, n).matrix()
                 assert np.array_equal(hom, _kron_hom_matrix(m, n)), \
-                    (m.provenance, n.provenance)
+                    (m.word, n.word)
                 assert np.array_equal(ext, _kron_ext_matrix(m, n)), \
-                    (m.provenance, n.provenance)
+                    (m.word, n.word)
                 pairs += 1
     assert pairs > 1000
 
@@ -597,8 +617,8 @@ def test_hom_and_ext_dimensions_never_go_dense(monkeypatch):
     monkeypatch.setattr(linalg.LinearSystem, "matrix", dense)
     monkeypatch.setattr(np, "eye", dense)
     for m, n, hom, ext in cases:
-        assert hom_dim(m, n) == hom, (m.provenance, n.provenance)
-        assert ext1_dim(m, n) == ext, (m.provenance, n.provenance)
+        assert hom_dim(m, n) == hom, (m.word, n.word)
+        assert ext1_dim(m, n) == ext, (m.word, n.word)
     assert len(cases) > 1000
 
 

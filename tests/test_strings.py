@@ -1,4 +1,6 @@
 import itertools
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -195,9 +197,55 @@ def test_revinv_module_same_dims(lam0):
 
 
 def test_total_action_nilpotent_detects_loop(lam0):
-    m = simple_module(lam0, "1")
-    m.action["a"] = np.array([[1]], dtype=np.int64)
+    s1 = simple_module(lam0, "1")
+    m = FinModule(presentation=lam0, q=2, dims=s1.dims,
+                  action={**s1.action, "a": np.array([[1]])})
     assert any("nilpotent" in msg for msg in m.validate())
+
+
+def test_every_mutation_of_a_module_raises(lam0):
+    m = string_module(lam0, make_string(lam0, "b*c*a"))
+    for name in ("presentation", "q", "dims", "action", "word"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(m, name, getattr(m, name))
+    with pytest.raises(FrozenInstanceError):
+        m.q = 3
+    with pytest.raises(TypeError):
+        m.dims["1"] = 3
+    with pytest.raises(TypeError):
+        del m.dims["2"]
+    with pytest.raises(TypeError):
+        m.action["a"] = np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(ValueError):
+        m.action["a"][0, 0] = 1
+    with pytest.raises(TypeError):
+        m.sparse_action["a"] = ((2, 2), [])
+    assert m.dims == {"1": 2, "2": 2} and m.action["a"][0, 0] == 0
+
+
+def test_editing_the_constructor_dicts_leaves_the_module_alone(lam0):
+    s1 = simple_module(lam0, "1")
+    dims, action = dict(s1.dims), dict(s1.action)
+    m = FinModule(presentation=lam0, q=2, dims=dims, action=action)
+    want = dict(m.action)
+    dims["2"] = 1
+    action["c"] = np.ones((1, 1), dtype=np.int64)
+    del action["a"]
+    assert m.dims == {"1": 1, "2": 0}
+    assert m.action.keys() == want.keys()
+    assert all(m.action[a] is want[a] for a in want)
+    assert m.word is None and m.walk is None and m.local is None
+
+
+def test_modules_compare_by_identity(lam0):
+    for text in ("c", "b*c*a"):
+        w = make_string(lam0, text)
+        m, n = string_module(lam0, w), string_module(lam0, w)
+        assert m == m and m != n and len({m, n}) == 2
+        back = pickle.loads(pickle.dumps(m))
+        assert back.word == w and back.dims == m.dims and back != m
+        assert all(np.array_equal(back.action[a], m.action[a])
+                   for a in m.action)
 
 
 def _loop_module(T, q):

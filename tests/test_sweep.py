@@ -84,7 +84,7 @@ def test_a_row_reduces_the_hom_system_of_its_module_once(monkeypatch):
         row = _sweep_one(LAMBDA0, p, make_string(p, text), 2, 3,
                          DEFAULT_BUDGET, report)
         assert row is not None and row.census
-        assert [m.provenance for m, n in reduced if m is n] == [text]
+        assert [m.word.display() for m, n in reduced if m is n] == [text]
 
 
 def test_rows_only_list_trivial_end_modules():

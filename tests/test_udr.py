@@ -69,7 +69,7 @@ def test_single_letter_word_has_two_reflected_connectors(lam0):
 
 def test_sequence_simple_is_finite_with_square_zero_map(lam0):
     w = make_string(lam0, "simple 1")
-    report = build_sequence(lam0, w, Letter("a"))
+    report = build_sequence(string_module(lam0, w), Letter("a"))
     assert report.kind == "Finite"
     assert report.n_value == 1
     assert [x.display() for x in report.words] == ["simple 1", "a"]
@@ -82,7 +82,7 @@ def test_sequence_simple_is_finite_with_square_zero_map(lam0):
 
 def test_sequence_long_word_is_infinite_with_verified_collapses(lam0):
     w = make_string(lam0, "b*c*a")
-    report = build_sequence(lam0, w, Letter("d"))
+    report = build_sequence(string_module(lam0, w), Letter("d"))
     assert report.kind == "Infinite"
     assert report.n_value is None
     assert [len(x) for x in report.words] == [3, 7, 11, 15, 19]
@@ -98,16 +98,36 @@ def test_sequence_long_word_is_infinite_with_verified_collapses(lam0):
 
 def test_sequence_reflected_collapse(lam0):
     w = make_string(lam0, "c*a")
-    report = build_sequence(lam0, w, Letter("b"))
+    report = build_sequence(string_module(lam0, w), Letter("b"))
     assert report.kind == "Finite"
     assert report.steps[0].ok
     assert report.steps[0].kernel_dim == 3
 
 
+def test_build_sequence_builds_only_the_chain_modules(lam0, monkeypatch):
+    built = []
+    real = udr.string_module
+
+    def counted(p, w, q=2):
+        built.append(w)
+        return real(p, w, q)
+
+    monkeypatch.setattr(udr, "string_module", counted)
+    for text, letter in (("simple 1", "a"), ("c*a", "b"), ("b*c*a", "d")):
+        w = make_string(lam0, text)
+        built.clear()
+        report = build_sequence(string_module(lam0, w), Letter(letter))
+        assert w not in built and built == report.words[1:]
+    s1 = real(lam0, make_string(lam0, "simple 1"))
+    raw = FinModule(presentation=lam0, q=2, dims=s1.dims, action=s1.action)
+    with pytest.raises(ValueError, match="string module"):
+        build_sequence(raw, Letter("a"))
+
+
 def test_sequence_rejects_non_connector(lam0):
     w = make_string(lam0, "simple 1")
     with pytest.raises(ValueError):
-        build_sequence(lam0, w, Letter("c"))
+        build_sequence(string_module(lam0, w), Letter("c"))
 
 
 def test_udr_simple_modules_are_dual_numbers(lam0):
@@ -136,7 +156,7 @@ def test_each_hypothesis_pair_reduces_one_hom_system(lam0, monkeypatch):
     hyps = d.evidence["hypotheses"]
     pairs = [(m, n) for m, n in reduced if m is not n]
     assert len(pairs) == len(hyps) >= 1
-    assert all(n.provenance == "c*a" for _, n in pairs)
+    assert all(n.word.display() == "c*a" for _, n in pairs)
     assert len({id(m) for m, _ in pairs}) == len(pairs)
 
 
@@ -258,8 +278,7 @@ def _reference_submodule(V, cols):
         if not ok.all():
             return None
         action[a] = X
-    sub = FinModule(presentation=p, q=q, dims=dims, action=action,
-                    provenance="submodule")
+    sub = FinModule(presentation=p, q=q, dims=dims, action=action)
     return sub if not sub.validate() else None
 
 
@@ -347,7 +366,7 @@ def test_sigma_steps_match_row_reduction_reference(q):
             decoys = [string_module(p, u, q) for u in words
                       if len(u) == len(w) and u != w][:1]
             for c in connecting_letters(p, w):
-                report = build_sequence(p, w, c, q=q)
+                report = build_sequence(v0, c)
                 seen["reflected"] |= c.form == "reflected"
                 seen["Infinite"] |= report.kind == "Infinite"
                 for step in report.steps:
@@ -472,7 +491,7 @@ def test_one_span_check_per_accepted_collapse_map(monkeypatch):
                 continue
             for c in connecting_letters(p, w):
                 before = len(spans)
-                report = build_sequence(p, w, c, q=q)
+                report = build_sequence(v0, c)
                 steps = sum(step.sigma is not None for step in report.steps)
                 assert len(spans) - before == steps, (w.display(),
                                                       c.letter.display())
@@ -493,7 +512,7 @@ def test_one_v0_validation_per_chain_and_no_module_for_equal_spans(
     real_submodule = udr._coordinate_submodule
 
     def counted_validate(self):
-        if self.provenance != "submodule":
+        if self.word is not None:
             validations.append(self)
         return real_validate(self)
 
@@ -515,9 +534,9 @@ def test_one_v0_validation_per_chain_and_no_module_for_equal_spans(
             for c in connecting_letters(p, w):
                 validations.clear()
                 built.clear()
-                report = build_sequence(p, w, c, q=q)
+                report = build_sequence(v0, c)
                 assert len(validations) == 1, (w.display(), c.letter.display())
-                assert validations[0].provenance == w.display()
+                assert validations[0] is v0
                 for V, keep in built:
                     sub = real_submodule(V, keep)
                     assert sub is None or sub.dims != v0.dims or any(
