@@ -10,9 +10,11 @@ smaller of the two words is the canonical representative.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -179,37 +181,29 @@ def enumerate_strings(p: Presentation, max_len: int) -> list[StringWord]:
     """All valid words of length <= max_len, one per isomorphism class.
 
     Deterministic: sorted by (length, simples first, letter keys).
-    Includes the empty word at every vertex.
+    Includes the empty word at every vertex.  Letter tuples grow one
+    letter at a time, each carrying its `sort_key` tuple and that of its
+    reverse-inverse, so the canonical orientation is chosen by comparing
+    two tuples and a `StringWord` is built only for it, once per class.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    found = {}
-    for v in p.quiver.vertices:
-        w = StringWord((), basepoint=v)
-        found[w.sort_key()] = w
-
-    frontier: list[tuple[Letter, ...]] = []
-    all_letters = [Letter(a) for a in p.quiver.arrow_names] + \
-                  [Letter(a, inverse=True) for a in p.quiver.arrow_names]
-    if max_len >= 1:
-        frontier = [(l,) for l in all_letters]
-        for letters in frontier:
-            w = StringWord(letters).canonical()
-            found[w.sort_key()] = w
-    follow = {a: [b for b in all_letters if _composes(p, a, b)]
-              for a in all_letters}
-    length = 1
-    while length < max_len and frontier:
-        new = []
-        for letters in frontier:
-            for nxt in follow[letters[-1]]:
-                ext = letters + (nxt,)
-                new.append(ext)
-                w = StringWord(ext).canonical()
-                found[w.sort_key()] = w
-        frontier = new
-        length += 1
-    return sorted(found.values(), key=lambda w: (len(w), w.sort_key()))
+    out = sorted((StringWord((), basepoint=v) for v in p.quiver.vertices),
+                 key=StringWord.sort_key)
+    letters = [Letter(a, inv) for inv in (False, True)
+               for a in p.quiver.arrow_names]
+    follow = {a: [b for b in letters if _composes(p, a, b)] for a in letters}
+    key = {a: a.sort_key() for a in letters}
+    back = {a: a.flip().sort_key() for a in letters}
+    frontier = [((a,), (key[a],), (back[a],)) for a in letters]
+    for length in range(1, max_len + 1):
+        if length > 1:
+            frontier = [(t + (b,), k + (key[b],), (back[b],) + r)
+                        for t, k, r in frontier for b in follow[t[-1]]]
+        out += [StringWord(t) for k, t in
+                sorted(((k, t) for t, k, r in frontier if k < r),
+                       key=itemgetter(0))]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +217,9 @@ class FinModule:
     read from a module goes stale.  Equality is identity.  `word` is the
     string of a module built by `string_module`, else None; `walk` is
     then the vertex of each basis element z_i and `local` its index
-    inside that vertex's fiber.  `_hom` is `homext.hom_dim`'s one-entry
-    memo with this module as the source.
+    inside that vertex's fiber, both tuples computed once per module.
+    `_hom` is `homext.hom_dim`'s one-entry memo with this module as the
+    source.
     """
 
     presentation: Presentation
@@ -253,15 +248,21 @@ class FinModule:
         return MappingProxyType({a: _nonzeros(mat)
                                  for a, mat in self.action.items()})
 
-    @property
-    def walk(self) -> list[str] | None:
-        return None if self.word is None else _walk(self.presentation,
-                                                    self.word)[0]
+    @cached_property
+    def _coordinates(self) -> tuple:
+        """`_walk` of the word as a pair of tuples, read once."""
+        if self.word is None:
+            return None, None
+        walk, local = _walk(self.presentation, self.word)
+        return tuple(walk), tuple(local)
 
     @property
-    def local(self) -> list[int] | None:
-        return None if self.word is None else _walk(self.presentation,
-                                                    self.word)[1]
+    def walk(self) -> tuple[str, ...] | None:
+        return self._coordinates[0]
+
+    @property
+    def local(self) -> tuple[int, ...] | None:
+        return self._coordinates[1]
 
     @property
     def total_dim(self) -> int:
@@ -352,3 +353,64 @@ def string_module(p: Presentation, w: StringWord, q: int = 2) -> FinModule:
 
 def simple_module(p: Presentation, vertex: str, q: int = 2) -> FinModule:
     return string_module(p, StringWord((), basepoint=str(vertex)), q=q)
+
+
+def _segments(p: Presentation, w: StringWord):
+    """Every image or factor substring of w: (image, factor, key) for
+    each segment [a, b] of the walk z_0..z_n that is either, shortest
+    first.
+
+    The segment spans z_a..z_b and letters a+1..b.  It is an image
+    substring (its span is a submodule of M[w]) when letter a, if any,
+    is direct and letter b+1, if any, is inverse, and a factor substring
+    (its span is a quotient) in the opposite case; only [0, n] is both.
+    key is (vertex,) for a trivial segment and, for a non-trivial one,
+    the smaller of the codes of the substring and of its reverse-inverse,
+    one character per letter, so two substrings match, as equal or
+    mutually reverse-inverse strings, exactly when their keys are equal.
+    """
+    walk, n = _walk(p, w)[0], len(w)
+    arrows = p.quiver.arrow_names
+    inverse = [l.inverse for l in w.letters]
+    # Letter k of arrow i is 2i + inverse, so flipping it is k ^ 1.
+    code = [2 * arrows.index(l.arrow) + l.inverse for l in w.letters]
+    fwd = "".join(map(chr, code))
+    back = "".join(chr(k ^ 1) for k in reversed(code))
+    for length in range(n + 1):
+        for a in range(n + 1 - length):
+            b = a + length
+            left = None if a == 0 else inverse[a - 1]
+            right = None if b == n else inverse[b]
+            image = left is not True and right is not False
+            factor = left is not False and right is not True
+            if image or factor:
+                key = (walk[a],) if a == b else min(fwd[a:b],
+                                                    back[n - b:n - a])
+                yield image, factor, key
+
+
+def word_hom_dim(p: Presentation, v: StringWord, w: StringWord) -> int:
+    """dim Hom(M[v], M[w]) over any field, read off the two words.
+
+    One basis map per pair of a factor substring of v and an image
+    substring of w that match (Crawley-Boevey, J. Algebra 126, 1989;
+    Krause, J. Algebra 137, 1991).  No module is built and no linear
+    system solved, so this is a derivation independent of `homext`.
+    """
+    images = Counter(key for image, _, key in _segments(p, w) if image)
+    return sum(images[key] for _, factor, key in _segments(p, v) if factor)
+
+
+def word_end_is_trivial(p: Presentation, w: StringWord) -> bool:
+    """Whether End(M[w]) = k, by `word_hom_dim`'s count: the whole word,
+    the one segment that is both factor and image and the only substring
+    of its length, gives the identity, and End = k exactly when no other
+    factor substring matches an image substring.  Stops at the first
+    such match; a simple module, one segment, passes at once.
+    """
+    images, factors = set(), set()
+    for image, _, key in _segments(p, w):
+        if key in (factors if image else images):
+            return False
+        (images if image else factors).add(key)
+    return True

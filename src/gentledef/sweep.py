@@ -5,6 +5,14 @@ every algebra in the catalog, gets one row: tangent dimension by both
 ext engines, the computed ring with its lift census, and the verdict
 against the published classification.  Disagreements are findings, not
 failures; only cross-engine mismatches count as internal errors.
+
+Row membership, End(M[w]) = k, is decided on the word, by
+`strings.word_end_is_trivial`, before any module is built; the linear
+`homext.end_is_trivial` then re-derives it on each accepted row, and a
+row it rejects is an internal error, not a row.  So accepted strings
+have two derivations in every sweep, and rejected strings one in a
+sweep and two in the tests, which compare the engines on every catalog
+string up to length 8.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .homext import (
 )
 from .lifts import CANDIDATE_RINGS
 from .presentation import Presentation, table1_catalog
-from .strings import enumerate_strings, string_module
+from .strings import enumerate_strings, string_module, word_end_is_trivial
 from .udr import _classify
 
 RING_BUCKETS = CANDIDATE_RINGS + ("undetermined",)
@@ -96,8 +104,15 @@ class SweepReport:
 
 def _sweep_one(name: str, p: Presentation, w, q: int, n_max: int,
                budget: int, report: SweepReport) -> SweepRow | None:
+    if not word_end_is_trivial(p, w):
+        return None
     V = string_module(p, w, q)
+    # The second derivation of membership; it also leaves the Hom
+    # reduction that ext1_dim(V, V) reads in V's memo.
     if not end_is_trivial(V):
+        report.internal_errors.append(
+            f"{name} {w.display()}: End = k engines disagree "
+            f"(word k, linear not k)")
         return None
     try:
         ext_brute = brute_force_ext(V, V, budget=budget)
@@ -130,6 +145,10 @@ def sweep_catalog(q: int = 2, max_len: int = 6, n_max: int = 3,
                   budget: int = DEFAULT_BUDGET,
                   names=None) -> SweepReport:
     """Classify every trivial-endomorphism string module in the catalog.
+
+    Strings come from `enumerate_strings`; the word engine picks the
+    rows and the linear engine re-derives End = k on each of them (see
+    the module docstring).
 
     `names` restricts the sweep to the named catalog algebras; an empty
     sequence yields an empty report.  Rows come out sorted by algebra

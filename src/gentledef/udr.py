@@ -107,6 +107,9 @@ class SequenceReport:
     n_value: int | None
     words: list[StringWord]
     steps: list[SigmaStep] = field(default_factory=list)
+    # The module of words[-1], built for the last step; not in as_dict.
+    last_module: FinModule | None = field(default=None, repr=False,
+                                          compare=False)
 
     @property
     def ok(self) -> bool:
@@ -386,7 +389,8 @@ def build_sequence(V: FinModule, x) -> SequenceReport:
 
     x may be a ConnectingLetter or a bare Letter; a bare letter is
     resolved against connecting_letters(p, w), direct form first.  V is
-    validated once, for every step's span check, and never rebuilt.
+    validated once, for every step's span check, and never rebuilt; the
+    last chain module is kept as `last_module`, for `_classify`.
     """
     p, q, w = V.presentation, V.q, V.word
     if w is None:
@@ -422,6 +426,7 @@ def build_sequence(V: FinModule, x) -> SequenceReport:
         report.steps.append(
             _verify_sigma(V, V_ell, level, connector.form, words[level],
                           v0_valid))
+    report.last_module = V_ell
     return report
 
 
@@ -466,9 +471,8 @@ def _classify(V: FinModule, n_max: int, budget: int) -> UDRDescriptor:
             evidence["chosen"] = infinite[0].connector.as_dict()
         else:
             for r in finite:
-                v_last = string_module(p, r.words[-1], V.q)
-                hyp = {"hom_dim": hom_dim(v_last, V),
-                       "ext1_dim": ext1_dim(v_last, V)}
+                hyp = {"hom_dim": hom_dim(r.last_module, V),
+                       "ext1_dim": ext1_dim(r.last_module, V)}
                 evidence.setdefault("hypotheses", {})[
                     r.connector.word.display()] = hyp
                 if hyp["hom_dim"] == 1 and hyp["ext1_dim"] == 0:

@@ -1,10 +1,14 @@
 import itertools
 import pickle
+import random
+import types
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+from gentledef import strings
+from gentledef.homext import end_is_trivial, hom_dim
 from gentledef.presentation import (
     Presentation,
     Quiver,
@@ -24,6 +28,8 @@ from gentledef.strings import (
     simple_module,
     string_module,
     validate_word,
+    word_end_is_trivial,
+    word_hom_dim,
 )
 
 
@@ -129,6 +135,35 @@ def test_enumerate_matches_every_validated_letter_tuple():
                              key=lambda w: (len(w), w.sort_key()))
 
 
+def _enumerate_both_orientations(p, max_len):
+    """`enumerate_strings` as it was before it chose orientations while
+    growing: every letter tuple, canonicalized into a dict."""
+    found = {}
+    for v in p.quiver.vertices:
+        w = StringWord((), basepoint=v)
+        found[w.sort_key()] = w
+    letters = [Letter(a) for a in p.quiver.arrow_names] + \
+              [Letter(a, inverse=True) for a in p.quiver.arrow_names]
+    frontier = [(l,) for l in letters] if max_len >= 1 else []
+    for length in range(1, max_len + 1):
+        if length > 1:
+            frontier = [t + (b,) for t in frontier for b in letters
+                        if strings._composes(p, t[-1], b)]
+        for t in frontier:
+            w = StringWord(t).canonical()
+            found[w.sort_key()] = w
+    return sorted(found.values(), key=lambda w: (len(w), w.sort_key()))
+
+
+def test_enumerate_matches_both_orientations_reference():
+    for name, p in table1_catalog():
+        for max_len in range(7):
+            got = enumerate_strings(p, max_len)
+            assert got == _enumerate_both_orientations(p, max_len), \
+                (name, max_len)
+            assert all(w.canonical() is w for w in got)
+
+
 def test_enumerate_deterministic(lam0):
     assert _displays(lam0, 4) == _displays(lam0, 4)
 
@@ -143,8 +178,8 @@ def test_enumerate_no_relation_algebra():
 def test_string_module_bca(lam0):
     m = string_module(lam0, make_string(lam0, "b*c*a"))
     assert m.dims == {"1": 2, "2": 2}
-    assert m.walk == ["1", "1", "2", "2"]
-    assert m.local == [0, 1, 0, 1]
+    assert m.walk == ("1", "1", "2", "2")
+    assert m.local == (0, 1, 0, 1)
     assert m.action["a"].tolist() == [[0, 0], [1, 0]]
     assert m.action["c"].tolist() == [[0, 1], [0, 0]]
     assert m.action["b"].tolist() == [[0, 0], [1, 0]]
@@ -288,3 +323,73 @@ def test_nilpotence_by_squaring_matches_n_products(q):
         assert (not any("nilpotent" in msg for msg in problems)) == want, T
         seen[want] += 1
     assert min(seen.values()) > 50, seen
+
+
+def test_word_end_matches_linear_end_on_the_catalog():
+    """Every catalog string up to length 8: the word test and the linear
+    Hom reduction agree on End = k."""
+    count = {True: 0, False: 0}
+    for name, p in table1_catalog():
+        for w in enumerate_strings(p, 8):
+            want = end_is_trivial(string_module(p, w, 2))
+            assert word_end_is_trivial(p, w) == want, (name, w.display())
+            count[want] += 1
+    assert sum(count.values()) == 5906 and min(count.values()) > 100, count
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_word_hom_matches_linear_hom_on_sampled_pairs(q):
+    rng = random.Random(q)
+    nonzero = 0
+    for name, p in table1_catalog():
+        words = enumerate_strings(p, 4)
+        for _ in range(40):
+            v, w = rng.choice(words), rng.choice(words)
+            if rng.random() < 0.5:
+                v = v.reverse_inverse()
+            want = hom_dim(string_module(p, v, q), string_module(p, w, q))
+            assert word_hom_dim(p, v, w) == want, (name, v.display(),
+                                                   w.display())
+            nonzero += want > 0
+    assert nonzero > 100
+
+
+def test_word_hom_counts_the_identity_and_the_graph_maps(lam0):
+    w = make_string(lam0, "b*c*a")
+    assert word_hom_dim(lam0, w, w) == 1 and word_end_is_trivial(lam0, w)
+    # M[c*a] is z_0 -a-> z_1 -c-> z_2 at vertices 1, 1, 2: its top S_1 at
+    # z_0 is its only trivial factor and its socle S_2 at z_2 its only
+    # trivial image.  M[a] maps its top z_0 onto its socle z_1.
+    s1, s2 = (make_string(lam0, f"simple {v}") for v in "12")
+    ca = make_string(lam0, "c*a")
+    assert word_hom_dim(lam0, ca, s1) == 1 and word_hom_dim(lam0, s1, ca) == 0
+    assert word_hom_dim(lam0, s2, ca) == 1 and word_hom_dim(lam0, ca, s2) == 0
+    a = make_string(lam0, "a")
+    assert word_hom_dim(lam0, a, a) == 2 and not word_end_is_trivial(lam0, a)
+
+
+def test_word_engine_shares_no_code_with_linear_engine():
+    """word_hom_dim, word_end_is_trivial and every helper they reach stay
+    off linalg and homext."""
+    forbidden = {"LinearSystem", "hom_system", "hom_dim", "end_is_trivial",
+                 "_reduce"}
+    names, seen = set(), set()
+    stack = [strings.word_hom_dim.__code__,
+             strings.word_end_is_trivial.__code__]
+    while stack:
+        code = stack.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names.update(code.co_names)
+        stack.extend(c for c in code.co_consts
+                     if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            target = vars(strings).get(name)
+            if isinstance(target, types.FunctionType):
+                stack.append(target.__code__)
+            assert getattr(target, "__module__", None) not in (
+                "gentledef.linalg", "gentledef.homext"), name
+    assert strings._segments.__code__ in seen
+    assert strings._walk.__code__ in seen
+    assert not names & forbidden, names & forbidden

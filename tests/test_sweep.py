@@ -3,9 +3,14 @@ from pathlib import Path
 
 import pytest
 
+from gentledef import sweep
 from gentledef.homext import DEFAULT_BUDGET
-from gentledef.presentation import LAMBDA0, catalog_presentation
-from gentledef.strings import make_string
+from gentledef.presentation import (
+    LAMBDA0,
+    catalog_presentation,
+    table1_catalog,
+)
+from gentledef.strings import enumerate_strings, make_string
 from gentledef.sweep import SweepReport, _sweep_one, sweep_catalog
 from test_homext import _counting_hom_reductions
 
@@ -13,7 +18,8 @@ from test_homext import _counting_hom_reductions
 # counts only if the sweep stays byte-identical to these; a change that
 # alters rows on purpose rewrites them and says which rows moved and why.
 GOLDEN = [("sweep_q2_len6_n3.json", dict(q=2, max_len=6, n_max=3)),
-          ("sweep_q3_len3_n4.json", dict(q=3, max_len=3, n_max=4))]
+          ("sweep_q3_len3_n4.json", dict(q=3, max_len=3, n_max=4)),
+          ("sweep_q2_len10_n3.json", dict(q=2, max_len=10, n_max=3))]
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +93,23 @@ def test_a_row_reduces_the_hom_system_of_its_module_once(monkeypatch):
         assert [m.word.display() for m, n in reduced if m is n] == [text]
 
 
+def test_the_linear_end_test_rederives_every_row(monkeypatch):
+    # With a word test that accepts everything, the linear test alone
+    # decides membership: same rows, and each string the word test
+    # rejects is reported as an engine disagreement.
+    want = sweep_catalog(max_len=3)
+    assert want.internal_errors == []
+    rejected = [f"{name} {w.display()}:" for name, p in table1_catalog()
+                for w in enumerate_strings(p, 3)
+                if not sweep.word_end_is_trivial(p, w)]
+    monkeypatch.setattr(sweep, "word_end_is_trivial", lambda p, w: True)
+    got = sweep_catalog(max_len=3)
+    assert [r.as_dict() for r in got.rows] == [r.as_dict() for r in want.rows]
+    assert len(got.internal_errors) == len(rejected) > 100
+    for prefix, error in zip(rejected, got.internal_errors):
+        assert error.startswith(prefix) and "End = k" in error, error
+
+
 def test_rows_only_list_trivial_end_modules():
     report = sweep_catalog(max_len=1, names=[LAMBDA0])
     words = [row.word for row in report.rows]
@@ -114,7 +137,8 @@ def test_other_catalog_algebras_report_trichotomy_agreement():
 
 
 def test_sweeps_match_golden_json():
-    """C5 and the q = 3 sweep, row for row and then byte for byte."""
+    """C5, the q = 3 sweep and the length-10 sweep, row for row and then
+    byte for byte."""
     for filename, kwargs in GOLDEN:
         golden = (Path(__file__).parent / "data" / filename).read_text()
         text = json.dumps(sweep_catalog(**kwargs).as_dict()) + "\n"

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,26 @@ def test_build_sequence_builds_only_the_chain_modules(lam0, monkeypatch):
     raw = FinModule(presentation=lam0, q=2, dims=s1.dims, action=s1.action)
     with pytest.raises(ValueError, match="string module"):
         build_sequence(raw, Letter("a"))
+
+
+def test_classify_rebuilds_no_chain_module(lam0, monkeypatch):
+    # The hypotheses read each finite chain's last module off its report.
+    built = []
+    real = udr.string_module
+
+    def counted(p, w, q=2):
+        built.append((sys._getframe(1).f_code.co_name, w))
+        return real(p, w, q)
+
+    monkeypatch.setattr(udr, "string_module", counted)
+    for text in ("simple 1", "c*a", "a*d"):
+        built.clear()
+        d = udr._classify(real(lam0, make_string(lam0, text)), 1,
+                          homext.DEFAULT_BUDGET)
+        assert d.evidence["hypotheses"], text
+        chain = {w for caller, w in built if caller == "build_sequence"}
+        rebuilt = {w for caller, w in built if caller != "build_sequence"}
+        assert chain and not rebuilt & chain, text
 
 
 def test_sequence_rejects_non_connector(lam0):
