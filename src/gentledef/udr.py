@@ -12,12 +12,15 @@ Each collapse map sigma_ell of the chain is a partial permutation of
 walk coordinates, and every check reads it as an index map: dst[c] is
 the total-space coordinate that c goes to, or -1 where c is killed.
 Its kernel and the image of its ell-th power are then coordinate sets,
-and for every candidate they are the same set.  One span check per
-step, that this set spans a copy of V, serves both hypotheses; a span
-whose action is entrywise V's is answered by V's own validation, made
-once per chain, and only any other span builds a module and searches a
-Hom basis (`homext.modules_isomorphic`).  The accepted map alone is
-kept as a dense 0/1 matrix, `SigmaStep.sigma`.
+and for every candidate they are the same run of dim v0 consecutive
+walk positions.  One test, `_is_homomorphism` on index maps, answers
+both questions of a step: whether sigma_ell is a module endomorphism,
+and whether v0 maps onto that run, z_j going to its j-th position in
+walk order or in reversed walk order.  The second suffices because a
+run that spans a submodule spans M[u] for its substring u, and
+M[u] = M[w] only for u in {w, w^-1} (Butler-Ringel 1987).  No module is
+built or validated and no Hom basis is searched.  The accepted map
+alone is kept as a dense 0/1 matrix, `SigmaStep.sigma`.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import claims
-from .homext import (
-    DEFAULT_BUDGET,
-    end_is_trivial,
-    ext1_dim,
-    hom_dim,
-    modules_isomorphic,
-)
+from .homext import DEFAULT_BUDGET, end_is_trivial, ext1_dim, hom_dim
 from .lifts import fingerprint
 # Unused here: perfbench/tests/test_perfbench.py
 # (test_wrappers_rebind_every_import_and_restore_the_originals) pins a
@@ -73,7 +70,12 @@ class ConnectingLetter:
 
 @dataclass
 class SigmaStep:
-    """Verification record for one collapse map sigma_ell."""
+    """Verification record for one collapse map sigma_ell.
+
+    kernel_is_v0 says that v0 maps isomorphically onto sigma's kernel,
+    and image_power_is_v0 that sigma^ell has rank dim v0 besides, since
+    its image is then the kernel's coordinate set.
+    """
 
     level: int
     word: StringWord
@@ -206,98 +208,57 @@ def _total_entries(V: FinModule, a: str) -> list[tuple[int, int, int]]:
             if x % q]
 
 
-def _is_module_endo(V: FinModule, dst: list[int]) -> bool:
-    """Whether the partial permutation dst of total-space coordinates is
-    a module endomorphism S of V.
+def _is_homomorphism(X: FinModule, Y: FinModule, dst: list[int]) -> bool:
+    """Whether the injective partial index map dst from X's total-space
+    coordinates to Y's, -1 where it kills, is a module map E: X -> Y.
 
-    S respects the vertices when dst keeps the vertex of every coordinate
-    it does not kill.  S commutes with an arrow's action T when S T and
-    T S have the same nonzero entries: since dst is injective, an entry
-    x = T[r, c] puts x at (dst[r], c) in S T and at (r, src[c]) in T S,
-    src being dst's inverse, and no two entries land on the same place.
+    E respects the vertices when dst keeps the vertex of every coordinate
+    it does not kill.  E intertwines an arrow's actions T_X and T_Y when
+    E T_X and T_Y E have the same nonzero entries: since dst is
+    injective, an entry x = T_X[r, c] puts x at (dst[r], c) in E T_X and
+    an entry y = T_Y[r, c] puts y at (r, src[c]) in T_Y E, src being
+    dst's inverse, and no two entries land on the same place.
     """
-    vertices = V.presentation.quiver.vertices
-    label = [v for v in vertices for _ in range(V.dims[v])]
-    src = [-1] * len(dst)
+    vertices = X.presentation.quiver.vertices
+    x_label = [v for v in vertices for _ in range(X.dims[v])]
+    y_label = [v for v in vertices for _ in range(Y.dims[v])]
+    src = [-1] * Y.total_dim
     for c, d in enumerate(dst):
         if d >= 0:
-            if label[d] != label[c]:
+            if y_label[d] != x_label[c]:
                 return False
             src[d] = c
-    for a in V.presentation.quiver.arrow_names:
-        left, right = {}, {}
-        for r, c, x in _total_entries(V, a):
-            if dst[r] >= 0:
-                left[dst[r], c] = x
-            if src[c] >= 0:
-                right[r, src[c]] = x
+    for a in X.presentation.quiver.arrow_names:
+        left = {(dst[r], c): x for r, c, x in _total_entries(X, a)
+                if dst[r] >= 0}
+        right = {(r, src[c]): y for r, c, y in _total_entries(Y, a)
+                 if src[c] >= 0}
         if left != right:
             return False
     return True
 
 
-def _coordinate_submodule(V: FinModule,
-                          keep: np.ndarray) -> FinModule | None:
-    """The span of the unit vectors at the total-space coordinates where
-    the boolean mask keep is set, as a module, or None.
-
-    Each vertex's basis is its kept coordinates in increasing order, so
-    the action is read off as submatrices of V's.  None signals that the
-    span is not stable under the arrow action or fails validation.
-    """
-    p = V.presentation
+def _walk_coordinates(V: FinModule) -> list[int]:
+    """The total-space coordinate of each z_i of the string module V."""
     off = V.vertex_offsets()
-    local = {v: keep[off[v]:off[v] + V.dims[v]] for v in p.quiver.vertices}
-    action = {}
-    for a in p.quiver.arrow_names:
-        s, t = p.source(a), p.target(a)
-        cols = V.action[a][:, local[s]] % V.q
-        if cols[~local[t]].any():
-            return None
-        action[a] = cols[local[t]]
-    dims = {v: int(local[v].sum()) for v in p.quiver.vertices}
-    sub = FinModule(presentation=p, q=V.q, dims=dims, action=action)
-    return sub if not sub.validate() else None
+    return [off[v] + l for v, l in zip(V.walk, V.local)]
 
 
-def _spans_copy_of(V: FinModule, keep: list[bool], v0: FinModule,
-                   v0_valid: bool) -> bool:
-    """Whether the unit vectors at the total-space coordinates where keep
-    is set span a submodule of V isomorphic to v0.
-
-    The span's action is read from V's nonzeros, each vertex's basis
-    being its kept coordinates in increasing order; an arrow that leads
-    a kept coordinate out of the span makes it unstable, and the answer
-    False.  A span whose dims and action equal v0's entrywise mod q is a
-    copy exactly when it validates, and `FinModule.validate` reads only
-    the presentation, q, dims and action, so the caller's v0_valid
-    (whether v0 validates) is the answer.  Any other span is built by
-    `_coordinate_submodule` and compared by `modules_isomorphic`.
+def _kernel_is_copy(v0: FinModule, V_ell: FinModule, dst: list[int]) -> bool:
+    """Whether the coordinates that dst kills span a copy of v0 in V_ell:
+    whether the map e sending v0's z_j to the j-th killed walk position,
+    in walk order or in reversed walk order, is a homomorphism, and so a
+    monomorphism onto the killed span.  The module docstring says why no
+    other e need be tried.
     """
-    p, q = V.presentation, V.q
-    off = V.vertex_offsets()
-    index, dims = {}, {}
-    for v in p.quiver.vertices:
-        kept = [c for c in range(off[v], off[v] + V.dims[v]) if keep[c]]
-        index.update((c, i) for i, c in enumerate(kept))
-        dims[v] = len(kept)
-    same = dims == v0.dims
-    for a in p.quiver.arrow_names:
-        entries = {}
-        for r, c, x in _total_entries(V, a):
-            if keep[c]:
-                if not keep[r]:
-                    return False
-                entries[index[r], index[c]] = x
-        if same:
-            shape, nonzeros = v0.sparse_action[a]
-            same = (shape == (dims[p.target(a)], dims[p.source(a)])
-                    and entries == {(i, j): x % q for i, j, x in nonzeros
-                                    if x % q})
-    if same:
-        return v0_valid
-    sub = _coordinate_submodule(V, np.array(keep, dtype=bool))
-    return sub is not None and modules_isomorphic(sub, v0)
+    killed = [c for c in _walk_coordinates(V_ell) if dst[c] < 0]
+    z = _walk_coordinates(v0)
+    if len(killed) != len(z):
+        return False
+    # position[k] is the walk position j of v0's coordinate k = z[j].
+    position = sorted(range(len(z)), key=z.__getitem__)
+    return any(_is_homomorphism(v0, V_ell, [order[j] for j in position])
+               for order in (killed, killed[::-1]))
 
 
 def _sigma_candidates(V_ell: FinModule, D: int, form: str) -> list[list[int]]:
@@ -308,8 +269,7 @@ def _sigma_candidates(V_ell: FinModule, D: int, form: str) -> list[list[int]]:
     a reflected one the reflections i -> total - 1 - i of its first D
     positions and of the others, the rest being killed.
     """
-    total, off = V_ell.total_dim, V_ell.vertex_offsets()
-    coords = [off[v] + l for v, l in zip(V_ell.walk, V_ell.local)]
+    total, coords = V_ell.total_dim, _walk_coordinates(V_ell)
     maps = []
     if form == "direct":
         for shift in (D, -D):
@@ -328,9 +288,9 @@ def _sigma_candidates(V_ell: FinModule, D: int, form: str) -> list[list[int]]:
 
 
 def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
-                  form: str, word: StringWord, v0_valid: bool) -> SigmaStep:
+                  form: str, word: StringWord) -> SigmaStep:
     """Check the first candidate collapse map that is a module endomorphism
-    with a kernel of dimension dim v0; v0_valid is whether v0 validates.
+    with a kernel of dimension dim v0.
 
     Every candidate is an index map dst on walk coordinates, injective
     where it is defined, and so is each of its powers, dst composed with
@@ -344,9 +304,9 @@ def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
     shift by +D (-D) kills the last (first) D positions and its
     level-th power lands on them, and a reflection (level 1, 2D
     positions) sends one half onto the other and kills that other half.
-    So one span check serves both hypotheses, and a power of rank D
-    whose image is any other set is an error.  Only the accepted
-    candidate is built as the dense 0/1 matrix `SigmaStep.sigma`.
+    So one copy check, `_kernel_is_copy`, serves both hypotheses, and a
+    power of rank D whose image is any other set is an error.  Only the
+    accepted candidate is built as the dense 0/1 matrix `SigmaStep.sigma`.
     """
     D = v0.total_dim
     step = SigmaStep(level=level, word=word, sigma=None)
@@ -356,7 +316,7 @@ def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
         if len(set(image)) != len(image):
             raise AssertionError(
                 "collapse map is not a partial permutation of coordinates")
-        if not _is_module_endo(V_ell, dst):
+        if not _is_homomorphism(V_ell, V_ell, dst):
             continue
         kernel = [d < 0 for d in dst]
         if sum(kernel) != D:
@@ -376,7 +336,7 @@ def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
         if step.power_rank == D and reached != kernel:
             raise AssertionError(
                 "image of the collapse map's power is not its kernel")
-        step.kernel_is_v0 = _spans_copy_of(V_ell, kernel, v0, v0_valid)
+        step.kernel_is_v0 = _kernel_is_copy(v0, V_ell, dst)
         step.image_power_is_v0 = step.power_rank == D and step.kernel_is_v0
         step.nilpotent = all(c < 0 or dst[c] < 0 for c in power)
         break
@@ -389,8 +349,10 @@ def build_sequence(V: FinModule, x) -> SequenceReport:
 
     x may be a ConnectingLetter or a bare Letter; a bare letter is
     resolved against connecting_letters(p, w), direct form first.  V is
-    validated once, for every step's span check, and never rebuilt; the
-    last chain module is kept as `last_module`, for `_classify`.
+    neither rebuilt nor validated: a copy check that holds maps V
+    isomorphically onto a submodule of a chain module, so V is then a
+    module.  The last chain module is kept as `last_module`, for
+    `_classify`.
     """
     p, q, w = V.presentation, V.q, V.word
     if w is None:
@@ -403,29 +365,25 @@ def build_sequence(V: FinModule, x) -> SequenceReport:
         connector = sorted(matches, key=lambda c: c.form != "direct")[0]
     else:
         connector = x
-    v0_valid = not V.validate()
     words = [w, connector.word]
+    kind, n_value = "Finite", 1
     if connector.form == "direct":
         second = _chain_word(p, w, connector.letter, 2)
         if second is not None:
             kind, n_value = "Infinite", None
-            for n in range(2, CHAIN_LENGTH + 1):
+            words.append(second)
+            for n in range(3, CHAIN_LENGTH + 1):
                 extended = _chain_word(p, w, connector.letter, n)
                 if extended is None:
                     raise AssertionError(
                         f"chain broke at n = {n} after validating at n = 2")
                 words.append(extended)
-        else:
-            kind, n_value = "Finite", 1
-    else:
-        kind, n_value = "Finite", 1
     report = SequenceReport(connector=connector, kind=kind,
                             n_value=n_value, words=words)
     for level in range(1, len(words)):
         V_ell = string_module(p, words[level], q)
         report.steps.append(
-            _verify_sigma(V, V_ell, level, connector.form, words[level],
-                          v0_valid))
+            _verify_sigma(V, V_ell, level, connector.form, words[level]))
     report.last_module = V_ell
     return report
 

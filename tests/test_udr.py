@@ -1,4 +1,5 @@
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -277,7 +278,8 @@ def test_paper_agreement_census_fallback(lam0):
 
 def _reference_submodule(V, cols):
     """The span of the columns of cols as a module, or None, by row
-    reduction: the reference for `udr._coordinate_submodule`."""
+    reduction: with `modules_isomorphic`, the reference for
+    `udr._kernel_is_copy`."""
     p, q = V.presentation, V.q
     off = V.vertex_offsets()
     local_bases = {}
@@ -304,16 +306,11 @@ def _reference_submodule(V, cols):
     return sub if not sub.validate() else None
 
 
-def _same_submodule(got, want):
-    if got is None or want is None:
-        return got is want
-    return got.dims == want.dims and all(
-        np.array_equal(got.action[a], want.action[a]) for a in want.action)
-
-
-def _dense_map(dst):
-    """The 0/1 matrix S of an index map: S[dst[c], c] = 1 where dst[c] >= 0."""
-    S = np.zeros((len(dst), len(dst)), dtype=np.int64)
+def _dense_map(dst, rows=None):
+    """The 0/1 matrix S of an index map, with rows rows (len(dst) by
+    default): S[dst[c], c] = 1 where dst[c] >= 0."""
+    S = np.zeros((len(dst) if rows is None else rows, len(dst)),
+                 dtype=np.int64)
     for c, d in enumerate(dst):
         if d >= 0:
             S[d, c] = 1
@@ -331,21 +328,20 @@ def _reference_step(v0, V, level, form, word, seen):
         ker = _nullspace(S, q)
         P = np.linalg.matrix_power(S, level) % q
         R, pivots = rref(P.T, q)
-        # Every candidate's spans, accepted or not, so that coordinate
+        # Every candidate's kernel, accepted or not, so that coordinate
         # sets the arrows do not keep stable are compared too.
-        for cols, keep in [(ker.T, ~S.any(axis=0)),
-                           (R[:len(pivots)].T, P.any(axis=1))]:
-            want = _reference_submodule(V, cols)
-            got = udr._coordinate_submodule(V, keep)
-            assert _same_submodule(got, want), (word.display(), level)
-            seen["unstable coordinate set"] |= want is None
-        if not _reference_is_endo(V, S)[0] or ker.shape[0] != D:
+        sub = _reference_submodule(V, ker.T)
+        copy = sub is not None and modules_isomorphic(sub, v0)
+        assert udr._kernel_is_copy(v0, V, dst) == copy, (word.display(),
+                                                          level, dst)
+        seen["unstable coordinate set"] |= sub is None
+        seen["copy"] |= copy
+        if not _reference_is_hom(V, V, S)[0] or ker.shape[0] != D:
             seen["rejected candidate"] = True
             continue
         step.sigma = S
         step.kernel_dim = D
-        sub = _reference_submodule(V, ker.T)
-        step.kernel_is_v0 = sub is not None and modules_isomorphic(sub, v0)
+        step.kernel_is_v0 = copy
         step.power_rank = rank(P, q)
         img = _reference_submodule(V, R[:len(pivots)].T)
         step.image_power_is_v0 = (step.power_rank == D and img is not None
@@ -373,11 +369,13 @@ def test_sigma_steps_match_row_reduction_reference(q):
 
     Every chain step of the catalog passes its checks, so each step is
     also checked against a decoy: another word of the same length, whose
-    module has the dimension of v0 but is not isomorphic to it.
+    module has the dimension of v0 but is not isomorphic to it.  On
+    every candidate, accepted or not, `udr._kernel_is_copy` must agree
+    with the row-reduced kernel span and `modules_isomorphic`.
     """
     seen = dict.fromkeys(["rejected candidate", "failed kernel or image",
-                          "unstable coordinate set", "reflected", "Infinite"],
-                         False)
+                          "unstable coordinate set", "copy", "reflected",
+                          "Infinite"], False)
     steps = 0
     for name, p in table1_catalog():
         words = enumerate_strings(p, 3)
@@ -400,8 +398,7 @@ def test_sigma_steps_match_row_reduction_reference(q):
                         step, _reference_step(v0, *args, seen), context)
                     for decoy in decoys:
                         want = _reference_step(decoy, *args, seen)
-                        got = udr._verify_sigma(decoy, *args,
-                                                not decoy.validate())
+                        got = udr._verify_sigma(decoy, *args)
                         _assert_same_step(got, want, context + ("decoy",))
                         seen["failed kernel or image"] |= (
                             want.sigma is not None and not (
@@ -412,21 +409,24 @@ def test_sigma_steps_match_row_reduction_reference(q):
     assert steps > 100
 
 
-def _reference_is_endo(V, S):
-    """Whether S is a module endomorphism of V, and for each arrow
-    whether S's diagonal blocks intertwine it, from per-vertex blocks:
-    the reference for `udr._is_module_endo`."""
-    p, q = V.presentation, V.q
-    off = V.vertex_offsets()
-    block = {v: slice(off[v], off[v] + V.dims[v]) for v in p.quiver.vertices}
-    crosses = any(S[block[u], block[v]].any()
+def _reference_is_hom(X, Y, E):
+    """Whether the dense (dim Y) x (dim X) matrix E is a module map
+    X -> Y, and for each arrow whether E's diagonal blocks intertwine
+    its actions, from per-vertex blocks: the reference for
+    `udr._is_homomorphism`."""
+    p, q = X.presentation, X.q
+    x_off, y_off = X.vertex_offsets(), Y.vertex_offsets()
+    xb = {v: slice(x_off[v], x_off[v] + X.dims[v]) for v in p.quiver.vertices}
+    yb = {v: slice(y_off[v], y_off[v] + Y.dims[v]) for v in p.quiver.vertices}
+    crosses = any(E[yb[u], xb[v]].any()
                   for u in p.quiver.vertices for v in p.quiver.vertices
                   if u != v)
     commutes = []
     for a in p.quiver.arrow_names:
-        s, t = block[p.source(a)], block[p.target(a)]
-        M = V.action[a]
-        commutes.append(not ((S[t, t] @ M - M @ S[s, s]) % q).any())
+        s, t = p.source(a), p.target(a)
+        lhs = E[yb[t], xb[t]] @ X.action[a]
+        rhs = Y.action[a] @ E[yb[s], xb[s]]
+        commutes.append(not ((lhs - rhs) % q).any())
     return not crosses and all(commutes), crosses, commutes
 
 
@@ -441,18 +441,27 @@ def _random_partial_permutation(rng, total, groups):
     return dst.tolist()
 
 
+def _walk_coordinates(V):
+    off = V.vertex_offsets()
+    return [off[v] + l for v, l in zip(V.walk, V.local)]
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_module_endo_matches_block_reference(q):
-    """`udr._is_module_endo` on index maps agrees with per-vertex blocks
-    and per-arrow commutators of their dense matrices, on the collapse-map
-    candidates, the identity and random partial permutations of chain
-    modules."""
+    """`udr._is_homomorphism` on index maps agrees with per-vertex blocks
+    and per-arrow intertwining of their dense matrices.  Endomorphisms of
+    chain modules V: the collapse-map candidates, the identity and random
+    partial permutations.  Maps v0 -> V from v0 = M[w]: z_j sent to each
+    run of dim v0 consecutive walk positions of V, in walk order and
+    reversed, and random injections that keep the vertices."""
     rng = np.random.default_rng(q)
     seen = dict.fromkeys(["endomorphism", "crosses vertices",
-                          "commutes with some arrows only"], False)
-    maps = 0
+                          "commutes with some arrows only",
+                          "embedding", "vertex-keeping non-embedding"], False)
+    maps = embeddings = 0
     for _, p in table1_catalog():
         for w in enumerate_strings(p, 2):
+            v0 = string_module(p, w, q)
             for c in connecting_letters(p, w):
                 V = string_module(p, c.word, q)
                 total = V.total_dim
@@ -467,84 +476,49 @@ def test_module_endo_matches_block_reference(q):
                     candidates.append(_random_partial_permutation(
                         rng, total, by_vertex))
                 for dst in candidates:
-                    want, crosses, commutes = _reference_is_endo(
-                        V, _dense_map(dst))
-                    assert udr._is_module_endo(V, dst) == want, (
+                    want, crosses, commutes = _reference_is_hom(
+                        V, V, _dense_map(dst))
+                    assert udr._is_homomorphism(V, V, dst) == want, (
                         w.display(), c.letter.display(), dst)
                     seen["endomorphism"] |= want
                     seen["crosses vertices"] |= crosses
                     seen["commutes with some arrows only"] |= (
                         not crosses and any(commutes) and not all(commutes))
                     maps += 1
+                D, z = v0.total_dim, _walk_coordinates(v0)
+                coords = _walk_coordinates(V)
+                injections = []
+                for start in range(total - D + 1):
+                    run = coords[start:start + D]
+                    for order in (run, run[::-1]):
+                        e = [-1] * D
+                        for j, target in zip(z, order):
+                            e[j] = target
+                        injections.append(e)
+                x_off = v0.vertex_offsets()
+                for _ in range(3):
+                    e = [-1] * D
+                    for v, targets in zip(p.quiver.vertices, by_vertex):
+                        e[x_off[v]:x_off[v] + v0.dims[v]] = rng.choice(
+                            targets, v0.dims[v], replace=False).tolist()
+                    injections.append(e)
+                for e in injections:
+                    want, crosses, _ = _reference_is_hom(
+                        v0, V, _dense_map(e, total))
+                    assert udr._is_homomorphism(v0, V, e) == want, (
+                        w.display(), c.letter.display(), e)
+                    seen["embedding"] |= want
+                    seen["vertex-keeping non-embedding"] |= (
+                        not crosses and not want)
+                    embeddings += 1
     assert all(seen.values()), seen
-    assert maps > 500
+    assert maps > 500 and embeddings > 500
 
 
-def test_one_span_check_per_accepted_collapse_map(monkeypatch):
-    """Over every tangent-1 catalog word of length at most 3 at q = 2,
-    each step whose collapse map is accepted checks one span, and only a
-    span whose action differs entrywise from v0's searches a Hom basis."""
-    q = 2
-    spans, searches = [], []
-    expected_searches = 0
-    real_spans, real_basis = udr._spans_copy_of, homext.hom_basis
-
-    def counted_spans(V, keep, v0, v0_valid):
-        nonlocal expected_searches
-        spans.append(keep)
-        sub = udr._coordinate_submodule(V, np.array(keep, dtype=bool))
-        expected_searches += (
-            sub is not None and sub.dims == v0.dims and sub.total_dim > 0
-            and any((sub.action[a] != v0.action[a]).any()
-                    for a in v0.action))
-        return real_spans(V, keep, v0, v0_valid)
-
-    def counted_basis(m, n):
-        searches.append((m, n))
-        return real_basis(m, n)
-
-    monkeypatch.setattr(udr, "_spans_copy_of", counted_spans)
-    monkeypatch.setattr(homext, "hom_basis", counted_basis)
-    accepted = 0
-    for _, p in table1_catalog():
-        for w in enumerate_strings(p, 3):
-            v0 = string_module(p, w, q)
-            if not end_is_trivial(v0) or ext1_dim(v0, v0) != 1:
-                continue
-            for c in connecting_letters(p, w):
-                before = len(spans)
-                report = build_sequence(v0, c)
-                steps = sum(step.sigma is not None for step in report.steps)
-                assert len(spans) - before == steps, (w.display(),
-                                                      c.letter.display())
-                accepted += steps
-    assert len(searches) == expected_searches
-    assert accepted > 100 and len(searches) < accepted // 10
-
-
-def test_one_v0_validation_per_chain_and_no_module_for_equal_spans(
-        monkeypatch):
-    """Over every tangent-1 catalog word of length at most 3 at q = 2, a
-    chain validates v0 once, and a span whose action equals v0's
-    entrywise is answered without building a `_coordinate_submodule`
-    module; a decoy v0 still reaches that fallback."""
-    q = 2
-    validations, built = [], []
-    real_validate = FinModule.validate
-    real_submodule = udr._coordinate_submodule
-
-    def counted_validate(self):
-        if self.word is not None:
-            validations.append(self)
-        return real_validate(self)
-
-    def counted_submodule(V, keep):
-        built.append((V, keep))
-        return real_submodule(V, keep)
-
-    monkeypatch.setattr(FinModule, "validate", counted_validate)
-    monkeypatch.setattr(udr, "_coordinate_submodule", counted_submodule)
-    chains = accepted = decoy_fallbacks = 0
+def _tangent_one_chains(q):
+    """(v0, decoy, connector) for every tangent-1 catalog word of length
+    at most 3; the decoy is a module of another word of the same length,
+    so of the same dimension and not a copy of v0."""
     for _, p in table1_catalog():
         words = enumerate_strings(p, 3)
         for w in words:
@@ -554,23 +528,167 @@ def test_one_v0_validation_per_chain_and_no_module_for_equal_spans(
             decoy = next(string_module(p, u, q) for u in words
                          if len(u) == len(w) and u != w)
             for c in connecting_letters(p, w):
-                validations.clear()
-                built.clear()
+                yield v0, decoy, c
+
+
+def test_one_span_check_per_accepted_collapse_map(monkeypatch):
+    """Over every tangent-1 catalog word of length at most 3 at q = 2,
+    each step whose collapse map is accepted checks one span, by index
+    maps alone: no check searches a Hom basis, and none on a decoy v0
+    reports a copy."""
+    q = 2
+    spans, searches = [], []
+    real_copy, real_basis = udr._kernel_is_copy, homext.hom_basis
+
+    def counted_copy(v0, V_ell, dst):
+        spans.append(dst)
+        return real_copy(v0, V_ell, dst)
+
+    def counted_basis(m, n):
+        searches.append((m, n))
+        return real_basis(m, n)
+
+    monkeypatch.setattr(udr, "_kernel_is_copy", counted_copy)
+    monkeypatch.setattr(homext, "hom_basis", counted_basis)
+    accepted = decoy_steps = 0
+    for v0, decoy, c in _tangent_one_chains(q):
+        context = (v0.word.display(), c.letter.display())
+        spans.clear()
+        searches.clear()
+        report = build_sequence(v0, c)
+        steps = sum(step.sigma is not None for step in report.steps)
+        assert len(spans) == steps and not searches, context
+        accepted += steps
+        for step in report.steps:
+            V = string_module(v0.presentation, step.word, q)
+            spans.clear()
+            got = udr._verify_sigma(decoy, V, step.level, c.form, step.word)
+            assert len(spans) == (got.sigma is not None), context
+            assert not got.kernel_is_v0 and not searches, context
+            decoy_steps += 1
+    assert accepted > 100 and decoy_steps > 100
+
+
+def test_one_v0_validation_per_chain_and_no_module_for_equal_spans(
+        monkeypatch):
+    """Over every tangent-1 catalog word of length at most 3 at q = 2, a
+    chain makes at most one v0 validation, in fact none (a copy check
+    that holds embeds v0 in a chain module, so v0 is a module), and
+    builds no module but those of its chain words: a span, equal to v0's
+    entrywise or not, gets no module of its own.  A step on a decoy v0
+    builds and validates nothing either."""
+    q = 2
+    built, validations = [], []
+    real_init, real_validate = FinModule.__post_init__, FinModule.validate
+
+    def counted_init(self):
+        built.append(self.word)
+        real_init(self)
+
+    def counted_validate(self):
+        validations.append(self)
+        return real_validate(self)
+
+    monkeypatch.setattr(FinModule, "__post_init__", counted_init)
+    monkeypatch.setattr(FinModule, "validate", counted_validate)
+    chains = decoy_steps = 0
+    for v0, decoy, c in _tangent_one_chains(q):
+        context = (v0.word.display(), c.letter.display())
+        built.clear()
+        validations.clear()
+        report = build_sequence(v0, c)
+        assert built == report.words[1:] and not validations, context
+        chains += 1
+        for step in report.steps:
+            V = string_module(v0.presentation, step.word, q)
+            built.clear()
+            udr._verify_sigma(decoy, V, step.level, c.form, step.word)
+            assert not (built or validations), context
+            decoy_steps += 1
+    assert chains > 20 and decoy_steps > 100
+
+
+def _altered(v0, change):
+    """v0's word and dims with action matrices edited by change(action)."""
+    action = {a: mat.copy() for a, mat in v0.action.items()}
+    change(action)
+    return FinModule(presentation=v0.presentation, q=v0.q, dims=v0.dims,
+                     action=action, word=v0.word)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_altered_v0_is_never_a_kernel_copy(q):
+    """A v0 that carries the word w but not the matrices of M[w] is never
+    reported as the kernel of a collapse map: neither one that breaks a
+    relation (so is no module) nor one with a letter's entry zeroed (a
+    module, M[w] split in two, so not M[w]).  The chain validates no v0,
+    so this is what keeps an invalid v0 from passing."""
+    kinds = dict.fromkeys(["breaks a relation", "splits M[w]"], 0)
+    for _, p in table1_catalog():
+        for w in enumerate_strings(p, 3):
+            if w.is_simple:
+                continue
+            v0 = string_module(p, w, q)
+            if not end_is_trivial(v0) or ext1_dim(v0, v0) != 1:
+                continue
+            letter = w.letters[0]
+
+            def split(action):
+                action[letter.arrow][action[letter.arrow] != 0] = 0
+
+            alterations = [("splits M[w]", _altered(v0, split))]
+            assert not alterations[0][1].validate(), w.display()
+            for beta, alpha in p.relations:
+                s, m, t = p.source(alpha), p.target(alpha), p.target(beta)
+                if not (v0.dims[s] and v0.dims[m] and v0.dims[t]):
+                    continue
+
+                def entangle(action, beta=beta, alpha=alpha):
+                    action[alpha][0, 0] = action[beta][0, 0] = 1
+                    action[beta][0, 1:] = action[alpha][1:, 0] = 0
+
+                broken = _altered(v0, entangle)
+                if any(problem.startswith("relation")
+                       for problem in broken.validate()):
+                    alterations.append(("breaks a relation", broken))
+                    break
+            for c in connecting_letters(p, w):
                 report = build_sequence(v0, c)
-                assert len(validations) == 1, (w.display(), c.letter.display())
-                assert validations[0] is v0
-                for V, keep in built:
-                    sub = real_submodule(V, keep)
-                    assert sub is None or sub.dims != v0.dims or any(
-                        (sub.action[a] != v0.action[a]).any()
-                        for a in v0.action), (w.display(), keep)
-                chains += 1
-                accepted += sum(s.sigma is not None for s in report.steps)
-                for step in report.steps:
-                    built.clear()
-                    V = string_module(p, step.word, q)
-                    udr._verify_sigma(decoy, V, step.level, c.form,
-                                      step.word, not real_validate(decoy))
-                    decoy_fallbacks += bool(built)
-    assert chains > 20 and accepted > 100
-    assert decoy_fallbacks > 0
+                if not any(step.kernel_is_v0 for step in report.steps):
+                    continue
+                for kind, bad in alterations:
+                    altered = build_sequence(bad, c)
+                    assert altered.words == report.words
+                    assert not any(step.kernel_is_v0
+                                   for step in altered.steps), (
+                        kind, w.display(), c.letter.display())
+                    kinds[kind] += 1
+    assert all(n > 10 for n in kinds.values()), kinds
+
+
+def test_collapse_map_check_reaches_no_hom_engine():
+    """No code reachable from `udr._verify_sigma`, through udr's helpers
+    and FinModule's methods and properties, names the Hom engine, the
+    linear solver or module validation."""
+    forbidden = {"hom_basis", "modules_isomorphic", "LinearSystem",
+                 "_reduce", "validate"}
+    names, seen = set(), set()
+    stack = [(udr._verify_sigma.__code__, vars(udr))]
+    while stack:
+        code, scope = stack.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names.update(code.co_names)
+        stack.extend((c, scope) for c in code.co_consts
+                     if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            for target in (scope.get(name), vars(FinModule).get(name)):
+                target = getattr(target, "fget", None) \
+                    or getattr(target, "func", None) or target
+                if isinstance(target, types.FunctionType):
+                    stack.append((target.__code__, target.__globals__))
+    for helper in (udr._is_homomorphism, udr._kernel_is_copy,
+                   udr._total_entries, FinModule.sparse_action.func):
+        assert helper.__code__ in seen, helper
+    assert not names & forbidden, names & forbidden
