@@ -100,34 +100,38 @@ class StringWord:
         return self if self.sort_key() <= other.sort_key() else other
 
 
-def _check_pair(p: Presentation, a: Letter, b: Letter, pos: int) -> None:
-    """Validate adjacent letters a then b; pos is a's 1-based position."""
+def _pair_problem(p: Presentation, a: Letter,
+                  b: Letter) -> tuple[type[StringError], str] | None:
+    """Why letter b may not follow letter a, as (error class, message),
+    or None when it may: the one rule for adjacent letters."""
     if b.source(p) != a.target(p):
-        raise NonComposableError(
-            f"letters {a.display()} then {b.display()} do not compose",
-            position=pos)
+        return (NonComposableError,
+                f"letters {a.display()} then {b.display()} do not compose")
     if b == a.flip():
-        raise NotReducedError(
-            f"letter {b.display()} cancels {a.display()}", position=pos)
+        return NotReducedError, f"letter {b.display()} cancels {a.display()}"
     rels = p.relation_set
     if not a.inverse and not b.inverse:
         if (b.arrow, a.arrow) in rels:
-            raise HitsRelationError(
-                f"path {b.arrow}*{a.arrow} lies in the ideal", position=pos)
+            return (HitsRelationError,
+                    f"path {b.arrow}*{a.arrow} lies in the ideal")
     elif a.inverse and b.inverse:
         if (a.arrow, b.arrow) in rels:
-            raise HitsRelationError(
-                f"reversed path {a.arrow}*{b.arrow} lies in the ideal",
-                position=pos)
+            return (HitsRelationError,
+                    f"reversed path {a.arrow}*{b.arrow} lies in the ideal")
+    return None
+
+
+def _check_pair(p: Presentation, a: Letter, b: Letter, pos: int) -> None:
+    """Validate adjacent letters a then b; pos is a's 1-based position."""
+    problem = _pair_problem(p, a, b)
+    if problem is not None:
+        error, message = problem
+        raise error(message, position=pos)
 
 
 def _composes(p: Presentation, a: Letter, b: Letter) -> bool:
-    """Whether letter b may follow letter a, by `_check_pair`."""
-    try:
-        _check_pair(p, a, b, 1)
-    except StringError:
-        return False
-    return True
+    """Whether letter b may follow letter a, by `_pair_problem`."""
+    return _pair_problem(p, a, b) is None
 
 
 def validate_word(p: Presentation, letters: tuple[Letter, ...]) -> None:
@@ -163,16 +167,6 @@ def make_string(p: Presentation, text: str) -> StringWord:
         else:
             letters.append(Letter(tok))
     letters = tuple(letters)
-    validate_word(p, letters)
-    return StringWord(letters)
-
-
-def word_from_letters(p: Presentation, letters, basepoint=None) -> StringWord:
-    letters = tuple(letters)
-    if not letters:
-        if basepoint is None:
-            raise StringError("empty word needs a basepoint")
-        return StringWord((), basepoint=str(basepoint))
     validate_word(p, letters)
     return StringWord(letters)
 
@@ -331,23 +325,26 @@ def _walk(p: Presentation, w: StringWord) -> tuple[list[str], list[int]]:
     return walk, local
 
 
-def string_module(p: Presentation, w: StringWord, q: int = 2) -> FinModule:
-    """The module of a walk: basis z_0..z_n threaded along the letters.
+def string_entries(w: StringWord) -> list[tuple[str, int, int]]:
+    """The nonzero entries of M[w] on walk positions, each equal to 1,
+    read off the word: (arrow, from, to) says that the arrow sends z_from
+    to z_to.  A direct letter alpha at position i contributes
+    (alpha, i - 1, i), an inverse letter (alpha, i, i - 1)."""
+    return [(l.arrow, i, i - 1) if l.inverse else (l.arrow, i - 1, i)
+            for i, l in enumerate(w.letters, start=1)]
 
-    A direct letter alpha at position i contributes alpha: z_{i-1} -> z_i,
-    an inverse letter the reverse.
-    """
+
+def string_module(p: Presentation, w: StringWord, q: int = 2) -> FinModule:
+    """The module of a walk: basis z_0..z_n threaded along the letters,
+    with the entries of `string_entries`."""
     walk, local = _walk(p, w)
     dims = {v: walk.count(v) for v in p.quiver.vertices}
     action = {
         a: np.zeros((dims[p.target(a)], dims[p.source(a)]), dtype=np.int64)
         for a in p.quiver.arrow_names
     }
-    for i, letter in enumerate(w.letters, start=1):
-        if letter.inverse:
-            action[letter.arrow][local[i - 1], local[i]] = 1
-        else:
-            action[letter.arrow][local[i], local[i - 1]] = 1
+    for a, source, target in string_entries(w):
+        action[a][local[target], local[source]] = 1
     return FinModule(presentation=p, q=q, dims=dims, action=action, word=w)
 
 

@@ -8,24 +8,32 @@ hypotheses certifying a truncation; anything else stays undetermined
 and is reported with its lift census.  `_classify` and `build_sequence`
 take V itself and read the presentation, q and beta from it.
 
-Each collapse map sigma_ell of the chain is a partial permutation of
-walk coordinates, and every check reads it as an index map: dst[c] is
-the total-space coordinate that c goes to, or -1 where c is killed.
-Its kernel and the image of its ell-th power are then coordinate sets,
+The chain is read on walk positions, not built as modules.  A string
+module is fixed by its word (Butler-Ringel 1987), so each chain word's
+entries come from `strings.string_entries`, (arrow, from, to) for each
+letter, and V's own entries from its matrices, so that an altered V is
+still rejected.  Each collapse map sigma_ell of the chain is a partial
+permutation of walk positions, and every check reads it as an index
+map: dst[i] is the position that i goes to, or -1 where i is killed.
+Its kernel and the image of its ell-th power are then position sets,
 and for every candidate they are the same run of dim v0 consecutive
-walk positions.  One test, `_is_homomorphism` on index maps, answers
-both questions of a step: whether sigma_ell is a module endomorphism,
-and whether v0 maps onto that run, z_j going to its j-th position in
-walk order or in reversed walk order.  The second suffices because a
-run that spans a submodule spans M[u] for its substring u, and
-M[u] = M[w] only for u in {w, w^-1} (Butler-Ringel 1987).  No module is
-built or validated and no Hom basis is searched.  The accepted map
-alone is kept as a dense 0/1 matrix, `SigmaStep.sigma`.
+walk positions.  One test, `_is_homomorphism` on index maps and entry
+sets, answers both questions of a step: whether sigma_ell is a module
+endomorphism, and whether v0 maps onto that run, z_j going to its j-th
+position in walk order or in reversed walk order.  The second suffices
+because a run that spans a submodule spans M[u] for its substring u,
+and M[u] = M[w] only for u in {w, w^-1}.  No module is built for a
+chain step, nothing is validated but the chain words' new letter
+pairs, and no Hom basis is searched.  The accepted map alone is kept as
+a dense 0/1 matrix in total-space coordinates, `SigmaStep.sigma`, and
+a finite chain's last word alone gets a module, for the hypotheses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +50,11 @@ from .strings import (
     Letter,
     StringError,
     StringWord,
+    _composes,
+    _walk,
+    string_entries,
     string_module,
-    word_from_letters,
+    validate_word,
 )
 
 # The n up to which `build_sequence` grows and checks (beta x)^n beta.
@@ -109,7 +120,8 @@ class SequenceReport:
     n_value: int | None
     words: list[StringWord]
     steps: list[SigmaStep] = field(default_factory=list)
-    # The module of words[-1], built for the last step; not in as_dict.
+    # The module of words[-1] for a finite chain, None for an infinite
+    # one; for the hypotheses, not in as_dict.
     last_module: FinModule | None = field(default=None, repr=False,
                                           compare=False)
 
@@ -147,11 +159,12 @@ def _endpoints(p: Presentation, w: StringWord) -> tuple[str, str]:
     return w.letters[0].source(p), w.letters[-1].target(p)
 
 
-def _try_word(p: Presentation, letters) -> StringWord | None:
+def _is_string(p: Presentation, letters: tuple[Letter, ...]) -> bool:
     try:
-        return word_from_letters(p, letters)
+        validate_word(p, letters)
     except StringError:
-        return None
+        return False
+    return True
 
 
 def connecting_letters(p: Presentation, w: StringWord) -> list[ConnectingLetter]:
@@ -161,18 +174,23 @@ def connecting_letters(p: Presentation, w: StringWord) -> list[ConnectingLetter]
     forms insert it between w and its reversal.  When a letter and its
     inverse give reverse-inverse words only the direct-letter one is
     kept, and a direct-form connector shadows reflected ones for the
-    same word class.
+    same word class.  w is validated once (an invalid w has none), and
+    its reversal is a string with it; a candidate word then has only
+    the two new pairs at x to check, none for a simple w.
     """
+    if not _is_string(p, w.letters):
+        return []
     start, end = _endpoints(p, w)
     candidates = [Letter(a) for a in p.quiver.arrow_names] \
         + [Letter(a, inverse=True) for a in p.quiver.arrow_names]
     found: list[ConnectingLetter] = []
     seen = set()
 
-    def consider(x: Letter, form: str, letters) -> None:
-        word = _try_word(p, letters)
-        if word is None:
+    def consider(x: Letter, form: str, left, right) -> None:
+        if left and not (_composes(p, left[-1], x)
+                         and _composes(p, x, right[0])):
             return
+        word = StringWord(left + (x,) + right)
         key = word.canonical().sort_key()
         if key in seen:
             return
@@ -181,149 +199,163 @@ def connecting_letters(p: Presentation, w: StringWord) -> list[ConnectingLetter]
 
     for x in candidates:
         if x.source(p) == end and x.target(p) == start:
-            consider(x, "direct", w.letters + (x,) + w.letters)
+            consider(x, "direct", w.letters, w.letters)
     if not w.is_simple:
         back = w.reverse_inverse().letters
         for x in candidates:
             if x.source(p) == end and x.target(p) == end:
-                consider(x, "reflected", w.letters + (x,) + back)
+                consider(x, "reflected", w.letters, back)
         for x in candidates:
             if x.source(p) == start and x.target(p) == start:
-                consider(x, "reflected", back + (x,) + w.letters)
+                consider(x, "reflected", back, w.letters)
     return found
 
 
 def _chain_word(p: Presentation, w: StringWord, x: Letter,
                 n: int) -> StringWord | None:
-    return _try_word(p, (w.letters + (x,)) * n + w.letters)
+    """The word (w x)^n w for n >= 1, or None if it is not a string.
 
-
-def _total_entries(V: FinModule, a: str) -> list[tuple[int, int, int]]:
-    """The nonzero entries of arrow a's action in total-space coordinates,
-    as (row, column, residue mod q), read from `sparse_action`."""
-    p, q = V.presentation, V.q
-    off = V.vertex_offsets()
-    t, s = off[p.target(a)], off[p.source(a)]
-    return [(t + i, s + j, x % q) for i, j, x in V.sparse_action[a][1]
-            if x % q]
-
-
-def _is_homomorphism(X: FinModule, Y: FinModule, dst: list[int]) -> bool:
-    """Whether the injective partial index map dst from X's total-space
-    coordinates to Y's, -1 where it kills, is a module map E: X -> Y.
-
-    E respects the vertices when dst keeps the vertex of every coordinate
-    it does not kill.  E intertwines an arrow's actions T_X and T_Y when
-    E T_X and T_Y E have the same nonzero entries: since dst is
-    injective, an entry x = T_X[r, c] puts x at (dst[r], c) in E T_X and
-    an entry y = T_Y[r, c] puts y at (r, src[c]) in T_Y E, src being
-    dst's inverse, and no two entries land on the same place.
+    w x is validated once; the only other pair is the seam (x, w_first),
+    the same for every n, or (x, x) for a simple w and n > 1.
     """
-    vertices = X.presentation.quiver.vertices
-    x_label = [v for v in vertices for _ in range(X.dims[v])]
-    y_label = [v for v in vertices for _ in range(Y.dims[v])]
-    src = [-1] * Y.total_dim
+    if not _is_string(p, w.letters + (x,)):
+        return None
+    if w.is_simple:
+        if n > 1 and not _composes(p, x, x):
+            return None
+    elif not _composes(p, x, w.letters[0]):
+        return None
+    return StringWord((w.letters + (x,)) * n + w.letters)
+
+
+class _Walk(NamedTuple):
+    """A string module on walk positions: the vertex of each z_i, its
+    total-space coordinate, and the nonzero entries of the arrows'
+    actions as {(arrow, from, to): value}, z_from going to z_to."""
+
+    vertex: tuple[str, ...]
+    coordinate: list[int]
+    entries: dict[tuple[str, int, int], int]
+
+
+def _word_walk(p: Presentation, w: StringWord) -> _Walk:
+    """M[w] on walk positions, read off the word by `string_entries`."""
+    walk, local = _walk(p, w)
+    vertices = p.quiver.vertices
+    off = dict(zip(vertices, accumulate((walk.count(v) for v in vertices),
+                                        initial=0)))
+    return _Walk(tuple(walk), [off[v] + l for v, l in zip(walk, local)],
+                 dict.fromkeys(string_entries(w), 1))
+
+
+def _module_walk(V: FinModule) -> _Walk:
+    """The string module V on walk positions, its entries read from its
+    matrices: each nonzero of `sparse_action` mod q, placed through
+    `walk` and `local`."""
+    p, q, off = V.presentation, V.q, V.vertex_offsets()
+    position = {c: i for i, c in enumerate(zip(V.walk, V.local))}
+    entries = {}
+    for a, (_, nonzeros) in V.sparse_action.items():
+        s, t = p.source(a), p.target(a)
+        for i, j, x in nonzeros:
+            if x % q:
+                entries[a, position[s, j], position[t, i]] = x % q
+    return _Walk(V.walk, [off[v] + l for v, l in zip(V.walk, V.local)],
+                 entries)
+
+
+def _is_homomorphism(X: _Walk, Y: _Walk, dst: list[int]) -> bool:
+    """Whether the injective partial index map dst from X's walk
+    positions to Y's, -1 where it kills, is a module map E: X -> Y.
+
+    E respects the vertices when dst keeps the vertex of every position
+    it does not kill.  E intertwines the arrows' actions T_X and T_Y
+    when E T_X and T_Y E have the same nonzero entries: since dst is
+    injective, an entry x of T_X sending z_s to z_t puts x at
+    (s, dst[t]) in E T_X, and an entry y of T_Y sending z_s to z_t puts
+    y at (src[s], t) in T_Y E, src being dst's inverse, and no two
+    entries land on the same place.
+    """
+    src = [-1] * len(Y.vertex)
     for c, d in enumerate(dst):
         if d >= 0:
-            if y_label[d] != x_label[c]:
+            if Y.vertex[d] != X.vertex[c]:
                 return False
             src[d] = c
-    for a in X.presentation.quiver.arrow_names:
-        left = {(dst[r], c): x for r, c, x in _total_entries(X, a)
-                if dst[r] >= 0}
-        right = {(r, src[c]): y for r, c, y in _total_entries(Y, a)
-                 if src[c] >= 0}
-        if left != right:
-            return False
-    return True
+    left = {(a, s, dst[t]): x for (a, s, t), x in X.entries.items()
+            if dst[t] >= 0}
+    right = {(a, src[s], t): y for (a, s, t), y in Y.entries.items()
+             if src[s] >= 0}
+    return left == right
 
 
-def _walk_coordinates(V: FinModule) -> list[int]:
-    """The total-space coordinate of each z_i of the string module V."""
-    off = V.vertex_offsets()
-    return [off[v] + l for v, l in zip(V.walk, V.local)]
-
-
-def _kernel_is_copy(v0: FinModule, V_ell: FinModule, dst: list[int]) -> bool:
-    """Whether the coordinates that dst kills span a copy of v0 in V_ell:
-    whether the map e sending v0's z_j to the j-th killed walk position,
-    in walk order or in reversed walk order, is a homomorphism, and so a
+def _kernel_is_copy(v0: _Walk, V_ell: _Walk, dst: list[int]) -> bool:
+    """Whether the positions that dst kills span a copy of v0 in V_ell:
+    whether the map e sending v0's z_j to the j-th killed position, in
+    walk order or in reversed walk order, is a homomorphism, and so a
     monomorphism onto the killed span.  The module docstring says why no
     other e need be tried.
     """
-    killed = [c for c in _walk_coordinates(V_ell) if dst[c] < 0]
-    z = _walk_coordinates(v0)
-    if len(killed) != len(z):
+    killed = [i for i, d in enumerate(dst) if d < 0]
+    if len(killed) != len(v0.vertex):
         return False
-    # position[k] is the walk position j of v0's coordinate k = z[j].
-    position = sorted(range(len(z)), key=z.__getitem__)
-    return any(_is_homomorphism(v0, V_ell, [order[j] for j in position])
+    return any(_is_homomorphism(v0, V_ell, order)
                for order in (killed, killed[::-1]))
 
 
-def _sigma_candidates(V_ell: FinModule, D: int, form: str) -> list[list[int]]:
-    """The collapse-map candidates of V_ell as index maps on total-space
-    coordinates: dst[c] is the coordinate c goes to, or -1.
+def _sigma_candidates(total: int, D: int, form: str) -> list[list[int]]:
+    """The collapse-map candidates of a chain module with total walk
+    positions, as index maps: dst[i] is the position i goes to, or -1.
 
     A direct chain gives the shifts of the walk positions by +D and -D;
     a reflected one the reflections i -> total - 1 - i of its first D
     positions and of the others, the rest being killed.
     """
-    total, coords = V_ell.total_dim, _walk_coordinates(V_ell)
-    maps = []
     if form == "direct":
-        for shift in (D, -D):
-            dst = [-1] * total
-            for i in range(max(0, -shift), min(total, total - shift)):
-                dst[coords[i]] = coords[i + shift]
-            maps.append(dst)
-    else:
-        for keep_low in (True, False):
-            dst = [-1] * total
-            for i in range(total):
-                if (i < D) == keep_low:
-                    dst[coords[i]] = coords[total - 1 - i]
-            maps.append(dst)
-    return maps
+        return [[i + shift if 0 <= i + shift < total else -1
+                 for i in range(total)] for shift in (D, -D)]
+    return [[total - 1 - i if (i < D) == keep_low else -1
+             for i in range(total)] for keep_low in (True, False)]
 
 
-def _verify_sigma(v0: FinModule, V_ell: FinModule, level: int,
+def _verify_sigma(v0: _Walk, V_ell: _Walk, level: int,
                   form: str, word: StringWord) -> SigmaStep:
     """Check the first candidate collapse map that is a module endomorphism
     with a kernel of dimension dim v0.
 
-    Every candidate is an index map dst on walk coordinates, injective
+    Every candidate is an index map dst on walk positions, injective
     where it is defined, and so is each of its powers, dst composed with
-    itself: its kernel is spanned by the unit vectors at the coordinates
-    where dst is -1, and the image of sigma^level by those that
-    dst^level reaches, one per coordinate where it is defined, which is
-    its rank.  sigma is nilpotent of index at most level + 1 when
-    dst^(level + 1) is nowhere defined.  V_level has (level + 1) * D
-    walk positions, D = dim v0, and both candidate shapes of
-    `_sigma_candidates` make that image the kernel's coordinate set: a
-    shift by +D (-D) kills the last (first) D positions and its
-    level-th power lands on them, and a reflection (level 1, 2D
+    itself: its kernel is spanned by the z_i where dst is -1, and the
+    image of sigma^level by those that dst^level reaches, one per
+    position where it is defined, which is its rank.  sigma is nilpotent
+    of index at most level + 1 when dst^(level + 1) is nowhere defined.
+    V_level has (level + 1) * D walk positions, D = dim v0, and both
+    candidate shapes of `_sigma_candidates` make that image the kernel's
+    position set: a shift by +D (-D) kills the last (first) D positions
+    and its level-th power lands on them, and a reflection (level 1, 2D
     positions) sends one half onto the other and kills that other half.
     So one copy check, `_kernel_is_copy`, serves both hypotheses, and a
     power of rank D whose image is any other set is an error.  Only the
-    accepted candidate is built as the dense 0/1 matrix `SigmaStep.sigma`.
+    accepted candidate is built as the dense 0/1 matrix `SigmaStep.sigma`,
+    in V_ell's total-space coordinates.
     """
-    D = v0.total_dim
+    D, total = len(v0.vertex), len(V_ell.vertex)
     step = SigmaStep(level=level, word=word, sigma=None)
-    for dst in _sigma_candidates(V_ell, D, form):
+    for dst in _sigma_candidates(total, D, form):
         domain = [c for c, d in enumerate(dst) if d >= 0]
         image = [dst[c] for c in domain]
         if len(set(image)) != len(image):
             raise AssertionError(
-                "collapse map is not a partial permutation of coordinates")
+                "collapse map is not a partial permutation of positions")
         if not _is_homomorphism(V_ell, V_ell, dst):
             continue
         kernel = [d < 0 for d in dst]
         if sum(kernel) != D:
             continue
-        total = len(dst)
+        coordinate = V_ell.coordinate
         step.sigma = np.zeros((total, total), dtype=np.int64)
-        step.sigma[image, domain] = 1
+        step.sigma[[coordinate[d] for d in image],
+                   [coordinate[c] for c in domain]] = 1
         step.kernel_dim = D
         power = list(range(total))
         for _ in range(level):
@@ -351,11 +383,12 @@ def build_sequence(V: FinModule, x) -> SequenceReport:
     resolved against connecting_letters(p, w), direct form first.  V is
     neither rebuilt nor validated: a copy check that holds maps V
     isomorphically onto a submodule of a chain module, so V is then a
-    module.  The last chain module is kept as `last_module`, for
-    `_classify`.
+    module.  No chain word gets a module, but a finite chain's last one,
+    kept as `last_module` for `_classify`'s hypotheses; an infinite
+    chain's `last_module` is None.
     """
     p, q, w = V.presentation, V.q, V.word
-    if w is None:
+    if w is None or any(V.walk.count(v) != n for v, n in V.dims.items()):
         raise ValueError("build_sequence needs a string module")
     if isinstance(x, Letter):
         matches = [c for c in connecting_letters(p, w)
@@ -380,11 +413,13 @@ def build_sequence(V: FinModule, x) -> SequenceReport:
                 words.append(extended)
     report = SequenceReport(connector=connector, kind=kind,
                             n_value=n_value, words=words)
+    v0 = _module_walk(V)
     for level in range(1, len(words)):
-        V_ell = string_module(p, words[level], q)
-        report.steps.append(
-            _verify_sigma(V, V_ell, level, connector.form, words[level]))
-    report.last_module = V_ell
+        report.steps.append(_verify_sigma(
+            v0, _word_walk(p, words[level]), level, connector.form,
+            words[level]))
+    if kind == "Finite":
+        report.last_module = string_module(p, words[-1], q)
     return report
 
 

@@ -26,6 +26,7 @@ from gentledef.strings import (
     enumerate_strings,
     make_string,
     simple_module,
+    string_entries,
     string_module,
     validate_word,
     word_end_is_trivial,
@@ -81,6 +82,47 @@ def test_mixed_pair_carries_no_ideal_condition(lam0):
     # are only constrained by composability and reduction.
     assert make_string(lam0, "~d*a").display() == "~d*a"
     assert make_string(lam0, "c*~a").display() == "c*~a"
+
+
+def test_pair_errors_keep_their_types_messages_and_positions(lam0):
+    cases = [
+        ("b*c*a*a", HitsRelationError, "path a*a lies in the ideal", 1),
+        ("b*d*c*a", HitsRelationError, "path d*c lies in the ideal", 2),
+        ("~a*~a", HitsRelationError, "reversed path a*a lies in the ideal",
+         1),
+        ("a*b*c", NonComposableError, "letters b then a do not compose", 2),
+        ("b*c*a*~d", NonComposableError,
+         "letters ~d then a do not compose", 1),
+        ("b*c*~c", NotReducedError, "letter c cancels ~c", 1),
+        ("z*a", StringError, "unknown arrow 'z'", 2),
+    ]
+    for text, error, message, position in cases:
+        with pytest.raises(StringError) as exc:
+            make_string(lam0, text)
+        assert type(exc.value) is error, text
+        assert str(exc.value) == message, text
+        assert exc.value.position == position, text
+
+
+def test_composes_builds_no_error_for_a_rejected_pair(monkeypatch):
+    # _composes reads the pair rule's verdict; it neither raises nor
+    # builds a StringError, so enumerate_strings builds none either.
+    built = []
+    real = StringError.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StringError, "__init__", counted)
+    rejected = 0
+    for _, p in table1_catalog():
+        letters = [Letter(a, inv) for inv in (False, True)
+                   for a in p.quiver.arrow_names]
+        for a, b in itertools.product(letters, repeat=2):
+            rejected += not strings._composes(p, a, b)
+        enumerate_strings(p, 4)
+    assert rejected > 100 and built == []
 
 
 def test_canonical_prefers_direct_letters(lam0):
@@ -209,6 +251,37 @@ def test_inverse_letter_module(lam0):
     assert m.action["a"].tolist() == [[0, 0], [1, 0]]
     assert m.action["d"].tolist() == [[0], [1]]
     assert m.validate() == []
+
+
+def test_string_entries_by_hand(lam0):
+    assert string_entries(make_string(lam0, "b*c*a")) == [
+        ("a", 0, 1), ("c", 1, 2), ("b", 2, 3)]
+    # ~d*a: a sends z_0 to z_1, d sends z_2 back to z_1.
+    assert string_entries(make_string(lam0, "~d*a")) == [
+        ("a", 0, 1), ("d", 2, 1)]
+    assert string_entries(make_string(lam0, "simple 2")) == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_string_entries_are_the_module_nonzeros(q):
+    # Every nonzero of M[w]'s matrices is a 1, and placed on walk
+    # positions through walk and local it is one of string_entries(w).
+    words = 0
+    for name, p in table1_catalog():
+        for w in enumerate_strings(p, 4):
+            for u in {w, w.reverse_inverse()}:
+                m = string_module(p, u, q)
+                position = {c: i for i, c in enumerate(zip(m.walk, m.local))}
+                got = []
+                for a, mat in m.action.items():
+                    s, t = p.source(a), p.target(a)
+                    for i, j in zip(*np.nonzero(mat)):
+                        assert mat[i, j] == 1, (name, u.display(), a)
+                        got.append((a, position[s, j], position[t, i]))
+                assert sorted(got) == sorted(string_entries(u)), (
+                    name, u.display())
+                words += 1
+    assert words > 800
 
 
 def test_module_dim_is_len_plus_one(lam0):

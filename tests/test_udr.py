@@ -1,3 +1,4 @@
+import itertools
 import sys
 import types
 
@@ -12,9 +13,13 @@ from gentledef.presentation import LAMBDA0, catalog_presentation, table1_catalog
 from gentledef.strings import (
     FinModule,
     Letter,
+    StringError,
+    StringWord,
     enumerate_strings,
     make_string,
+    string_entries,
     string_module,
+    validate_word,
 )
 from gentledef.udr import (
     SigmaStep,
@@ -70,6 +75,86 @@ def test_single_letter_word_has_two_reflected_connectors(lam0):
     assert cons["a"].word.display() == "c*a*~c"
 
 
+def _full_word(p, letters):
+    """The word of letters, validated in full, or None."""
+    try:
+        validate_word(p, letters)
+    except StringError:
+        return None
+    return StringWord(letters)
+
+
+def _reference_connecting_letters(p, w):
+    """`connecting_letters` validating every candidate word in full."""
+    if w.is_simple:
+        start = end = w.basepoint
+    else:
+        start, end = w.letters[0].source(p), w.letters[-1].target(p)
+    letters = [Letter(a, inv) for inv in (False, True)
+               for a in p.quiver.arrow_names]
+    tries = [(x, "direct", w.letters + (x,) + w.letters) for x in letters
+             if x.source(p) == end and x.target(p) == start]
+    if not w.is_simple:
+        back = w.reverse_inverse().letters
+        tries += [(x, "reflected", w.letters + (x,) + back) for x in letters
+                  if x.source(p) == end and x.target(p) == end]
+        tries += [(x, "reflected", back + (x,) + w.letters) for x in letters
+                  if x.source(p) == start and x.target(p) == start]
+    found, seen = [], set()
+    for x, form, word in tries:
+        word = _full_word(p, word)
+        if word is not None and word.canonical().sort_key() not in seen:
+            seen.add(word.canonical().sort_key())
+            found.append((x, form, word))
+    return found
+
+
+def test_seam_checks_agree_with_full_validation(monkeypatch):
+    """`connecting_letters` and `_chain_word` check only the letter pairs
+    at x, w having been validated once; for every catalog word of length
+    at most 4, in both orientations, and every letter x, they agree with
+    validating each whole word, for (w x)^n w with n = 1..4.  A valid w
+    makes `connecting_letters` build no StringError at all.  An invalid w
+    has no connectors and no chain words."""
+    built = []
+    real = StringError.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StringError, "__init__", counted)
+    chains = broken = 0
+    for name, p in table1_catalog():
+        letters = [Letter(a, inv) for inv in (False, True)
+                   for a in p.quiver.arrow_names]
+        for w in enumerate_strings(p, 4):
+            for u in {w, w.reverse_inverse()}:
+                built.clear()
+                got = [(c.letter, c.form, c.word)
+                       for c in connecting_letters(p, u)]
+                assert not built, (name, u.display())
+                assert got == _reference_connecting_letters(p, u), (
+                    name, u.display())
+                for x, n in itertools.product(letters, range(1, 5)):
+                    want = _full_word(p, (u.letters + (x,)) * n + u.letters)
+                    assert udr._chain_word(p, u, x, n) == want, (
+                        name, u.display(), x.display(), n)
+                    chains += want is not None
+                    broken += want is None
+    assert chains > 2000 and broken > 20000, (chains, broken)
+    p = catalog_presentation(LAMBDA0)
+    # d*c lies in the ideal, but a would pass both seams of d*c*a*d*c.
+    bad = StringWord((Letter("c"), Letter("d")))
+    assert udr._composes(p, Letter("d"), Letter("a"))
+    assert udr._composes(p, Letter("a"), Letter("c"))
+    assert _reference_connecting_letters(p, bad) == []
+    assert connecting_letters(p, bad) == []
+    assert all(udr._chain_word(p, bad, Letter(a, inv), n) is None
+               for a in p.quiver.arrow_names for inv in (False, True)
+               for n in range(1, 5))
+
+
 def test_sequence_simple_is_finite_with_square_zero_map(lam0):
     w = make_string(lam0, "simple 1")
     report = build_sequence(string_module(lam0, w), Letter("a"))
@@ -108,6 +193,8 @@ def test_sequence_reflected_collapse(lam0):
 
 
 def test_build_sequence_builds_only_the_chain_modules(lam0, monkeypatch):
+    # The steps read the chain words on walk positions; only a finite
+    # chain's last word gets a module, for the hypotheses.
     built = []
     real = udr.string_module
 
@@ -116,15 +203,26 @@ def test_build_sequence_builds_only_the_chain_modules(lam0, monkeypatch):
         return real(p, w, q)
 
     monkeypatch.setattr(udr, "string_module", counted)
-    for text, letter in (("simple 1", "a"), ("c*a", "b"), ("b*c*a", "d")):
+    for text, letter, kind in (("simple 1", "a", "Finite"),
+                               ("c*a", "b", "Finite"),
+                               ("b*c*a", "d", "Infinite")):
         w = make_string(lam0, text)
         built.clear()
         report = build_sequence(string_module(lam0, w), Letter(letter))
-        assert w not in built and built == report.words[1:]
+        assert report.kind == kind
+        if kind == "Finite":
+            assert built == report.words[-1:] == [report.last_module.word]
+        else:
+            assert built == [] and report.last_module is None
     s1 = real(lam0, make_string(lam0, "simple 1"))
     raw = FinModule(presentation=lam0, q=2, dims=s1.dims, action=s1.action)
     with pytest.raises(ValueError, match="string module"):
         build_sequence(raw, Letter("a"))
+    wide = FinModule(presentation=lam0, q=2, dims={"1": 2, "2": 0},
+                     action={a: np.zeros((0, 0), dtype=np.int64)
+                             for a in s1.action}, word=s1.word)
+    with pytest.raises(ValueError, match="string module"):
+        build_sequence(wide, Letter("a"))
 
 
 def test_classify_rebuilds_no_chain_module(lam0, monkeypatch):
@@ -306,24 +404,33 @@ def _reference_submodule(V, cols):
     return sub if not sub.validate() else None
 
 
-def _dense_map(dst, rows=None):
-    """The 0/1 matrix S of an index map, with rows rows (len(dst) by
-    default): S[dst[c], c] = 1 where dst[c] >= 0."""
-    S = np.zeros((len(dst) if rows is None else rows, len(dst)),
-                 dtype=np.int64)
-    for c, d in enumerate(dst):
+def _walk_coordinates(V):
+    """The total-space coordinate of each walk position z_i of V."""
+    off = V.vertex_offsets()
+    return [off[v] + l for v, l in zip(V.walk, V.local)]
+
+
+def _dense_map(dst, X, Y):
+    """The 0/1 matrix E: X -> Y in total-space coordinates of an index
+    map dst on walk positions: E[y, x] = 1 where position i of X sits at
+    coordinate x and dst[i], a position of Y, at coordinate y."""
+    x_coords, y_coords = _walk_coordinates(X), _walk_coordinates(Y)
+    E = np.zeros((Y.total_dim, X.total_dim), dtype=np.int64)
+    for i, d in enumerate(dst):
         if d >= 0:
-            S[d, c] = 1
-    return S
+            E[y_coords[d], x_coords[i]] = 1
+    return E
 
 
-def _reference_step(v0, V, level, form, word, seen):
-    """The collapse-map check on dense matrices, with spans from the
+def _reference_step(v0, V, level, form, seen):
+    """The collapse-map check on dense matrices of the modules v0 and
+    V = M[word] that `string_module` builds, with spans from the
     textbook nullspace and rref."""
-    q, D = v0.q, v0.total_dim
+    q, D, word = v0.q, v0.total_dim, V.word
+    chain, copy_of = udr._word_walk(V.presentation, word), udr._module_walk(v0)
     step = SigmaStep(level=level, word=word, sigma=None)
-    for dst in udr._sigma_candidates(V, D, form):
-        S = _dense_map(dst)
+    for dst in udr._sigma_candidates(V.total_dim, D, form):
+        S = _dense_map(dst, V, V)
         assert not (S.sum(axis=1) > 1).any(), (word.display(), dst)
         ker = _nullspace(S, q)
         P = np.linalg.matrix_power(S, level) % q
@@ -332,8 +439,8 @@ def _reference_step(v0, V, level, form, word, seen):
         # sets the arrows do not keep stable are compared too.
         sub = _reference_submodule(V, ker.T)
         copy = sub is not None and modules_isomorphic(sub, v0)
-        assert udr._kernel_is_copy(v0, V, dst) == copy, (word.display(),
-                                                          level, dst)
+        assert udr._kernel_is_copy(copy_of, chain, dst) == copy, (
+            word.display(), level, dst)
         seen["unstable coordinate set"] |= sub is None
         seen["copy"] |= copy
         if not _reference_is_hom(V, V, S)[0] or ker.shape[0] != D:
@@ -362,10 +469,11 @@ def _assert_same_step(got, want, context):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_sigma_steps_match_row_reduction_reference(q):
-    """Collapse maps read as index maps give the SigmaStep fields, the
-    dense sigma included, that dense matrices give when their kernel and
-    image spans are row-reduced and their module property is checked by
-    per-vertex blocks.
+    """Collapse maps read as index maps on the chain words' walk positions
+    give the SigmaStep fields, the dense sigma included, that dense
+    matrices of the chain modules built by `string_module` give when
+    their kernel and image spans are row-reduced and their module
+    property is checked by per-vertex blocks.
 
     Every chain step of the catalog passes its checks, so each step is
     also checked against a decoy: another word of the same length, whose
@@ -393,12 +501,14 @@ def test_sigma_steps_match_row_reduction_reference(q):
                     V = string_module(p, step.word, q)
                     context = (name, w.display(), c.letter.display(),
                                step.level)
-                    args = (V, step.level, c.form, step.word)
+                    args = (V, step.level, c.form)
                     _assert_same_step(
                         step, _reference_step(v0, *args, seen), context)
                     for decoy in decoys:
                         want = _reference_step(decoy, *args, seen)
-                        got = udr._verify_sigma(decoy, *args)
+                        got = udr._verify_sigma(
+                            udr._module_walk(decoy), udr._word_walk(p, V.word),
+                            step.level, c.form, step.word)
                         _assert_same_step(got, want, context + ("decoy",))
                         seen["failed kernel or image"] |= (
                             want.sigma is not None and not (
@@ -432,7 +542,7 @@ def _reference_is_hom(X, Y, E):
 
 def _random_partial_permutation(rng, total, groups):
     """A random injective index map on range(total), -1 where it kills,
-    that maps each coordinate into its own group (groups is a list of
+    that maps each position into its own group (groups is a list of
     index arrays)."""
     dst = np.full(total, -1, dtype=np.int64)
     for idx in groups:
@@ -441,16 +551,13 @@ def _random_partial_permutation(rng, total, groups):
     return dst.tolist()
 
 
-def _walk_coordinates(V):
-    off = V.vertex_offsets()
-    return [off[v] + l for v, l in zip(V.walk, V.local)]
-
-
 @pytest.mark.parametrize("q", [2, 3])
 def test_module_endo_matches_block_reference(q):
-    """`udr._is_homomorphism` on index maps agrees with per-vertex blocks
-    and per-arrow intertwining of their dense matrices.  Endomorphisms of
-    chain modules V: the collapse-map candidates, the identity and random
+    """`udr._is_homomorphism` on index maps of walk positions agrees with
+    per-vertex blocks and per-arrow intertwining of the dense matrices of
+    the modules that `string_module` builds, whether the entries are read
+    off the word or from the module's matrices.  Endomorphisms of chain
+    modules V: the collapse-map candidates, the identity and random
     partial permutations.  Maps v0 -> V from v0 = M[w]: z_j sent to each
     run of dim v0 consecutive walk positions of V, in walk order and
     reversed, and random injections that keep the vertices."""
@@ -462,13 +569,15 @@ def test_module_endo_matches_block_reference(q):
     for _, p in table1_catalog():
         for w in enumerate_strings(p, 2):
             v0 = string_module(p, w, q)
+            sources = (udr._word_walk(p, w), udr._module_walk(v0))
             for c in connecting_letters(p, w):
                 V = string_module(p, c.word, q)
+                targets = (udr._word_walk(p, c.word), udr._module_walk(V))
                 total = V.total_dim
-                off = V.vertex_offsets()
-                by_vertex = [np.arange(off[v], off[v] + V.dims[v])
+                walk = np.array(V.walk)
+                by_vertex = [np.flatnonzero(walk == v)
                              for v in p.quiver.vertices]
-                candidates = udr._sigma_candidates(V, total // 2, c.form)
+                candidates = udr._sigma_candidates(total, total // 2, c.form)
                 candidates.append(list(range(total)))
                 for _ in range(3):
                     candidates.append(_random_partial_permutation(
@@ -477,35 +586,32 @@ def test_module_endo_matches_block_reference(q):
                         rng, total, by_vertex))
                 for dst in candidates:
                     want, crosses, commutes = _reference_is_hom(
-                        V, V, _dense_map(dst))
-                    assert udr._is_homomorphism(V, V, dst) == want, (
+                        V, V, _dense_map(dst, V, V))
+                    assert all(udr._is_homomorphism(X, X, dst) == want
+                               for X in targets), (
                         w.display(), c.letter.display(), dst)
                     seen["endomorphism"] |= want
                     seen["crosses vertices"] |= crosses
                     seen["commutes with some arrows only"] |= (
                         not crosses and any(commutes) and not all(commutes))
                     maps += 1
-                D, z = v0.total_dim, _walk_coordinates(v0)
-                coords = _walk_coordinates(V)
+                D = v0.total_dim
                 injections = []
                 for start in range(total - D + 1):
-                    run = coords[start:start + D]
-                    for order in (run, run[::-1]):
-                        e = [-1] * D
-                        for j, target in zip(z, order):
-                            e[j] = target
-                        injections.append(e)
-                x_off = v0.vertex_offsets()
+                    run = list(range(start, start + D))
+                    injections += [run, run[::-1]]
+                own = np.array(v0.walk)
                 for _ in range(3):
-                    e = [-1] * D
-                    for v, targets in zip(p.quiver.vertices, by_vertex):
-                        e[x_off[v]:x_off[v] + v0.dims[v]] = rng.choice(
-                            targets, v0.dims[v], replace=False).tolist()
-                    injections.append(e)
+                    e = np.full(D, -1)
+                    for v, group in zip(p.quiver.vertices, by_vertex):
+                        mine = np.flatnonzero(own == v)
+                        e[mine] = rng.choice(group, len(mine), replace=False)
+                    injections.append(e.tolist())
                 for e in injections:
                     want, crosses, _ = _reference_is_hom(
-                        v0, V, _dense_map(e, total))
-                    assert udr._is_homomorphism(v0, V, e) == want, (
+                        v0, V, _dense_map(e, v0, V))
+                    assert all(udr._is_homomorphism(X, Y, e) == want
+                               for X in sources for Y in targets), (
                         w.display(), c.letter.display(), e)
                     seen["embedding"] |= want
                     seen["vertex-keeping non-embedding"] |= (
@@ -560,9 +666,11 @@ def test_one_span_check_per_accepted_collapse_map(monkeypatch):
         assert len(spans) == steps and not searches, context
         accepted += steps
         for step in report.steps:
-            V = string_module(v0.presentation, step.word, q)
             spans.clear()
-            got = udr._verify_sigma(decoy, V, step.level, c.form, step.word)
+            got = udr._verify_sigma(
+                udr._module_walk(decoy),
+                udr._word_walk(v0.presentation, step.word),
+                step.level, c.form, step.word)
             assert len(spans) == (got.sigma is not None), context
             assert not got.kernel_is_v0 and not searches, context
             decoy_steps += 1
@@ -574,9 +682,9 @@ def test_one_v0_validation_per_chain_and_no_module_for_equal_spans(
     """Over every tangent-1 catalog word of length at most 3 at q = 2, a
     chain makes at most one v0 validation, in fact none (a copy check
     that holds embeds v0 in a chain module, so v0 is a module), and
-    builds no module but those of its chain words: a span, equal to v0's
-    entrywise or not, gets no module of its own.  A step on a decoy v0
-    builds and validates nothing either."""
+    builds no module but a finite chain's last one: a chain step or a
+    span, equal to v0's entrywise or not, gets no module of its own.  A
+    step on a decoy v0 builds and validates nothing either."""
     q = 2
     built, validations = [], []
     real_init, real_validate = FinModule.__post_init__, FinModule.validate
@@ -597,12 +705,14 @@ def test_one_v0_validation_per_chain_and_no_module_for_equal_spans(
         built.clear()
         validations.clear()
         report = build_sequence(v0, c)
-        assert built == report.words[1:] and not validations, context
+        last = report.words[-1:] if report.kind == "Finite" else []
+        assert built == last and not validations, context
         chains += 1
         for step in report.steps:
-            V = string_module(v0.presentation, step.word, q)
+            args = (udr._module_walk(decoy),
+                    udr._word_walk(v0.presentation, step.word))
             built.clear()
-            udr._verify_sigma(decoy, V, step.level, c.form, step.word)
+            udr._verify_sigma(*args, step.level, c.form, step.word)
             assert not (built or validations), context
             decoy_steps += 1
     assert chains > 20 and decoy_steps > 100
@@ -666,14 +776,12 @@ def test_altered_v0_is_never_a_kernel_copy(q):
     assert all(n > 10 for n in kinds.values()), kinds
 
 
-def test_collapse_map_check_reaches_no_hom_engine():
-    """No code reachable from `udr._verify_sigma`, through udr's helpers
-    and FinModule's methods and properties, names the Hom engine, the
-    linear solver or module validation."""
-    forbidden = {"hom_basis", "modules_isomorphic", "LinearSystem",
-                 "_reduce", "validate"}
+def _reachable(fn):
+    """The names that the code reachable from fn mentions, and that code:
+    fn's own, its nested functions', and that of every function it names
+    in its module or as a method or property of FinModule."""
     names, seen = set(), set()
-    stack = [(udr._verify_sigma.__code__, vars(udr))]
+    stack = [(fn.__code__, fn.__globals__)]
     while stack:
         code, scope = stack.pop()
         if code in seen:
@@ -688,7 +796,24 @@ def test_collapse_map_check_reaches_no_hom_engine():
                     or getattr(target, "func", None) or target
                 if isinstance(target, types.FunctionType):
                     stack.append((target.__code__, target.__globals__))
-    for helper in (udr._is_homomorphism, udr._kernel_is_copy,
-                   udr._total_entries, FinModule.sparse_action.func):
+    return names, seen
+
+
+def test_collapse_map_check_reaches_no_hom_engine():
+    """No code reachable from `udr.build_sequence` names the Hom engine,
+    the linear solver or module validation, and none reachable from
+    `udr._verify_sigma`, the check of one chain step, builds a module:
+    the chain words' entries come from `strings.string_entries` and v0's
+    from its `sparse_action`."""
+    forbidden = {"hom_basis", "modules_isomorphic", "LinearSystem",
+                 "_reduce", "validate"}
+    names, seen = _reachable(udr.build_sequence)
+    for helper in (udr._module_walk, udr._word_walk, string_entries,
+                   FinModule.sparse_action.func, udr._verify_sigma):
         assert helper.__code__ in seen, helper
     assert not names & forbidden, names & forbidden
+    names, seen = _reachable(udr._verify_sigma)
+    for helper in (udr._is_homomorphism, udr._kernel_is_copy):
+        assert helper.__code__ in seen, helper
+    assert not names & (forbidden | {"string_module", "FinModule"}), (
+        names & (forbidden | {"string_module", "FinModule"}))
