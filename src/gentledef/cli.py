@@ -223,7 +223,7 @@ def _sweep_markdown(report) -> str:
 
 def cmd_sweep(args) -> int:
     names = ([name.strip() for name in args.only.split(",")]
-             if args.only else None)
+             if args.only is not None else None)
     report = sweep_catalog(q=args.q, max_len=args.max_len,
                            n_max=args.n_max, budget=args.budget, names=names)
     if args.format == "json":

@@ -22,6 +22,11 @@ integer add that never carries between fields, and a top-bit test
 reduces each field mod q.  Widths beyond one
 63-bit word use several words, compared lexicographically; distinct
 keys are found by a lexicographic sort and a comparison of neighbours.
+The q-ary digit tables behind the block tables and the coboundary
+sources, the key weights and the orbit pass's field constants depend
+only on a shape and q, so each is built once per process and kept
+read-only in a module dict: digit tables only up to `_TABLE_ROWS`
+rows, which `lifts` also reads for its fans and ring morphism counts.
 
 The linear engine's equations all have the form A·X + Y·B = 0 in
 unknown matrices X, Y: the intertwiners n_a·X_s - X_t·m_a = 0 for Hom,
@@ -187,11 +192,28 @@ def _arrow_layout(m: FinModule, n: FinModule):
     return layout, off
 
 
+# Digit tables of at most this many rows are kept in _TABLES, by
+# (count, width, q), once built; larger ones are built on every call.
+_TABLE_ROWS = 4096
+_TABLES: dict[tuple[int, int, int], np.ndarray] = {}
+
+
 def _mixed_radix(count: int, width: int, q: int) -> np.ndarray:
-    """All q-ary tuples of the given width, one per row, least digit first."""
-    idx = np.arange(count, dtype=np.int64)[:, None]
-    weights = q ** np.arange(width, dtype=np.int64)
-    return (idx // weights) % q
+    """The first `count` q-ary tuples of the given width, one per row,
+    least digit first, as a read-only table.
+
+    A table of at most `_TABLE_ROWS` rows is built once per process and
+    shared by every caller.
+    """
+    key = (count, width, q)
+    table = _TABLES.get(key)
+    if table is None:
+        idx = np.arange(count, dtype=np.int64)[:, None]
+        table = (idx // q ** np.arange(width, dtype=np.int64)) % q
+        table.flags.writeable = False
+        if count <= _TABLE_ROWS:
+            _TABLES[key] = table
+    return table
 
 
 def _block_table(shape: tuple[int, int], q: int) -> np.ndarray:
@@ -219,6 +241,12 @@ def _field_bits(q: int) -> int:
     return (2 * q - 2).bit_length() + 1
 
 
+# _pack_keys' weight matrices by (width, q), and _orbit_minima's
+# (bits, top, bias) by q, each built once per process.
+_KEY_WEIGHTS: dict[tuple[int, int], np.ndarray] = {}
+_ORBIT_FIELDS: dict[int, tuple[int, int, int]] = {}
+
+
 def _pack_keys(rows: np.ndarray, q: int) -> np.ndarray:
     """Rows of residues mod q as packed int64 keys, one row of words each.
 
@@ -228,12 +256,17 @@ def _pack_keys(rows: np.ndarray, q: int) -> np.ndarray:
     integer product of the rows with the matrix of field weights, which
     holds 2^(bits * (j % per_word)) at (j, j // per_word).
     """
-    bits = _field_bits(q)
-    per_word = 63 // bits
     width = rows.shape[1]
-    j = np.arange(width)
-    weights = np.zeros((width, max(1, -(-width // per_word))), dtype=np.int64)
-    weights[j, j // per_word] = 1 << (bits * (j % per_word))
+    weights = _KEY_WEIGHTS.get((width, q))
+    if weights is None:
+        bits = _field_bits(q)
+        per_word = 63 // bits
+        j = np.arange(width)
+        weights = np.zeros((width, max(1, -(-width // per_word))),
+                           dtype=np.int64)
+        weights[j, j // per_word] = 1 << (bits * (j % per_word))
+        weights.flags.writeable = False
+        _KEY_WEIGHTS[width, q] = weights
     return rows @ weights
 
 
@@ -247,10 +280,12 @@ def _orbit_minima(zkeys: np.ndarray, bkeys: np.ndarray, q: int) -> np.ndarray:
     s + 2**(bits - 1) - q has its top bit set.  Word w is minimised only
     over the coboundaries that tie on every earlier word.
     """
-    bits = _field_bits(q)
-    fields = range(0, 63 // bits * bits, bits)
-    top = sum(1 << (f + bits - 1) for f in fields)
-    bias = sum(((1 << (bits - 1)) - q) << f for f in fields)
+    if q not in _ORBIT_FIELDS:
+        bits = _field_bits(q)
+        fields = range(0, 63 // bits * bits, bits)
+        _ORBIT_FIELDS[q] = (bits, sum(1 << (f + bits - 1) for f in fields),
+                            sum(((1 << (bits - 1)) - q) << f for f in fields))
+    bits, top, bias = _ORBIT_FIELDS[q]
     canon = np.empty_like(zkeys)
     tied = None
     for w in range(zkeys.shape[1]):

@@ -30,7 +30,6 @@ F_q, and so the test rings F_q[t]/(t^n).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -398,15 +397,14 @@ def count_deformations_by_orbits(V: FinModule, n: int,
 _TRUNCATED = re.compile(r"^k(?:\[\[t\]\]|\[t\])/\(t\^(\d+)\)$")
 
 
-@functools.cache
 def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
     """Local k-algebra morphisms from the named ring into F_q[t]/(t^n).
 
     Counted by enumerating images of t among the maximal-ideal elements
-    rather than via a closed form.  A pure function of the descriptor
-    and the (frozen) ring, so each pair is enumerated once per process.
-    The truncations k[[t]]/(t^e) and k[t]/(t^e) need e >= 1: the zero
-    ring k[[t]]/(t^0) has no local morphisms and is rejected.
+    rather than via a closed form; `fingerprint` keeps the counts of
+    its candidate rings.  The truncations k[[t]]/(t^e) and k[t]/(t^e)
+    need e >= 1: the zero ring k[[t]]/(t^0) has no local morphisms and
+    is rejected.
     """
     q, n = ring.q, ring.n
     if descriptor == "k":
@@ -427,6 +425,24 @@ def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
     return int((~acc.any(axis=(1, 2, 3))).sum())
 
 
+# Each candidate ring's census for n = 1..n_max, by (q, n_max).
+_CANDIDATE_CENSUSES: dict[tuple[int, int], tuple] = {}
+
+
+def _candidate_censuses(q: int, n_max: int) -> tuple:
+    """(label, census) for each of `CANDIDATE_RINGS`, in order, where the
+    census is the tuple of `count_ring_morphisms` into F_q[t]/(t^n) for
+    n = 1..n_max; built once per process for each (q, n_max)."""
+    table = _CANDIDATE_CENSUSES.get((q, n_max))
+    if table is None:
+        rings = [CoeffRing(q, n) for n in range(1, n_max + 1)]
+        table = tuple((label, tuple(count_ring_morphisms(label, ring)
+                                    for ring in rings))
+                      for label in CANDIDATE_RINGS)
+        _CANDIDATE_CENSUSES[q, n_max] = table
+    return table
+
+
 def fingerprint(V: FinModule, n_max: int,
                 budget: int = DEFAULT_BUDGET) -> LiftCensus:
     """Deformation census of V for n = 1..n_max matched against
@@ -434,13 +450,11 @@ def fingerprint(V: FinModule, n_max: int,
 
     One obstruction-tree walk gives every level's count and, for each
     n >= 2, whether reduction from level n to level n - 1 is surjective
-    on deformations.
+    on deformations.  The candidates' censuses are counted by
+    `count_ring_morphisms` once per process for each (q, n_max).
     """
-    top = CoeffRing(V.q, n_max)
-    counts, reduction = _tree_census(V, top, budget)
-    rings = [CoeffRing(V.q, n) for n in range(1, n_max)] + [top]
-    matches = [label for label in CANDIDATE_RINGS
-               if counts == [count_ring_morphisms(label, ring)
-                             for ring in rings]]
+    counts, reduction = _tree_census(V, CoeffRing(V.q, n_max), budget)
+    matches = [label for label, census in _candidate_censuses(V.q, n_max)
+               if tuple(counts) == census]
     return LiftCensus(q=V.q, census=list(enumerate(counts, start=1)),
                       matches=matches, reduction_surjective=reduction)

@@ -10,7 +10,7 @@ of the package classifies modules over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class DSLError(ValueError):
@@ -347,9 +347,16 @@ def table1_catalog() -> list[tuple[str, Presentation]]:
     Names group presentations by quiver (qi..qviii) with a running
     index per ideal.  Entries whose printed source used clashing arrow
     labels carry a note describing the normalization adopted here.
+    The presentations are built once per process; each call returns a
+    new list of the same immutable `Presentation` objects.
     """
+    return list(_table1_entries())
+
+
+@cache
+def _table1_entries() -> tuple[tuple[str, Presentation], ...]:
     V = ("1", "2")
-    entries = [
+    return (
         _entry("qi.1", V, [("a", "1", "2"), ("b", "2", "1")], []),
         _entry("qii.1", V,
                [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "1")],
@@ -399,8 +406,7 @@ def table1_catalog() -> list[tuple[str, Presentation]]:
                [("a", "1", "1"), ("c", "1", "2"),
                 ("d", "2", "1"), ("b", "2", "2")],
                [("c", "a"), ("d", "b"), ("b", "c"), ("a", "d")]),
-    ]
-    return entries
+    )
 
 
 def catalog_presentation(name: str) -> Presentation:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -171,6 +171,17 @@ def make_string(p: Presentation, text: str) -> StringWord:
     return StringWord(letters)
 
 
+@cache
+def _successors(p: Presentation) -> Mapping[Letter, tuple[Letter, ...]]:
+    """Every letter over p, direct ones first, with the letters that may
+    follow it; built once per process for each presentation."""
+    letters = [Letter(a, inv) for inv in (False, True)
+               for a in p.quiver.arrow_names]
+    return MappingProxyType({a: tuple(b for b in letters
+                                      if _composes(p, a, b))
+                             for a in letters})
+
+
 def enumerate_strings(p: Presentation, max_len: int) -> list[StringWord]:
     """All valid words of length <= max_len, one per isomorphism class.
 
@@ -179,14 +190,14 @@ def enumerate_strings(p: Presentation, max_len: int) -> list[StringWord]:
     letter at a time, each carrying its `sort_key` tuple and that of its
     reverse-inverse, so the canonical orientation is chosen by comparing
     two tuples and a `StringWord` is built only for it, once per class.
+    Which letter may follow which is read from `_successors(p)`.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     out = sorted((StringWord((), basepoint=v) for v in p.quiver.vertices),
                  key=StringWord.sort_key)
-    letters = [Letter(a, inv) for inv in (False, True)
-               for a in p.quiver.arrow_names]
-    follow = {a: [b for b in letters if _composes(p, a, b)] for a in letters}
+    follow = _successors(p)
+    letters = list(follow)
     key = {a: a.sort_key() for a in letters}
     back = {a: a.flip().sort_key() for a in letters}
     frontier = [((a,), (key[a],), (back[a],)) for a in letters]

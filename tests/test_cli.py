@@ -189,6 +189,14 @@ def test_sweep_only_quotes_an_empty_name(capsys):
     assert "unknown catalog algebras: ''" in err
 
 
+def test_sweep_only_an_empty_list_is_an_empty_name(capsys):
+    code = main(["sweep", "--only", "", "--max-len", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "unknown catalog algebras: ''" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_catalog_name_exits_with_usage_code(capsys):
     code = main(["udr", "--catalog", "nope", "a"])
     err = capsys.readouterr().err

@@ -327,6 +327,67 @@ def test_oracle_matches_linear_engine_with_wide_fields(q, bits, max_total):
     assert {0, 1} <= values, values
 
 
+def _digit_reference(count, width, q):
+    """The first count q-ary tuples of the given width, least digit
+    first, one per row, counted out by itertools."""
+    rows = itertools.islice(itertools.product(range(q), repeat=width), count)
+    return np.array([row[::-1] for row in rows],
+                    dtype=np.int64).reshape(count, width)
+
+
+def test_kept_digit_tables_equal_fresh_ones(monkeypatch):
+    # Every table the oracle and the census ask for on C5 at q = 2 and on
+    # sweeps at q = 3 and 5 is read-only, equals the reference, and is
+    # kept exactly when it has at most _TABLE_ROWS rows.
+    from gentledef import lifts
+    from gentledef.sweep import sweep_catalog
+    asked = set()
+    build = homext._mixed_radix
+
+    def recorded(count, width, q):
+        asked.add((count, width, q))
+        return build(count, width, q)
+
+    monkeypatch.setattr(homext, "_mixed_radix", recorded)
+    monkeypatch.setattr(lifts, "_mixed_radix", recorded)
+    for q, max_len in ((2, 6), (3, 3), (5, 3)):
+        sweep_catalog(q=q, max_len=max_len, n_max=3)
+    assert {q for _, _, q in asked} == {2, 3, 5}
+    assert any(count > homext._TABLE_ROWS for count, _, _ in asked)
+    for count, width, q in asked:
+        table = build(count, width, q)
+        assert not table.flags.writeable
+        kept = homext._TABLES.get((count, width, q))
+        if count <= homext._TABLE_ROWS:
+            assert kept is table
+            assert np.array_equal(table, _digit_reference(count, width, q))
+        else:
+            assert kept is None
+            assert table is not build(count, width, q)
+
+
+def test_kept_tables_are_read_only():
+    table = homext._mixed_radix(8, 3, 2)
+    assert homext._TABLES[8, 3, 2] is table
+    blocks = homext._block_table((1, 3), 2)
+    assert np.array_equal(blocks.reshape(8, 3), table)
+    homext._pack_keys(table, 2)
+    for kept in (table, blocks, homext._KEY_WEIGHTS[3, 2]):
+        with pytest.raises(ValueError):
+            kept[0, 0] = 1
+
+
+def test_a_table_over_the_cap_is_not_kept():
+    width = homext._TABLE_ROWS.bit_length()
+    count = 2 ** width
+    assert count > homext._TABLE_ROWS
+    table = homext._mixed_radix(count, width, 2)
+    assert (count, width, 2) not in homext._TABLES
+    assert not table.flags.writeable
+    assert np.array_equal(table, _digit_reference(count, width, 2))
+    assert homext._mixed_radix(count, width, 2) is not table
+
+
 def test_oracle_shares_no_code_with_linear_engine():
     """brute_force_ext and every helper it reaches stay off linalg."""
     from gentledef import homext

@@ -221,8 +221,8 @@ def test_count_ring_morphisms_table():
 
 
 def test_count_ring_morphisms_rejects_unknown():
-    # The zero ring (t^0) and unbalanced brackets are rejected too; the
-    # second call checks that memoization caches no accepted answer.
+    # The zero ring (t^0) and unbalanced brackets are rejected too, and
+    # a second call rejects them again.
     for descriptor in ["undetermined", "k[x,y]/(x,y)^2", "k[[t]]/(t^0)",
                        "k[t]/(t^0)", "k[[t]/(t^2)", "k[t]]/(t^2)",
                        "k[[t]]/(t^)", "k[[t]]/(t^-1)"]:
@@ -239,6 +239,18 @@ def test_count_ring_morphisms_accepts_both_truncation_spellings():
             want = 3 ** (n - -(-n // e))
             assert count_ring_morphisms(f"k[[t]]/(t^{e})", ring) == want
             assert count_ring_morphisms(f"k[t]/(t^{e})", ring) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_candidate_censuses_are_the_ring_morphism_counts(q):
+    for n_max in range(1, 5):
+        want = tuple(
+            (label, tuple(count_ring_morphisms(label, CoeffRing(q, n))
+                          for n in range(1, n_max + 1)))
+            for label in lifts.CANDIDATE_RINGS)
+        assert lifts._candidate_censuses(q, n_max) == want
+        assert lifts._candidate_censuses(q, n_max) is \
+            lifts._CANDIDATE_CENSUSES[q, n_max]
 
 
 def test_fingerprint_simple(lam0):

@@ -48,6 +48,17 @@ def test_parse_errors_carry_line_numbers():
     assert "length-2" in str(err.value)
 
 
+def test_catalog_calls_return_fresh_lists_of_the_same_presentations():
+    first = table1_catalog()
+    first.pop()
+    first.append(("extra", first[0][1]))
+    second, third = table1_catalog(), table1_catalog()
+    assert second is not third
+    assert len(second) == 15 and "extra" not in dict(second)
+    assert all(a is b for a, b in zip(second, third))
+    assert all(a is b for a, b in zip(first[:-1], second))
+
+
 def test_catalog_has_fifteen_gentle_entries():
     entries = table1_catalog()
     assert len(entries) == 15

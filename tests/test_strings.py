@@ -13,6 +13,7 @@ from gentledef.presentation import (
     Presentation,
     Quiver,
     catalog_presentation,
+    parse_presentation,
     table1_catalog,
 )
 from gentledef.strings import (
@@ -175,6 +176,22 @@ def test_enumerate_matches_every_validated_letter_tuple():
         got = enumerate_strings(p, 3)
         assert got == sorted(want.values(),
                              key=lambda w: (len(w), w.sort_key()))
+
+
+def test_successor_table_is_kept_per_presentation(monkeypatch):
+    # An equal presentation shares the table, which is read-only, and a
+    # second enumeration tests no letter pair again.
+    p = table1_catalog()[-1][1]
+    table = strings._successors(p)
+    assert strings._successors(parse_presentation(p.to_dsl())) is table
+    with pytest.raises(TypeError):
+        table[Letter("a")] = ()
+    want = _enumerate_both_orientations(p, 3)
+    calls = []
+    monkeypatch.setattr(strings, "_composes",
+                        lambda *args: calls.append(args))
+    assert enumerate_strings(p, 3) == want
+    assert calls == []
 
 
 def _enumerate_both_orientations(p, max_len):
