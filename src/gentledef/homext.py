@@ -26,7 +26,7 @@ The q-ary digit tables behind the block tables and the coboundary
 sources, the key weights and the orbit pass's field constants depend
 only on a shape and q, so each is built once per process and kept
 read-only in a module dict: digit tables only up to `_TABLE_ROWS`
-rows, which `lifts` also reads for its fans and ring morphism counts.
+rows, which `lifts` also reads for its fans.
 
 The linear engine's equations all have the form A·X + Y·B = 0 in
 unknown matrices X, Y: the intertwiners n_a·X_s - X_t·m_a = 0 for Hom,

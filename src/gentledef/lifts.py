@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -394,53 +395,40 @@ def count_deformations_by_orbits(V: FinModule, n: int,
     return _orbit_count(V, ring, C)
 
 
-_TRUNCATED = re.compile(r"^k(?:\[\[t\]\]|\[t\])/\(t\^(\d+)\)$")
-
-
 def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
     """Local k-algebra morphisms from the named ring into F_q[t]/(t^n).
 
-    Counted by enumerating images of t among the maximal-ideal elements
-    rather than via a closed form; `fingerprint` keeps the counts of
-    its candidate rings.  The truncations k[[t]]/(t^e) and k[t]/(t^e)
-    need e >= 1: the zero ring k[[t]]/(t^0) has no local morphisms and
-    is rejected.
+    A local morphism from k[[t]]/(t^e) is fixed by the image u of t, any
+    element of the maximal ideal with u^e = 0.  An element of valuation
+    w >= 1 has e-th power of valuation e·w, which vanishes in
+    F_q[t]/(t^n) exactly when w >= n/e.  So u ranges over the ideal
+    (t^v), v = max(1, ceil(n/e)), which has q^(n - v) elements.  k is
+    e = 1, so v = n and the count is 1; k[[t]] puts no condition on u,
+    so v = 1.  The truncations k[[t]]/(t^e) and k[t]/(t^e) need e >= 1:
+    the zero ring k[[t]]/(t^0) has no local morphisms and is rejected.
     """
-    q, n = ring.q, ring.n
+    n = ring.n
+    m = re.fullmatch(r"k(?:\[\[t\]\]|\[t\])/\(t\^(\d+)\)", descriptor)
     if descriptor == "k":
-        return 1
-    m = _TRUNCATED.match(descriptor)
-    if descriptor != "k[[t]]" and (m is None or int(m.group(1)) < 1):
+        v = n
+    elif descriptor == "k[[t]]":
+        v = 1
+    elif m is not None and int(m.group(1)) >= 1:
+        v = max(1, -(-n // int(m.group(1))))
+    else:
         raise ValueError(f"unsupported ring descriptor {descriptor!r}")
-    free = n - 1
-    # Each image of t is a 1x1 matrix polynomial with zero constant term.
-    images = np.zeros((q ** free, n, 1, 1), dtype=np.int64)
-    if free:
-        images[:, 1:, 0, 0] = _mixed_radix(q ** free, free, q)
-    if m is None:
-        return images.shape[0]
-    acc = images
-    for _ in range(int(m.group(1)) - 1):
-        acc = _poly_matmul(acc, images, q)
-    return int((~acc.any(axis=(1, 2, 3))).sum())
+    return ring.q ** (n - v)
 
 
-# Each candidate ring's census for n = 1..n_max, by (q, n_max).
-_CANDIDATE_CENSUSES: dict[tuple[int, int], tuple] = {}
-
-
+@cache
 def _candidate_censuses(q: int, n_max: int) -> tuple:
     """(label, census) for each of `CANDIDATE_RINGS`, in order, where the
     census is the tuple of `count_ring_morphisms` into F_q[t]/(t^n) for
     n = 1..n_max; built once per process for each (q, n_max)."""
-    table = _CANDIDATE_CENSUSES.get((q, n_max))
-    if table is None:
-        rings = [CoeffRing(q, n) for n in range(1, n_max + 1)]
-        table = tuple((label, tuple(count_ring_morphisms(label, ring)
-                                    for ring in rings))
-                      for label in CANDIDATE_RINGS)
-        _CANDIDATE_CENSUSES[q, n_max] = table
-    return table
+    rings = [CoeffRing(q, n) for n in range(1, n_max + 1)]
+    return tuple((label, tuple(count_ring_morphisms(label, ring)
+                               for ring in rings))
+                 for label in CANDIDATE_RINGS)
 
 
 def fingerprint(V: FinModule, n_max: int,
@@ -450,8 +438,9 @@ def fingerprint(V: FinModule, n_max: int,
 
     One obstruction-tree walk gives every level's count and, for each
     n >= 2, whether reduction from level n to level n - 1 is surjective
-    on deformations.  The candidates' censuses are counted by
-    `count_ring_morphisms` once per process for each (q, n_max).
+    on deformations.  The candidates' censuses are the closed forms of
+    `count_ring_morphisms`, tabled once per process for each (q, n_max),
+    so the walk's budget bounds everything the census holds.
     """
     counts, reduction = _tree_census(V, CoeffRing(V.q, n_max), budget)
     matches = [label for label, census in _candidate_censuses(V.q, n_max)

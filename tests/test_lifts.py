@@ -8,6 +8,7 @@ from gentledef.homext import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     _arrow_layout,
+    _mixed_radix,
     end_is_trivial,
     ext1_dim,
     ext_system,
@@ -248,9 +249,54 @@ def test_candidate_censuses_are_the_ring_morphism_counts(q):
             (label, tuple(count_ring_morphisms(label, CoeffRing(q, n))
                           for n in range(1, n_max + 1)))
             for label in lifts.CANDIDATE_RINGS)
-        assert lifts._candidate_censuses(q, n_max) == want
-        assert lifts._candidate_censuses(q, n_max) is \
-            lifts._CANDIDATE_CENSUSES[q, n_max]
+        table = lifts._candidate_censuses(q, n_max)
+        assert table == want
+        assert lifts._candidate_censuses(q, n_max) is table
+
+
+def _ring_morphisms_by_enumeration(q, n, e):
+    """Local morphisms from k[[t]]/(t^e) (k[[t]] for e = None) into
+    F_q[t]/(t^n), counted over every image u of t in the maximal ideal
+    by testing u^e = 0 with `_poly_matmul`."""
+    free = n - 1
+    # Each image of t is a 1x1 matrix polynomial with zero constant term.
+    images = np.zeros((q ** free, n, 1, 1), dtype=np.int64)
+    if free:
+        images[:, 1:, 0, 0] = _mixed_radix(q ** free, free, q)
+    if e is None:
+        return images.shape[0]
+    acc = images
+    for _ in range(e - 1):
+        acc = _poly_matmul(acc, images, q)
+    return int((~acc.any(axis=(1, 2, 3))).sum())
+
+
+def test_ring_morphism_closed_form_matches_enumeration():
+    descriptors = ([("k", 1), ("k[[t]]", None)]
+                   + [(f"k[[t]]/(t^{e})", e) for e in range(1, 5)]
+                   + [(f"k[t]/(t^{e})", e) for e in range(1, 4)])
+    for q in (2, 3, 5, 7):
+        for n in range(1, 7):
+            for descriptor, e in descriptors:
+                want = _ring_morphisms_by_enumeration(q, n, e)
+                got = count_ring_morphisms(descriptor, CoeffRing(q, n))
+                assert got == want, (q, n, descriptor)
+
+
+def test_candidate_censuses_stay_within_the_walk_budget():
+    # The candidates' censuses are closed forms: a level the walk can
+    # afford allocates nothing further, however many images t has.
+    assert count_ring_morphisms("k[[t]]", CoeffRing(2, 64)) == 2 ** 63
+    V = simple_module(catalog_presentation("qi.1"), "1")
+    tracemalloc.start()
+    try:
+        fp = fingerprint(V, 16, budget=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fp.census == [(n, 1) for n in range(1, 17)]
+    assert fp.matches == ["k"]
+    assert peak < 64 * 1024
 
 
 def test_fingerprint_simple(lam0):

@@ -147,3 +147,30 @@ def test_sweeps_match_golden_json():
         for old, new in zip(want["rows"], got["rows"]):
             assert new == old, (filename, old["algebra"], old["word"])
         assert text == golden, filename
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_rings_do_not_depend_on_q(q):
+    """C5 over F_q puts every row in the ring it has over F_2, and each
+    row's census is one of five point-count polynomials in q."""
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "sweep_q2_len6_n3.json").read_text())
+    rows = sweep_catalog(q=q, max_len=6, n_max=3).as_dict()["rows"]
+
+    def key(row):
+        return row["algebra"], row["word"], row["ring"], row["tangent_dim"]
+
+    assert [key(row) for row in rows] == [key(row) for row in golden["rows"]]
+    # (ring column, census at n = 1, 2, 3) of each polynomial.
+    polynomials = [("k", (1, 1, 1)),
+                   ("k[[t]]", (1, q, q ** 2)),
+                   ("k[[t]]/(t^2)", (1, q, q)),
+                   ("undetermined", (1, q ** 2, (2 * q - 1) * q ** 2)),
+                   ("undetermined", (1, q ** 2, q ** 2))]
+    fits = [0] * len(polynomials)
+    for row in rows:
+        census = tuple(count for _, count in row["census"])
+        [i] = [i for i, (_, poly) in enumerate(polynomials) if poly == census]
+        assert row["ring"] == polynomials[i][0], key(row)
+        fits[i] += 1
+    assert fits == [50, 31, 24, 7, 2]
