@@ -54,10 +54,12 @@ def _load_presentation(args) -> tuple[str, Presentation]:
     raise ValueError("a DSL file or --catalog NAME is required")
 
 
-def _emit(args, text: str) -> None:
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
+def _emit(args, payload: dict, markdown: str) -> None:
+    """Write the report as JSON or as Markdown, per --format, to
+    --output or stdout."""
+    text = json.dumps(payload, indent=2) if args.format == "json" else markdown
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -74,13 +76,10 @@ def cmd_validate(args) -> int:
     report = validate_gentle(p)
     payload = {"source": name, "ok": report.ok,
                "violations": report.violations, "errors": report.errors}
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        lines = [f"# validation of {name}", f"ok: {report.ok}"]
-        lines += [f"- violation: {v}" for v in report.violations]
-        lines += [f"- error: {e}" for e in report.errors]
-        _emit(args, "\n".join(lines))
+    lines = [f"# validation of {name}", f"ok: {report.ok}"]
+    lines += [f"- violation: {v}" for v in report.violations]
+    lines += [f"- error: {e}" for e in report.errors]
+    _emit(args, payload, "\n".join(lines))
     return 0 if report.ok else 1
 
 
@@ -91,17 +90,13 @@ def cmd_udr(args) -> int:
                                    budget=args.budget)
     payload = {"algebra": name, "word": w.display(), "q": args.q,
                **d.as_dict()}
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        census = d.evidence["census"]
-        lines = [f"# universal deformation ring over {name}",
-                 f"word: {w.display()}",
-                 f"ring: {d.ring}",
-                 f"tangent dim: {d.tangent_dim}",
-                 f"census: {_render_census_line(census)}",
-                 f"published agreement: {d.paper_agreement}"]
-        _emit(args, "\n".join(lines))
+    lines = [f"# universal deformation ring over {name}",
+             f"word: {w.display()}",
+             f"ring: {d.ring}",
+             f"tangent dim: {d.tangent_dim}",
+             f"census: {_render_census_line(d.evidence['census'])}",
+             f"published agreement: {d.paper_agreement}"]
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
@@ -117,10 +112,7 @@ def _pair_dims(args, which: str) -> int:
         value = ext1_dim(m, n)
     payload = {"algebra": name, "from": wm.display(), "to": wn.display(),
                "q": args.q, f"{which}_dim": value}
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        _emit(args, f"{which}({wm.display()}, {wn.display()}) = {value}")
+    _emit(args, payload, f"{which}({wm.display()}, {wn.display()}) = {value}")
     return 0
 
 
@@ -144,11 +136,8 @@ def cmd_tangent(args) -> int:
                "tangent_dim": value}
     if brute is not None:
         payload["tangent_dim_brute"] = brute
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        extra = f" (oracle {brute})" if brute is not None else ""
-        _emit(args, f"tangent dim of {w.display()} = {value}{extra}")
+    extra = f" (oracle {brute})" if brute is not None else ""
+    _emit(args, payload, f"tangent dim of {w.display()} = {value}{extra}")
     if brute is not None and brute != value:
         print("error: ext engines disagree", file=sys.stderr)
         return 1
@@ -161,11 +150,8 @@ def cmd_census(args) -> int:
     census = fingerprint(string_module(p, w, args.q), args.n_max,
                          budget=args.budget)
     payload = {"algebra": name, "word": w.display(), **census.as_dict()}
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        _emit(args, f"census of {w.display()}: "
-              + _render_census_line(census.as_dict()))
+    _emit(args, payload, f"census of {w.display()}: "
+          + _render_census_line(census.as_dict()))
     return 0
 
 
@@ -175,16 +161,12 @@ def cmd_radical(args) -> int:
     payload = {"algebra": name, "vertex": report.vertex,
                "depth": report.depth, "layers": report.layers,
                "arms": report.arms}
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        lines = [f"# radical series of the projective at {report.vertex}"]
-        for i, layer in enumerate(report.layers):
-            lines.append(f"rad^{i}: " + (" ".join(layer) or "(zero)"))
-        for arm in report.arms:
-            lines.append(f"arm via {arm['first_arrow']}: "
-                         + " ".join(arm["targets"]))
-        _emit(args, "\n".join(lines))
+    lines = [f"# radical series of the projective at {report.vertex}"]
+    lines += [f"rad^{i}: " + (" ".join(layer) or "(zero)")
+              for i, layer in enumerate(report.layers)]
+    lines += [f"arm via {arm['first_arrow']}: " + " ".join(arm["targets"])
+              for arm in report.arms]
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
@@ -226,10 +208,7 @@ def cmd_sweep(args) -> int:
              if args.only is not None else None)
     report = sweep_catalog(q=args.q, max_len=args.max_len,
                            n_max=args.n_max, budget=args.budget, names=names)
-    if args.format == "json":
-        _emit(args, json.dumps(report.as_dict(), indent=2))
-    else:
-        _emit(args, _sweep_markdown(report))
+    _emit(args, report.as_dict(), _sweep_markdown(report))
     return 1 if report.internal_errors else 0
 
 

@@ -5,6 +5,10 @@ Composition is right-to-left throughout: the relation word "d*c" means
 path beta-after-alpha.  The built-in catalog collects the fifteen
 infinite-dimensional gentle presentations on two vertices that the rest
 of the package classifies modules over.
+
+The radical series of a projective is read off its arms, one
+ideal-avoiding path per arrow out of its vertex; non-gentle input is
+rejected at the first arrow on an arm with two continuations.
 """
 
 from __future__ import annotations
@@ -54,31 +58,6 @@ class Quiver:
         return tuple(a[0] for a in self.arrows)
 
 
-@dataclass(frozen=True)
-class Path:
-    """A composable run of arrows, or a trivial path at a vertex.
-
-    `arrows` is in display order: the leftmost arrow is applied last,
-    matching the relation words ("ca" is a-then-c).
-    """
-
-    arrows: tuple[str, ...]
-    at: str | None = None  # basepoint, only for the trivial path
-
-    def __post_init__(self):
-        if not self.arrows and self.at is None:
-            raise ValueError("trivial path needs a basepoint vertex")
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.arrows
-
-    def display(self) -> str:
-        if self.is_trivial:
-            return f"e_{self.at}"
-        return "*".join(self.arrows)
-
-
 @dataclass
 class GentleReport:
     ok: bool
@@ -94,9 +73,13 @@ class Presentation:
 
     def __post_init__(self):
         seen = set()
+        names = set(self.quiver.arrow_names)
         for rel in self.relations:
             if rel in seen:
                 raise ValueError(f"duplicate relation {rel[0]}*{rel[1]}")
+            if not names.issuperset(rel):
+                raise ValueError(
+                    f"relation {rel[0]}*{rel[1]} names an undeclared arrow")
             seen.add(rel)
 
     @cached_property
@@ -108,12 +91,6 @@ class Presentation:
 
     def target(self, arrow: str) -> str:
         return self.quiver.target(arrow)
-
-    def path_source(self, p: Path) -> str:
-        return p.at if p.is_trivial else self.source(p.arrows[-1])
-
-    def path_target(self, p: Path) -> str:
-        return p.at if p.is_trivial else self.target(p.arrows[0])
 
     def to_dsl(self) -> str:
         lines = ["vertices: " + " ".join(self.quiver.vertices)]
@@ -208,11 +185,8 @@ def validate_gentle(p: Presentation) -> GentleReport:
     are reported as errors, not gentle violations.
     """
     report = GentleReport(ok=True)
-    names = set(p.quiver.arrow_names)
     for beta, alpha in p.relations:
-        if beta not in names or alpha not in names:
-            report.errors.append(f"relation {beta}*{alpha}: unknown arrow")
-        elif p.source(beta) != p.target(alpha):
+        if p.source(beta) != p.target(alpha):
             report.errors.append(
                 f"relation {beta}*{alpha}: not composable "
                 f"(source({beta}) != target({alpha}))")
@@ -255,27 +229,6 @@ def validate_gentle(p: Presentation) -> GentleReport:
     return report
 
 
-def compose(p: Presentation, q: Path, r: Path) -> Path | None:
-    """The path "q after r", or None when it is zero or ill-typed.
-
-    Trivial paths act as identities at their vertex.
-    """
-    if q.is_trivial and r.is_trivial:
-        return q if q.at == r.at else None
-    if q.is_trivial:
-        return r if p.path_target(r) == q.at else None
-    if r.is_trivial:
-        return q if p.path_source(q) == r.at else None
-    if p.path_source(q) != p.path_target(r):
-        return None
-    arrows = q.arrows + r.arrows
-    rels = p.relation_set
-    for i in range(len(arrows) - 1):
-        if (arrows[i], arrows[i + 1]) in rels:
-            return None
-    return Path(arrows)
-
-
 @dataclass
 class RadicalLayerReport:
     vertex: str
@@ -287,31 +240,23 @@ class RadicalLayerReport:
 def radical_series(p: Presentation, v: str, depth: int) -> RadicalLayerReport:
     """Layers and arms of the projective at v, truncated at `depth`.
 
+    Each arm follows one starting arrow through its unique
+    ideal-avoiding continuations until the path dies or the depth is
+    reached; an arrow with two such continuations raises ValueError,
+    so non-gentle input is rejected at its first ambiguous arrow.
+
     Layer i lists the simple at the target of every nonzero length-i
-    path starting at v.  Each arm follows one starting arrow through
-    its unique ideal-avoiding continuations until the path dies or the
-    depth is reached.
+    path starting at v, read off the arms: relations are quadratic
+    monomials, so appending an arrow keeps a path nonzero exactly when
+    the new pair is not a relation.  Once the walk returns, every
+    continuation within `depth` is unique, and the nonzero length-i
+    paths from v are exactly the arms' length-i prefixes.
     """
     if v not in p.quiver.vertices:
         raise ValueError(f"unknown vertex {v!r}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rels = p.relation_set
-
-    layers = [[f"S{v}"]]
-    frontier = [Path((), at=v)]
-    for _ in range(depth):
-        new = []
-        for path in frontier:
-            succ_from = p.path_target(path)
-            for name in p.quiver.arrow_names:
-                if p.source(name) != succ_from:
-                    continue
-                ext = compose(p, Path((name,)), path)
-                if ext is not None:
-                    new.append(ext)
-        frontier = new
-        layers.append(sorted(f"S{p.path_target(pa)}" for pa in frontier))
 
     arms = []
     for name in p.quiver.arrow_names:
@@ -333,6 +278,9 @@ def radical_series(p: Presentation, v: str, depth: int) -> RadicalLayerReport:
             targets.append(f"S{p.target(cont[0])}")
             paths.append("*".join(reversed(chain)))
         arms.append({"first_arrow": name, "targets": targets, "paths": paths})
+    layers = [[f"S{v}"]] + [
+        sorted(arm["targets"][i] for arm in arms if i < len(arm["targets"]))
+        for i in range(depth)]
     return RadicalLayerReport(vertex=v, depth=depth, layers=layers, arms=arms)
 
 

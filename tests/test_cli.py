@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -202,3 +203,77 @@ def test_unknown_catalog_name_exits_with_usage_code(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error: no catalog entry named 'nope'" in err
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["validate", "--catalog", "qviii.1"],
+     ["# validation of qviii.1", "ok: True"]),
+    (["udr", "--catalog", "qviii.1", "c*a"],
+     ["# universal deformation ring over qviii.1", "word: c*a",
+      "ring: k[[t]]/(t^2)", "tangent dim: 1",
+      "census: 1 -> 1, 2 -> 2, 3 -> 2 (matches: k[[t]]/(t^2))",
+      "published agreement: disagrees"]),
+    (["hom", "--catalog", "qviii.1", "a", "simple 1"],
+     ["hom(a, simple 1) = 1"]),
+    (["ext", "--catalog", "qviii.1", "a", "simple 1"],
+     ["ext1(a, simple 1) = 0"]),
+    (["tangent", "--catalog", "qviii.1", "b*c*a", "--check"],
+     ["tangent dim of b*c*a = 2 (oracle 2)"]),
+    (["tangent", "--catalog", "qviii.1", "c"],
+     ["tangent dim of c = 2"]),
+    (["census", "--catalog", "qviii.1", "b*c*a"],
+     ["census of b*c*a: 1 -> 1, 2 -> 4, 3 -> 12 (matches: none)"]),
+    (["radical", "--catalog", "qvi.3", "2", "4"],
+     ["# radical series of the projective at 2", "rad^0: S2", "rad^1: S1",
+      "rad^2: S2", "rad^3: (zero)", "rad^4: (zero)", "arm via c: S1 S2"]),
+])
+def test_markdown_reports(capsys, argv, head):
+    code = main(argv + ["--format", "md"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == head
+
+
+def test_markdown_validation_lists_errors(tmp_path, capsys):
+    path = tmp_path / "noncomp.txt"
+    path.write_text("vertices: 1 2\n"
+                    "arrows: a: 1 -> 1 ; c: 1 -> 2 ; d: 2 -> 1 ; "
+                    "b: 2 -> 2\n"
+                    "relations: c*b\n")
+    code = main(["validate", str(path), "--format", "md"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines() == [
+        f"# validation of {path}", "ok: False",
+        "- error: relation c*b: not composable (source(c) != target(b))"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["udr", "b"], ["ext", "a", "b"], ["tangent", "b"],
+    ["census", "b"], ["radical", "1", "2"]])
+def test_relation_on_an_undeclared_arrow_exits_with_usage_code(
+        tmp_path, capsys, argv):
+    path = tmp_path / "undeclared.txt"
+    path.write_text("vertices: 1\narrows: a: 1 -> 1 ; b: 1 -> 1\n"
+                    "relations: b*x\n")
+    code = main(argv[:1] + [str(path)] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: relation b*x names an undeclared arrow\n"
+
+
+def test_radical_rejects_two_free_loops_without_growing(tmp_path, capsys):
+    # Without relations both loops continue every path, so the number
+    # of nonzero paths doubles per level; the arm walk stops at once.
+    path = tmp_path / "free.txt"
+    path.write_text("vertices: 1\narrows: a: 1 -> 1 ; b: 1 -> 1\n")
+    tracemalloc.start()
+    try:
+        code = main(["radical", str(path), "1", "20"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ambiguous continuation" in err
+    assert peak < 2**20

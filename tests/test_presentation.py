@@ -1,14 +1,12 @@
-"""Presentation DSL, gentle validation, catalog, composition, radical layers."""
+"""Presentation DSL, gentle validation, catalog, radical layers."""
 
 import pytest
 
 from gentledef.presentation import (
     DSLError,
-    Path,
     Presentation,
     Quiver,
     catalog_presentation,
-    compose,
     parse_presentation,
     radical_series,
     table1_catalog,
@@ -92,47 +90,34 @@ def test_non_composable_relation_is_an_error_not_a_violation():
     assert "not composable" in report.errors[0]
 
 
-def test_compose_examples():
-    p = _lambda0()
-    ca = compose(p, Path(("c",)), Path(("a",)))
-    assert ca is not None and ca.arrows == ("c", "a")
-    assert compose(p, Path(("d",)), Path(("c",))) is None  # d*c in the ideal
-    q = Path(("c", "a"))
-    triv = Path((), at="1")
-    assert compose(p, q, triv) == q
-    assert compose(p, triv, Path(("a",))) == Path(("a",))
-    # ill-typed: c ends at 2, a starts at 1
-    assert compose(p, Path(("a",)), Path(("c",))) is None
-
-
-def _all_paths(p, max_len):
-    out = [Path((), at=v) for v in p.quiver.vertices]
-    frontier = list(out)
-    for _ in range(max_len):
-        new = []
-        for path in frontier:
-            for name in p.quiver.arrow_names:
-                if p.source(name) != p.path_target(path):
-                    continue
-                ext = compose(p, Path((name,)), path)
-                if ext is not None:
-                    new.append(ext)
-        frontier = new
-        out.extend(new)
+def _all_paths(p, v, max_len):
+    """Every nonzero path from v with 1..max_len arrows, as a tuple of
+    arrow names in the order they are applied.  A path is nonzero iff
+    no adjacent pair is a relation."""
+    rels = p.relation_set
+    out = []
+    frontier = [(a,) for a in p.quiver.arrow_names if p.source(a) == v]
+    while frontier and len(frontier[0]) <= max_len:
+        out += frontier
+        frontier = [path + (b,) for path in frontier
+                    for b in p.quiver.arrow_names
+                    if p.source(b) == p.target(path[-1])
+                    and (b, path[-1]) not in rels]
     return out
 
 
-def test_compose_associative_on_short_paths():
+def test_radical_layers_are_the_targets_of_all_nonzero_paths():
     for name, p in table1_catalog():
-        paths = _all_paths(p, 4)
-        for x in paths:
-            for y in paths:
-                xy = compose(p, x, y)
-                for z in paths:
-                    yz = compose(p, y, z)
-                    left = compose(p, xy, z) if xy is not None else None
-                    right = compose(p, x, yz) if yz is not None else None
-                    assert left == right, (name, x, y, z)
+        for v in p.quiver.vertices:
+            paths = _all_paths(p, v, 12)
+            for depth in range(1, 13):
+                rep = radical_series(p, v, depth)
+                assert rep.layers[0] == [f"S{v}"]
+                assert len(rep.layers) == depth + 1
+                for i in range(1, depth + 1):
+                    assert rep.layers[i] == sorted(
+                        f"S{p.target(path[-1])}"
+                        for path in paths if len(path) == i), (name, v, i)
 
 
 def test_gentle_local_uniqueness_by_arrow_scan():
@@ -188,6 +173,14 @@ def test_arm_stops_when_the_path_dies():
     assert rep.arms == [
         {"first_arrow": "b", "targets": ["S2"], "paths": ["b"]}]
     assert rep.layers[2] == []
+
+
+def test_relation_on_an_undeclared_arrow_is_rejected():
+    q = _lambda0().quiver
+    with pytest.raises(ValueError, match="relation b\\*x names an undeclared arrow"):
+        Presentation(q, (("b", "x"),))
+    with pytest.raises(DSLError, match="undeclared arrow"):
+        parse_presentation("vertices: 1\narrows: b: 1 -> 1\nrelations: x*b\n")
 
 
 def test_relation_set_is_built_once_and_leaves_equality_alone():
