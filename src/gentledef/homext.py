@@ -50,9 +50,11 @@ The same systems carry the first-order deformation theory of a module V
 that `lifts` builds on: the cocycle equations of ext_system(V, V) are
 the equations of each new coefficient level of a lift, and `lifts`
 reduces them once, sparse, as a `linalg.Presolved` that solves every
-level and gives the cocycle basis; the columns of
-hom_system(V, V).matrix() span the coboundaries, the directions in
-which conjugation by 1 + t g moves a lift.
+level and gives the cocycle basis; it also lays out a lift's levels,
+read through its `unpack` and recorded equations.  hom_system(V, V) has
+one equation per arrow, in arrow order and the arrow's shape, so the
+columns of hom_system(V, V).matrix() are the coboundaries in that
+layout, the directions in which conjugation by 1 + t g moves a lift.
 """
 
 from __future__ import annotations
@@ -180,18 +182,6 @@ def modules_isomorphic(m: FinModule, n: FinModule,
     return False
 
 
-def _arrow_layout(m: FinModule, n: FinModule):
-    """Flattening offsets for cocycle tuples, matching ext_system order."""
-    p = m.presentation
-    layout = []
-    off = 0
-    for a in p.quiver.arrow_names:
-        shape = (n.dims[p.target(a)], m.dims[p.source(a)])
-        layout.append((a, off, shape))
-        off += shape[0] * shape[1]
-    return layout, off
-
-
 # Digit tables of at most this many rows are kept in _TABLES, by
 # (count, width, q), once built; larger ones are built on every call.
 _TABLE_ROWS = 4096
@@ -313,9 +303,13 @@ def brute_force_ext(m: FinModule, n: FinModule,
     be the expected power of q.
     """
     p, q = _common(m, n)
-    layout, width = _arrow_layout(m, n)
-    gsizes = [n.dims[v] * m.dims[v] for v in p.quiver.vertices]
-    gwidth = sum(gsizes)
+    # (arrow, offset, shape) of each cocycle block: the oracle keeps its
+    # own layout, so that it reads nothing of ext_system.
+    layout, width = [], 0
+    for a, s, t in p.quiver.arrows:
+        layout.append((a, width, (n.dims[t], m.dims[s])))
+        width += n.dims[t] * m.dims[s]
+    gwidth = sum(n.dims[v] * m.dims[v] for v in p.quiver.vertices)
     if q ** width > budget:
         raise BudgetExceededError(
             f"{q}^{width} cocycle candidates exceed budget {budget}")
@@ -353,27 +347,15 @@ def brute_force_ext(m: FinModule, n: FinModule,
 
     gcount = q ** gwidth
     gcand = _mixed_radix(gcount, gwidth, q)
+    g, goff = {}, 0
+    for v in p.quiver.vertices:
+        r, c = n.dims[v], m.dims[v]
+        g[v] = gcand[:, goff:goff + r * c].reshape(gcount, r, c)
+        goff += r * c
     deltas = np.zeros((gcount, width), dtype=np.int64)
-    goff = 0
-    gslices = {}
-    for v, size in zip(p.quiver.vertices, gsizes):
-        gslices[v] = (goff, (n.dims[v], m.dims[v]))
-        goff += size
-    for a, off, shape in layout:
-        if shape[0] * shape[1] == 0:
-            continue
-        s, t = p.source(a), p.target(a)
-        part = np.zeros((gcount, *shape), dtype=np.int64)
-        soff, sshape = gslices[s]
-        if sshape[0] * sshape[1]:
-            g_s = gcand[:, soff:soff + sshape[0] * sshape[1]]
-            part += n.action[a] @ g_s.reshape(gcount, *sshape)
-        toff, tshape = gslices[t]
-        if tshape[0] * tshape[1]:
-            g_t = gcand[:, toff:toff + tshape[0] * tshape[1]]
-            part -= g_t.reshape(gcount, *tshape) @ m.action[a]
-        deltas[:, off:off + shape[0] * shape[1]] = (
-            part % q).reshape(gcount, -1)
+    for a, off, (r, c) in layout:
+        part = n.action[a] @ g[p.source(a)] - g[p.target(a)] @ m.action[a]
+        deltas[:, off:off + r * c] = (part % q).reshape(gcount, r * c)
 
     zkeys = _pack_keys(valid, q)
     bkeys = _distinct_rows(_pack_keys(deltas, q))

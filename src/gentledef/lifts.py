@@ -4,7 +4,10 @@ A lift replaces each arrow matrix by a polynomial in t whose constant
 term is the original matrix, subject to the relations holding over the
 truncated polynomial ring.  The t^k coefficients satisfy an affine
 system whose homogeneous part is independent of k: the cocycle equations
-of Ext^1(V, V), taken from `homext.ext_system`.  Deformations are lifts
+of Ext^1(V, V), taken from `homext.ext_system`, which also lays out
+each of a lift's n coefficient levels: `LinearSystem.unpack` views them
+by arrow, and each level's cross terms are summed over the equations
+the system records.  Deformations are lifts
 up to conjugation by invertible vertex maps congruent to the identity
 mod t; at level one these move a lift by the coboundaries, read from
 `homext.hom_system`.
@@ -40,14 +43,13 @@ import numpy as np
 from .homext import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    _arrow_layout,
     _mixed_radix,
     _pack_keys,
     end_is_trivial,
     ext_system,
     hom_system,
 )
-from .linalg import Presolved, is_prime, rref
+from .linalg import LinearSystem, Presolved, is_prime, rref
 from .strings import FinModule
 
 # The rings a census is matched against, in the order matches are listed.
@@ -137,30 +139,21 @@ def _poly_matmul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
     return out % q
 
 
-def _slice(C: np.ndarray, level: int, off: int, shape: tuple[int, int]):
-    r, c = shape
-    return C[:, level, off:off + r * c].reshape(C.shape[0], r, c)
-
-
-def _level_rhs(V: FinModule, C: np.ndarray, k: int) -> np.ndarray:
+def _level_rhs(system: LinearSystem, C: np.ndarray, k: int) -> np.ndarray:
     """Right-hand sides -(sum of cross terms) for level k, one column per lift.
 
-    Rows follow `ext_system(V, V)`: one block per relation b*a, holding
-    -sum_{0<i<k} f_b[i] f_a[k-i] flattened row-major.
+    system is ext_system(V, V), which lays out each level of C; C is
+    unpacked once.  Equation (first, x, y), for the relation y*x, fills
+    the rows from first on with -sum_{0<i<k} Y[i] @ X[k-i], row-major.
     """
-    p, q = V.presentation, V.q
-    slots = {a: (off, shape) for a, off, shape in _arrow_layout(V, V)[0]}
-    blocks = []
-    for beta, alpha in p.relations:
-        (boff, bshape), (aoff, ashape) = slots[beta], slots[alpha]
-        acc = np.zeros((C.shape[0], bshape[0], ashape[1]), dtype=np.int64)
-        for i in range(1, k):
-            acc += (_slice(C, i, boff, bshape)
-                    @ _slice(C, k - i, aoff, ashape))
-        blocks.append((-acc % q).reshape(C.shape[0], -1))
-    if not blocks:
-        return np.zeros((0, C.shape[0]), dtype=np.int64)
-    return np.concatenate(blocks, axis=1).T
+    blocks = system.unpack(C)
+    rhs = np.zeros((C.shape[0], system.height), dtype=np.int64)
+    for first, x, y in system.equations:
+        X, Y = blocks[x], blocks[y]
+        size = Y.shape[-2] * X.shape[-1]
+        acc = (Y[:, 1:k] @ X[:, k - 1:0:-1]).sum(axis=1)
+        rhs[:, first:first + size] = -acc.reshape(C.shape[0], size)
+    return rhs.T % system.q
 
 
 def _span(basis: np.ndarray, q: int, budget: int) -> np.ndarray:
@@ -185,10 +178,11 @@ def _lift_walk(V: FinModule, n: int, fan,
                budget: int) -> tuple[np.ndarray, list[int], dict[int, bool]]:
     """Lifts of V to F_q[t]/(t^n), one coefficient level at a time.
 
-    The rows at level k have shape (n, width of arrow tuple), zero from
-    level k on.  The cocycle equations `ext_system(V, V)` are reduced
-    once, by `Presolved`, which gives both their solutions and their
-    nullspace Z, the cocycle basis.  Level k's unknowns solve those
+    The cocycle equations `ext_system(V, V)` are built once.  The rows at
+    level k have shape (n, system width), zero from level k on; level 0
+    holds V's actions, written through `unpack`.  For n >= 2 they are
+    reduced once, by `Presolved`, which gives both their solutions and
+    their nullspace Z, the cocycle basis.  Level k's unknowns solve those
     equations with right-hand side `_level_rhs`; a row whose system is
     solvable gets one solution plus each row of `fan(V, Z, budget)`, and
     the others are dropped.  Level 1 has no cross terms, so its one row
@@ -198,21 +192,21 @@ def _lift_walk(V: FinModule, n: int, fan,
     may have at most `budget` entries, so they take at most 8 * budget
     bytes; the child level is filled in place.
     """
-    q = V.q
-    layout, width = _arrow_layout(V, V)
+    q, system = V.q, ext_system(V, V)
+    width = system.width
     C = np.zeros((1, n, width), dtype=np.int64)
-    for a, off, shape in layout:
-        C[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
+    for a, block in system.unpack(C[0, 0]).items():
+        block[...] = V.action[a]
     counts, extended = [1], {}
     if n == 1:
         return C, counts, extended
-    pre = Presolved(ext_system(V, V))
+    pre = Presolved(system)
     reps = fan(V, pre.nullspace, budget)
     for k in range(1, n):
         if k == 1:
             X, ok = np.zeros((width, 1), dtype=np.int64), np.ones(1, bool)
         else:
-            X, ok = pre.solve_many(_level_rhs(V, C, k))
+            X, ok = pre.solve_many(_level_rhs(system, C, k))
         extended[k + 1] = bool(ok.all())
         parents = int(ok.sum())
         held = C.shape[0] + parents * reps.shape[0]
@@ -228,14 +222,6 @@ def _lift_walk(V: FinModule, n: int, fan,
     return C, counts, extended
 
 
-def _rows_to_lift(V: FinModule, ring: CoeffRing, row: np.ndarray) -> Lift:
-    layout, _ = _arrow_layout(V, V)
-    coeffs = {}
-    for a, off, (r, c) in layout:
-        coeffs[a] = row[:, off:off + r * c].reshape(ring.n, r, c).copy()
-    return Lift(module=V, ring=ring, coeffs=coeffs)
-
-
 def enumerate_lifts(V: FinModule, n: int,
                     budget: int = DEFAULT_BUDGET) -> list[Lift]:
     """Every action tuple over F_q[t]/(t^n) reducing to V and killing the
@@ -245,7 +231,10 @@ def enumerate_lifts(V: FinModule, n: int,
     """
     ring = CoeffRing(V.q, n)
     C = _lift_walk(V, n, _every_cocycle, budget)[0]
-    return [_rows_to_lift(V, ring, C[i]) for i in range(C.shape[0])]
+    blocks = ext_system(V, V).unpack(C)
+    return [Lift(module=V, ring=ring,
+                 coeffs={a: b[i].copy() for a, b in blocks.items()})
+            for i in range(C.shape[0])]
 
 
 def _unit_generators(V: FinModule, ring: CoeffRing):
@@ -267,29 +256,29 @@ def _generator_count(V: FinModule, ring: CoeffRing) -> int:
     return (ring.q - 1) * (ring.n - 1) * squares
 
 
-def _conjugate(V: FinModule, C: np.ndarray, gen, q: int) -> np.ndarray:
-    """U A U^-1 for every lift row of C, on a copy, for gen = (v, i, j, k, c).
+def _conjugate(V: FinModule, blocks: dict[str, np.ndarray], gen,
+               q: int) -> None:
+    """U A U^-1 in place for every lift, for gen = (v, i, j, k, c).
 
-    Only the arrow blocks at v change.  U A: row i at level l gains c
-    times row j at level l - k, every level at once from the rows before
-    the change.  A U^-1 is the B with B U = A: column j at level l loses
-    c times B's column i at level l - k, levels ascending so that each
-    reads a level of B already final; for i = j this sums the series of
-    (1 + c t^k)^-1.
+    blocks are the lift rows unpacked by `ext_system(V, V)`, (lifts, n,
+    r, s) each.  Only the arrow blocks at v change.  U A: row i at level
+    l gains c times row j at level l - k, every level at once from the
+    rows before the change.  A U^-1 is the B with B U = A: column j at
+    level l loses c times B's column i at level l - k, levels ascending
+    so that each reads a level of B already final; for i = j this sums
+    the series of (1 + c t^k)^-1.
     """
     v, i, j, k, c = gen
-    p, n = V.presentation, C.shape[1]
-    D = C.copy()
-    for a, off, (r, s) in _arrow_layout(V, V)[0]:
-        if r * s == 0:
+    p = V.presentation
+    for a, A in blocks.items():
+        if A.size == 0:
             continue
-        A = D[:, :, off:off + r * s].reshape(-1, n, r, s)
+        n = A.shape[1]
         if p.target(a) == v:
             A[:, k:, i] = (A[:, k:, i] + c * A[:, :n - k, j]) % q
         if p.source(a) == v:
             for l in range(k, n):
                 A[:, l, :, j] = (A[:, l, :, j] - c * A[:, l - k, :, i]) % q
-    return D
 
 
 def _row_keys(C: np.ndarray, q: int) -> np.ndarray:
@@ -301,8 +290,9 @@ def _row_keys(C: np.ndarray, q: int) -> np.ndarray:
 def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
     """Conjugation classes of the lift rows C.
 
-    Each generator moves every lift to the lift whose key its conjugate
-    has, found by `searchsorted` among the sorted keys.  Classes merge by
+    Each generator conjugates one copy of C, unpacked once, in place: it
+    moves every lift to the lift whose key its conjugate has, found by
+    `searchsorted` among the sorted keys.  Classes merge by
     array union-find: label[x] <= x leads to the least lift of x's
     class.  Where a lift and its image have different roots, the larger
     root is hooked under the smaller and labels jump to their labels'
@@ -312,8 +302,12 @@ def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
     order = np.argsort(keys)
     ordered = keys[order]
     label = np.arange(C.shape[0])
+    D = np.empty_like(C)
+    blocks = ext_system(V, V).unpack(D)
     for gen in _unit_generators(V, ring):
-        moved = _row_keys(_conjugate(V, C, gen, ring.q), ring.q)
+        D[...] = C
+        _conjugate(V, blocks, gen, ring.q)
+        moved = _row_keys(D, ring.q)
         pos = np.minimum(np.searchsorted(ordered, moved), len(ordered) - 1)
         if (ordered[pos] != moved).any():
             raise AssertionError(

@@ -13,7 +13,10 @@ back-substitute.  `LinearSystem` holds equations A @ X + Y @ B = 0 in
 unknown matrices X, Y and takes its coefficient matrices A, B as sparse
 (shape, nonzeros) pairs from `_nonzeros`, the one dense-to-sparse
 converter, so a caller that enters one matrix in many systems reads its
-nonzeros once.  `Presolved` reduces a `LinearSystem`'s sparse rows once
+nonzeros once.  A system records each equation's first row and
+unknowns, and `LinearSystem.unpack` views the unknowns' blocks of any
+stack of vectors, so callers read its layout instead of copying it.
+`Presolved` reduces a `LinearSystem`'s sparse rows once
 and serves both its solutions against many right-hand sides and its
 nullspace; `_basis` is the one nullspace builder, shared with
 `LinearSystem.nullspace_basis`.  Only `rref`, `rank` and
@@ -221,9 +224,11 @@ class LinearSystem:
     entries of A @ X + Y @ B, and row (i, j) has coefficient A[i, k] at
     X[k, j] and B[l, j] at Y[i, l].  Rows are stored sparse, as dicts
     column -> nonzero entry mod q, built from those nonzeros alone.
-    `nullspace_dim` counts the pivots of `_reduce`'s forward elimination;
-    `nullspace_basis` back-substitutes them too; only `matrix` builds a
-    dense array.
+    `equations` records (first row, x, y) for each equation in order,
+    and `unpack` views each unknown's block of a vector or a stack of
+    them.  `nullspace_dim` counts the pivots of `_reduce`'s forward
+    elimination; `nullspace_basis` back-substitutes them too; only
+    `matrix` builds a dense array.
     """
 
     def __init__(self, q: int):
@@ -233,6 +238,8 @@ class LinearSystem:
         self._width = 0
         self._height = 0
         self._rows: dict[int, dict[int, int]] = {}
+        # (first row, x, y) of each equation A @ X + Y @ B = 0, in order.
+        self.equations: list[tuple[int, str, str]] = []
 
     def add_unknown(self, name: str, shape: tuple[int, int]) -> None:
         if name in self._shapes:
@@ -266,6 +273,7 @@ class LinearSystem:
         if (k_x, n) != (x_rows, x_cols) or (m, l_y) != (y_rows, y_cols):
             raise ValueError(f"shape mismatch in A @ {x} + {y} @ B")
         q, rows, top = self.q, self._rows, self._height
+        self.equations.append((top, x, y))
         off = self._offsets[x]
         for i, k, a in left:
             if a := a % q:
@@ -294,11 +302,14 @@ class LinearSystem:
     def matrix(self) -> np.ndarray:
         return _dense(self._rows.items(), (self._height, self._width))
 
-    def _unpack(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+    def unpack(self, vecs: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of each unknown's block of vecs, whose last axis is laid
+        out as the unknowns, with shape (leading axes..., rows, cols)."""
         out = {}
         for name, (r, c) in self._shapes.items():
             off = self._offsets[name]
-            out[name] = vec[off:off + r * c].reshape(r, c).copy()
+            out[name] = vecs[..., off:off + r * c].reshape(*vecs.shape[:-1],
+                                                           r, c)
         return out
 
     def nullspace_dim(self) -> int:
@@ -309,7 +320,7 @@ class LinearSystem:
         """`_basis` of the reduced sparse rows, unpacked by unknown."""
         q = self.q
         pivots = _back_substitute(_reduce(self._rows.values(), q), q)
-        return [self._unpack(v) for v in _basis(pivots, self._width, q)]
+        return [self.unpack(v) for v in _basis(pivots, self._width, q)]
 
 
 def _nonzeros(M) -> tuple[tuple[int, int], list[tuple[int, int, int]]]:

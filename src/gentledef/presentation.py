@@ -42,6 +42,10 @@ class Quiver:
         for name, s, t in self.arrows:
             if s not in vs or t not in vs:
                 raise ValueError(f"arrow {name}: undeclared vertex")
+            # A word spells letters as x*y, ~x and "simple <vertex>".
+            if "*" in name or name.startswith("~") or name == "simple":
+                raise ValueError(
+                    f"arrow name {name!r} cannot be spelled in a word")
 
     def source(self, arrow: str) -> str:
         return self._by_name[arrow][1]

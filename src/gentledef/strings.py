@@ -150,8 +150,8 @@ def make_string(p: Presentation, text: str) -> StringWord:
     letters, and "simple <vertex>" for the empty word at a vertex.
     """
     text = text.strip()
-    if text.startswith("simple"):
-        parts = text.split()
+    parts = text.split()
+    if parts[:1] == ["simple"]:
         if len(parts) != 2:
             raise StringError("expected 'simple <vertex>'")
         if parts[1] not in p.quiver.vertices:

@@ -262,6 +262,30 @@ def test_relation_on_an_undeclared_arrow_exits_with_usage_code(
     assert err == "error: relation b*x names an undeclared arrow\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["udr", "b"], ["ext", "b", "b"], ["tangent", "b"],
+    ["census", "b"], ["radical", "1", "2"]])
+@pytest.mark.parametrize("arrows, name", [
+    ("~a: 1 -> 2 ; b: 2 -> 1\nrelations: b*~a", "~a"),
+    ("a*c: 1 -> 2 ; b: 2 -> 1", "a*c")])
+def test_arrow_name_a_word_cannot_spell_exits_with_usage_code(
+        tmp_path, capsys, argv, arrows, name):
+    path = tmp_path / "unspellable.txt"
+    path.write_text(f"vertices: 1 2\narrows: {arrows}\n")
+    code = main(argv[:1] + [str(path)] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: arrow name {name!r} cannot be spelled in a word\n"
+
+
+def test_tangent_of_a_word_that_begins_with_simple(tmp_path, capsys):
+    path = tmp_path / "simplex.txt"
+    path.write_text("vertices: 1 2\narrows: simplex: 1 -> 2\n")
+    code, out = _run_json(capsys, ["tangent", str(path), "simplex"])
+    assert code == 0
+    assert out["tangent_dim"] == 0
+
+
 def test_radical_rejects_two_free_loops_without_growing(tmp_path, capsys):
     # Without relations both loops continue every path, so the number
     # of nonzero paths doubles per level; the arm walk stops at once.

@@ -298,7 +298,7 @@ def test_oracle_spans_two_key_words():
     from gentledef import homext
     p = catalog_presentation("qvi.2")
     m, n = _mod(p, "~c*a*a*a"), _mod(p, "b*c*b*c")
-    width = homext._arrow_layout(m, n)[1]
+    width = ext_system(m, n).width
     assert width == 22
     assert homext._pack_keys(np.zeros((1, width), dtype=np.int64),
                              2).shape == (1, 2)
@@ -317,7 +317,7 @@ def test_oracle_matches_linear_engine_with_wide_fields(q, bits, max_total):
     for _, p in table1_catalog():
         mods = [string_module(p, w, q=q) for w in enumerate_strings(p, 1)]
         for m, n in itertools.product(mods, repeat=2):
-            width = homext._arrow_layout(m, n)[1]
+            width = ext_system(m, n).width
             gwidth = sum(n.dims[v] * m.dims[v] for v in p.quiver.vertices)
             if width + gwidth > max_total:
                 continue

@@ -7,7 +7,6 @@ from gentledef import lifts, linalg
 from gentledef.homext import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    _arrow_layout,
     _mixed_radix,
     end_is_trivial,
     ext1_dim,
@@ -388,12 +387,15 @@ def test_conjugate_matches_matrix_polynomial_products():
         for w in enumerate_strings(p, 2):
             for q in (2, 3, 5):
                 V = string_module(p, w, q=q)
-                layout, width = _arrow_layout(V, V)
+                system = ext_system(V, V)
                 for n in (2, 3, 4):
-                    C = rng.integers(0, q, (3, n, width))
+                    C = rng.integers(0, q, (3, n, system.width))
                     gens = list(_unit_generators(V, CoeffRing(q, n)))
-                    got = np.stack([_conjugate(V, C, g, q) for g in gens])
+                    got = np.repeat(C[None], len(gens), axis=0)
+                    for g, gen in enumerate(gens):
+                        _conjugate(V, system.unpack(got[g]), gen, q)
                     want = np.repeat(C[None], len(gens), axis=0)
+                    want_blocks = system.unpack(want)
                     for v in p.quiver.vertices:
                         at_v = [g for g, gen in enumerate(gens) if gen[0] == v]
                         if not at_v:
@@ -406,19 +408,17 @@ def test_conjugate_matches_matrix_polynomial_products():
                             U[u, k, i, j] = c
                             seen["i = j"] |= i == j
                         U = U[:, None]
-                        for a, off, (r, s) in layout:
+                        for a, A in system.unpack(C).items():
                             if v not in (p.source(a), p.target(a)):
                                 continue
                             seen["loop arrow"] |= \
-                                p.source(a) == p.target(a) and r * s > 0
-                            seen["zero-size block"] |= r * s == 0
-                            A = C[:, :, off:off + r * s].reshape(3, n, r, s)
+                                p.source(a) == p.target(a) and A.size > 0
+                            seen["zero-size block"] |= A.size == 0
                             if p.target(a) == v:
                                 A = _poly_matmul(U, A, q)
                             if p.source(a) == v:
                                 A = _poly_matmul(A, _poly_inverse(U, q), q)
-                            want[at_v, :, :, off:off + r * s] = \
-                                A.reshape(len(at_v), 3, n, r * s)
+                            want_blocks[a][at_v] = A
                     assert (got == want).all(), (w.display(), q, n)
                     cases += len(gens)
     assert all(seen.values()), seen
@@ -445,20 +445,47 @@ def test_tangent_fan_complements_the_coboundaries(q):
     assert checked == 86
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_coboundary_rows_share_the_cocycle_layout(q):
+    """`_tangent_line_reps` reads the columns of hom_system(V, V).matrix()
+    as cocycle rows: the equation of arrow a must fill the rows where
+    ext_system(V, V) keeps its unknown a, in the same shape."""
+    checked = 0
+    for name, p in table1_catalog():
+        for w in enumerate_strings(p, 3):
+            V = string_module(p, w, q=q)
+            hom, ext = hom_system(V, V), ext_system(V, V)
+            ends = hom.unpack(np.zeros(hom.width, dtype=np.int64))
+            blocks = ext.unpack(np.arange(ext.width))
+            assert hom.height == ext.width, (name, w.display())
+            assert len(hom.equations) == len(blocks), (name, w.display())
+            for (first, x, y), (a, block) in zip(hom.equations,
+                                                 blocks.items()):
+                context = (name, w.display(), a)
+                assert (x, y) == (p.source(a), p.target(a)), context
+                assert (ends[y].shape[0], ends[x].shape[1]) == block.shape, \
+                    context
+                if block.size:
+                    assert first == block[0, 0], context
+            checked += 1
+    assert checked == 280
+
+
 def _reference_walk(V, n, fan, budget):
     """`lifts._lift_walk` with `_level_rhs` and a solve at every level,
     level 1 included."""
-    layout, width = _arrow_layout(V, V)
+    system = ext_system(V, V)
+    width = system.width
     C = np.zeros((1, n, width), dtype=np.int64)
-    for a, off, shape in layout:
-        C[0, 0, off:off + shape[0] * shape[1]] = V.action[a].reshape(-1)
+    for a, block in system.unpack(C[0, 0]).items():
+        block[...] = V.action[a]
     counts, extended = [1], {}
     if n == 1:
         return C, counts, extended
-    pre = linalg.Presolved(ext_system(V, V))
+    pre = linalg.Presolved(system)
     reps = fan(V, pre.nullspace, budget)
     for k in range(1, n):
-        X, ok = pre.solve_many(lifts._level_rhs(V, C, k))
+        X, ok = pre.solve_many(lifts._level_rhs(system, C, k))
         extended[k + 1] = bool(ok.all())
         C = np.repeat(C, np.where(ok, reps.shape[0], 0), axis=0)
         level = C.reshape(int(ok.sum()), reps.shape[0], n, width)[:, :, k]

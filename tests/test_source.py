@@ -10,6 +10,16 @@ SRC = Path(gentledef.__file__).parent
 # (test_wrappers_rebind_every_import_and_restore_the_originals) pins a
 # traced `rref` binding in `udr`.
 ALLOWED = {("udr", "rref")}
+# Private names one package module imports from another, as (importer,
+# source, name).  A new one fails here until it is listed on purpose.
+PRIVATE_IMPORTS = {
+    ("lifts", "homext", "_mixed_radix"),
+    ("lifts", "homext", "_pack_keys"),
+    ("strings", "linalg", "_nonzeros"),
+    ("sweep", "udr", "_classify"),
+    ("udr", "strings", "_composes"),
+    ("udr", "strings", "_walk"),
+}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -41,3 +51,33 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found - ALLOWED == set()
     # An entry that is no longer needed leaves the list.
     assert ALLOWED <= found
+
+
+def _private_imports(stem: str, tree: ast.Module) -> set[tuple[str, str, str]]:
+    """(stem, source module, name) for each underscore-prefixed name the
+    module imports from within the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("gentledef")):
+            source = (node.module or "").rpartition(".")[2]
+            found.update((stem, source, a.name) for a in node.names
+                         if a.name.startswith("_"))
+    return found
+
+
+def test_the_private_import_finder():
+    tree = ast.parse("from .x import _y, z\nfrom . import _w\n"
+                     "from gentledef.v import _u\nfrom numpy import _t\n"
+                     "import _s\n")
+    assert _private_imports("m", tree) == {
+        ("m", "x", "_y"), ("m", "", "_w"), ("m", "v", "_u")}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _private_imports(path.stem, ast.parse(path.read_text()))
+    assert found - PRIVATE_IMPORTS == set()
+    # An entry that is no longer needed leaves the list.
+    assert PRIVATE_IMPORTS <= found

@@ -54,6 +54,16 @@ def test_simple_word(lam0):
     assert w.canonical() is w
 
 
+def test_only_the_first_token_simple_names_a_simple():
+    p = parse_presentation(
+        "vertices: 1 2\narrows: simplex: 1 -> 2 ; b: 2 -> 1\n")
+    assert make_string(p, "simplex").letters == (Letter("simplex"),)
+    assert make_string(p, "b*simplex").display() == "b*simplex"
+    assert make_string(p, " simple 2 ").basepoint == "2"
+    with pytest.raises(StringError, match="expected 'simple <vertex>'"):
+        make_string(p, "simple")
+
+
 def test_hits_relation_position(lam0):
     with pytest.raises(HitsRelationError) as exc:
         make_string(lam0, "a*a")
