@@ -19,7 +19,10 @@ decoded into cocycle rows.  Orbits are counted on packed int64 keys,
 one per cocycle and one per coboundary: each entry has a bit field with
 room for the sum of two residues, so a cocycle plus a coboundary is one
 integer add that never carries between fields, and a top-bit test
-reduces each field mod q.  Widths beyond one
+reduces each field mod q.  The sums are formed a block of cocycles at
+a time, at most `_ORBIT_CELLS` of them, each block writing its rows of
+the minima, so the pass holds a few small tables rather than one of
+|Z|·|B| sums.  Widths beyond one
 63-bit word use several words, compared lexicographically; distinct
 keys are found by a lexicographic sort and a comparison of neighbours.
 The q-ary digit tables behind the block tables and the coboundary
@@ -236,6 +239,10 @@ def _field_bits(q: int) -> int:
 _KEY_WEIGHTS: dict[tuple[int, int], np.ndarray] = {}
 _ORBIT_FIELDS: dict[int, tuple[int, int, int]] = {}
 
+# _orbit_minima adds at most this many cocycle-coboundary key pairs at
+# once (at least one cocycle's row of them): 32 KB per int64 word.
+_ORBIT_CELLS = 2 ** 12
+
 
 def _pack_keys(rows: np.ndarray, q: int) -> np.ndarray:
     """Rows of residues mod q as packed int64 keys, one row of words each.
@@ -268,7 +275,9 @@ def _orbit_minima(zkeys: np.ndarray, bkeys: np.ndarray, q: int) -> np.ndarray:
     field has room for 2q - 2 and so never carries into the next.  A
     field sum s >= q is then brought back below q by subtracting q where
     s + 2**(bits - 1) - q has its top bit set.  Word w is minimised only
-    over the coboundaries that tie on every earlier word.
+    over the coboundaries that tie on every earlier word.  The cocycles
+    are taken in blocks of rows with at most `_ORBIT_CELLS` sums each,
+    and each block writes its rows of the result.
     """
     if q not in _ORBIT_FIELDS:
         bits = _field_bits(q)
@@ -277,19 +286,23 @@ def _orbit_minima(zkeys: np.ndarray, bkeys: np.ndarray, q: int) -> np.ndarray:
                             sum(((1 << (bits - 1)) - q) << f for f in fields))
     bits, top, bias = _ORBIT_FIELDS[q]
     canon = np.empty_like(zkeys)
-    tied = None
-    for w in range(zkeys.shape[1]):
-        s = np.add.outer(zkeys[:, w], bkeys[:, w])
-        over = s + bias
-        over &= top
-        over >>= bits - 1
-        over *= q
-        s -= over
-        if tied is not None:
-            s[~tied] = np.iinfo(np.int64).max
-        canon[:, w] = s.min(axis=1)
-        if w + 1 < zkeys.shape[1]:
-            tied = s == canon[:, w, None]
+    words = zkeys.shape[1]
+    step = max(1, _ORBIT_CELLS // bkeys.shape[0])
+    for start in range(0, zkeys.shape[0], step):
+        block, out = zkeys[start:start + step], canon[start:start + step]
+        tied = None
+        for w in range(words):
+            s = np.add.outer(block[:, w], bkeys[:, w])
+            over = s + bias
+            over &= top
+            over >>= bits - 1
+            over *= q
+            s -= over
+            if tied is not None:
+                s[~tied] = np.iinfo(np.int64).max
+            out[:, w] = s.min(axis=1)
+            if w + 1 < words:
+                tied = s == out[:, w, None]
     return canon
 
 

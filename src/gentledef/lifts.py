@@ -20,8 +20,10 @@ Deformations are counted by walking the obstruction tree, with one
 direction per coboundary coset, so each row is one class.  The oracles
 share the walk but no coset or torsor argument:
 `count_deformations_by_orbits` fans out by every cocycle and merges the
-lifts into conjugation classes, each generator applied to all of them at
-once by row and column operations, and `Lift.validate` checks each lift
+lifts into conjugation classes, each generator applied by row and column
+operations to one block of lifts at a time, copied into a reused buffer
+of at most `_ORBIT_BLOCK` entries, so no second copy of the walk is
+held; and `Lift.validate` checks each lift
 from `enumerate_lifts` by whole matrix-polynomial products, not by
 `_level_rhs`.
 
@@ -287,32 +289,45 @@ def _row_keys(C: np.ndarray, q: int) -> np.ndarray:
     return keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
 
 
+# _orbit_count conjugates the lifts in blocks of at most this many int64
+# entries (512 KB), at least one lift each.
+_ORBIT_BLOCK = 2 ** 16
+
+
 def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
     """Conjugation classes of the lift rows C.
 
-    Each generator conjugates one copy of C, unpacked once, in place: it
-    moves every lift to the lift whose key its conjugate has, found by
-    `searchsorted` among the sorted keys.  Classes merge by
-    array union-find: label[x] <= x leads to the least lift of x's
-    class.  Where a lift and its image have different roots, the larger
-    root is hooked under the smaller and labels jump to their labels'
-    labels until fixed, until every lift shares its image's root.
+    Each generator moves every lift to the lift whose key its conjugate
+    has, found by `searchsorted` among the sorted keys.  The lifts are
+    keyed and conjugated in blocks of whole rows: a block is copied
+    into one buffer of at most `_ORBIT_BLOCK` entries, unpacked once,
+    conjugated in place and keyed, and fills its part of the move.
+    Classes merge by array union-find: label[x] <= x leads to the least
+    lift of x's class.  Where a lift and its image have different
+    roots, the larger root is hooked under the smaller and labels jump
+    to their labels' labels until fixed, until every lift shares its
+    image's root.
     """
-    keys = _row_keys(C, ring.q)
+    count, q = C.shape[0], ring.q
+    step = max(1, _ORBIT_BLOCK // max(C[0].size, 1))
+    spans = [(s, min(s + step, count)) for s in range(0, count, step)]
+    keys = np.concatenate([_row_keys(C[s:e], q) for s, e in spans])
     order = np.argsort(keys)
     ordered = keys[order]
-    label = np.arange(C.shape[0])
-    D = np.empty_like(C)
+    label = np.arange(count)
+    move = np.empty_like(label)
+    D = np.empty((min(step, count),) + C.shape[1:], dtype=C.dtype)
     blocks = ext_system(V, V).unpack(D)
     for gen in _unit_generators(V, ring):
-        D[...] = C
-        _conjugate(V, blocks, gen, ring.q)
-        moved = _row_keys(D, ring.q)
-        pos = np.minimum(np.searchsorted(ordered, moved), len(ordered) - 1)
-        if (ordered[pos] != moved).any():
-            raise AssertionError(
-                "conjugation left the enumerated set; enumeration bug")
-        move = order[pos]
+        for s, e in spans:
+            D[:e - s] = C[s:e]
+            _conjugate(V, {a: A[:e - s] for a, A in blocks.items()}, gen, q)
+            moved = _row_keys(D[:e - s], q)
+            pos = np.minimum(np.searchsorted(ordered, moved), count - 1)
+            if (ordered[pos] != moved).any():
+                raise AssertionError(
+                    "conjugation left the enumerated set; enumeration bug")
+            move[s:e] = order[pos]
         roots = label[move]
         while (label != roots).any():
             np.minimum.at(label, np.maximum(label, roots),
@@ -320,7 +335,7 @@ def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
             while (label != label[label]).any():
                 label = label[label]
             roots = label[move]
-    return int(np.count_nonzero(label == np.arange(C.shape[0])))
+    return int(np.count_nonzero(label == np.arange(count)))
 
 
 def _tangent_line_reps(V: FinModule, Z: np.ndarray, budget: int) -> np.ndarray:

@@ -38,10 +38,19 @@ class Quiver:
         names = [a[0] for a in self.arrows]
         if len(set(names)) != len(names):
             raise ValueError("duplicate arrow ids")
+        # The DSL splits vertices at whitespace, arrows at ";", ":" and
+        # "->", and comments off at "#".
+        for v in self.vertices:
+            if v.split() != [v] or any(c in v for c in (";", "#", "->")):
+                raise ValueError(f"vertex name {v!r} cannot be written "
+                                 "in the DSL")
         vs = set(self.vertices)
         for name, s, t in self.arrows:
             if s not in vs or t not in vs:
                 raise ValueError(f"arrow {name}: undeclared vertex")
+            if any(c in name for c in (":", ";", "#")):
+                raise ValueError(f"arrow name {name!r} cannot be written "
+                                 "in the DSL")
             # A word spells letters as x*y, ~x and "simple <vertex>".
             if "*" in name or name.startswith("~") or name == "simple":
                 raise ValueError(
@@ -73,7 +82,7 @@ class GentleReport:
 class Presentation:
     quiver: Quiver
     relations: tuple[tuple[str, str], ...]  # (beta, alpha): beta-after-alpha is zero
-    note: str = ""
+    note: str = field(default="", compare=False)  # to_dsl does not write it
 
     def __post_init__(self):
         seen = set()

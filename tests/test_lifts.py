@@ -174,11 +174,17 @@ def test_bca_level3_routes_agree(lam0):
     # The obstruction tree's count is cross-checked by the orbit oracle,
     # which conjugates all 196608 lifts by each of 16 unit generators and
     # merges their classes; this is the slowest test here.  The lift walk
-    # holds about 9.5 M entries, over the default budget.
+    # holds about 9.5 M entries (75 MB), over the default budget, and the
+    # oracle conjugates it in small blocks rather than in a second copy.
     m = _mod(lam0, "b*c*a")
-    by_orbit = count_deformations_by_orbits(m, 3,
-                                            budget=2 ** 24)
+    tracemalloc.start()
+    try:
+        by_orbit = count_deformations_by_orbits(m, 3, budget=2 ** 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert by_orbit == count_deformations(m, 3) == 12
+    assert peak < 120 * 2 ** 20, peak
 
 
 def test_one_reduction_of_the_cocycle_system(lam0, monkeypatch):
@@ -518,13 +524,15 @@ def test_lift_walk_skips_only_the_zero_level_one_solve(q, expected):
     assert walks == expected and obstructed > 0
 
 
-@pytest.mark.parametrize("q, max_len, levels, expected", [
+CATALOG_CASES = pytest.mark.parametrize("q, max_len, levels, expected", [
     (2, 2, (2, 3), 160),
     (3, 2, (2,), 80),
     (3, 1, (3,), 60),
     (5, 1, (2,), 60),
 ], ids=["q2-len2-n23", "q3-len2-n2", "q3-len1-n3", "q5-len1-n2"])
-def test_tree_matches_orbits_across_catalog(q, max_len, levels, expected):
+
+
+def _tree_matches_orbits(q, max_len, levels):
     compared = 0
     for name, p in table1_catalog():
         for w in enumerate_strings(p, max_len):
@@ -536,7 +544,34 @@ def test_tree_matches_orbits_across_catalog(q, max_len, levels, expected):
                     count_deformations_by_orbits(V, n), \
                     f"{name} {w.display()} q={q} n={n}"
                 compared += 1
-    assert compared == expected
+    return compared
+
+
+@CATALOG_CASES
+def test_tree_matches_orbits_across_catalog(q, max_len, levels, expected):
+    assert _tree_matches_orbits(q, max_len, levels) == expected
+
+
+@CATALOG_CASES
+def test_tree_matches_orbits_in_small_blocks(monkeypatch, q, max_len, levels,
+                                             expected):
+    # Blocks of at most 100 entries hold a few lifts each, so the oracle
+    # conjugates most walks in several blocks, the last often shorter.
+    monkeypatch.setattr(lifts, "_ORBIT_BLOCK", 100)
+    lengths, orbit_count, conjugate = [], lifts._orbit_count, lifts._conjugate
+
+    def counted(V, ring, C):
+        lengths.append(set())
+        return orbit_count(V, ring, C)
+
+    def spied(V, blocks, gen, q):
+        lengths[-1].add(len(next(iter(blocks.values()))))
+        conjugate(V, blocks, gen, q)
+
+    monkeypatch.setattr(lifts, "_orbit_count", counted)
+    monkeypatch.setattr(lifts, "_conjugate", spied)
+    assert _tree_matches_orbits(q, max_len, levels) == expected
+    assert any(len(seen) > 1 for seen in lengths)
 
 
 def test_deep_sweep_census_confirms_certified_rings():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gentledef.homext import hom_dim
 from gentledef.presentation import (
     DSLError,
     Presentation,
@@ -12,6 +13,7 @@ from gentledef.presentation import (
     table1_catalog,
     validate_gentle,
 )
+from gentledef.strings import make_string, string_module
 
 LAMBDA0_DSL = """\
 # loop a at 1, loop b at 2, crossing arrows c and d
@@ -34,6 +36,40 @@ def test_parse_round_trip():
     assert again.relations == p.relations
     assert again.quiver == p.quiver
 
+
+
+def test_catalog_round_trips_through_the_dsl():
+    # to_dsl writes no note, and the note takes no part in equality, so
+    # a module over the parsed copy pairs with one over the catalog entry.
+    entries = table1_catalog()
+    assert len(entries) == 15
+    for name, p in entries:
+        again = parse_presentation(p.to_dsl())
+        assert again == p and hash(again) == hash(p), name
+    p = catalog_presentation("qii.1")
+    again = parse_presentation(p.to_dsl())
+    assert p.note and not again.note
+    m = string_module(p, make_string(p, "c*b"))
+    n = string_module(again, make_string(again, "c*b"))
+    assert hom_dim(m, n) == hom_dim(m, m) == 2
+
+
+@pytest.mark.parametrize("name", ["a:b", "a;b", "a#b", ":", ";a", "a#"])
+def test_arrow_names_the_dsl_cannot_read_back_are_rejected(name):
+    with pytest.raises(ValueError, match="cannot be written in the DSL"):
+        Quiver(("1",), ((name, "1", "1"),))
+
+
+@pytest.mark.parametrize("name", ["", "1 2", "x\ty", " 1", "1\n", "1;2",
+                                  "1#", "1->2", "->"])
+def test_vertex_names_the_dsl_cannot_read_back_are_rejected(name):
+    with pytest.raises(ValueError, match="cannot be written in the DSL"):
+        Quiver(("v", name), (("a", "v", name),))
+
+
+def test_names_holding_another_lines_separator_round_trip():
+    p = Presentation(Quiver(("1:", "2-"), (("a->", "1:", "2-"),)), ())
+    assert parse_presentation(p.to_dsl()) == p
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(DSLError) as err:
