@@ -75,10 +75,9 @@ def cmd_validate(args) -> int:
     name, p = _load_presentation(args)
     report = validate_gentle(p)
     payload = {"source": name, "ok": report.ok,
-               "violations": report.violations, "errors": report.errors}
+               "violations": report.violations}
     lines = [f"# validation of {name}", f"ok: {report.ok}"]
     lines += [f"- violation: {v}" for v in report.violations]
-    lines += [f"- error: {e}" for e in report.errors]
     _emit(args, payload, "\n".join(lines))
     return 0 if report.ok else 1
 

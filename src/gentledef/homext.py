@@ -3,8 +3,8 @@
 Two independent engines compute Ext^1: a linear one (cocycles modulo
 coboundaries, with dim B^1 obtained from the hom space by counting) and
 an exhaustive one that enumerates every cocycle tuple and every
-coboundary over F_q and counts orbits.  The two are kept free of shared
-code on purpose so they can check each other.
+coboundary over F_q and counts classes.  The two are kept free of
+shared code on purpose so they can check each other.
 
 The exhaustive engine tests every tuple in F_q^width against every
 relation without building the tuples: a tuple is an index whose base-q
@@ -14,22 +14,19 @@ last arrow first, so that the grid's flat C-order position is the
 index.  Each relation b*a is evaluated once, by direct matrix
 products, on every pair of blocks of b and a (every block, for a loop
 relation a*a), and its table of zero tests is ANDed into the grid along
-those two axes (that one axis).  Only the surviving positions are
-decoded into cocycle rows.  Orbits are counted on packed int64 keys,
-one per cocycle and one per coboundary: each entry has a bit field with
-room for the sum of two residues, so a cocycle plus a coboundary is one
-integer add that never carries between fields, and a top-bit test
-reduces each field mod q.  The sums are formed a block of cocycles at
-a time, at most `_ORBIT_CELLS` of them, each block writing its rows of
-the minima, so the pass holds a few small tables rather than one of
-|Z|·|B| sums.  Widths beyond one
-63-bit word use several words, compared lexicographically; distinct
-keys are found by a lexicographic sort and a comparison of neighbours.
-The q-ary digit tables behind the block tables and the coboundary
-sources, the key weights and the orbit pass's field constants depend
-only on a shape and q, so each is built once per process and kept
-read-only in a module dict: digit tables only up to `_TABLE_ROWS`
-rows, which `lifts` also reads for its fans.
+those two axes (that one axis).  The cocycles Z are the grid's true
+positions, kept as indices only.  The coboundaries B form the group
+generated by the coboundaries of the unit vertex maps, so if 0 is in Z
+and Z + d lies in Z for each such generator d, then Z is a union of
+cosets of B and the classes number |Z| / |B|.  Adding d changes an
+index only in the digits where d is nonzero, so each generator costs a
+few integer operations per cocycle and a lookup in the grid.  |B| is
+the number of distinct coboundary indices, counted by a sort and a
+comparison of neighbours.  The q-ary digit tables behind the block
+tables and the coboundary sources depend only on a shape and q, so
+each is built once per process and kept read-only in a module dict,
+but only up to `_TABLE_ROWS` rows; `lifts` also reads them for its
+fans.
 
 The linear engine's equations all have the form A·X + Y·B = 0 in
 unknown matrices X, Y: the intertwiners n_a·X_s - X_t·m_a = 0 for Hom,
@@ -216,104 +213,16 @@ def _block_table(shape: tuple[int, int], q: int) -> np.ndarray:
     return _mixed_radix(q ** size, size, q).reshape(q ** size, *shape)
 
 
-def _distinct_rows(keys: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D int64 array, in lexicographic order.
-
-    np.unique(keys, axis=0) by a lexsort over the columns, first column
-    most significant, and a comparison of neighbours.
-    """
-    ordered = keys[np.lexsort(keys.T[::-1])]
-    first = np.ones(ordered.shape[0], dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[first]
-
-
-def _field_bits(q: int) -> int:
-    """Bits per packed entry: room for the sum 2q - 2 of two residues,
-    plus the top bit that flags a sum of q or more once biased."""
-    return (2 * q - 2).bit_length() + 1
-
-
-# _pack_keys' weight matrices by (width, q), and _orbit_minima's
-# (bits, top, bias) by q, each built once per process.
-_KEY_WEIGHTS: dict[tuple[int, int], np.ndarray] = {}
-_ORBIT_FIELDS: dict[int, tuple[int, int, int]] = {}
-
-# _orbit_minima adds at most this many cocycle-coboundary key pairs at
-# once (at least one cocycle's row of them): 32 KB per int64 word.
-_ORBIT_CELLS = 2 ** 12
-
-
-def _pack_keys(rows: np.ndarray, q: int) -> np.ndarray:
-    """Rows of residues mod q as packed int64 keys, one row of words each.
-
-    Entry j is the field at bit bits * (j % per_word) of word
-    j // per_word, where per_word = 63 // bits, so every word is
-    nonnegative; a row of width 0 is one zero word.  The keys are one
-    integer product of the rows with the matrix of field weights, which
-    holds 2^(bits * (j % per_word)) at (j, j // per_word).
-    """
-    width = rows.shape[1]
-    weights = _KEY_WEIGHTS.get((width, q))
-    if weights is None:
-        bits = _field_bits(q)
-        per_word = 63 // bits
-        j = np.arange(width)
-        weights = np.zeros((width, max(1, -(-width // per_word))),
-                           dtype=np.int64)
-        weights[j, j // per_word] = 1 << (bits * (j % per_word))
-        weights.flags.writeable = False
-        _KEY_WEIGHTS[width, q] = weights
-    return rows @ weights
-
-
-def _orbit_minima(zkeys: np.ndarray, bkeys: np.ndarray, q: int) -> np.ndarray:
-    """Each cocycle's least key over its coset z + B, words compared
-    lexicographically.
-
-    Two packed keys add field by field with one integer add, since a
-    field has room for 2q - 2 and so never carries into the next.  A
-    field sum s >= q is then brought back below q by subtracting q where
-    s + 2**(bits - 1) - q has its top bit set.  Word w is minimised only
-    over the coboundaries that tie on every earlier word.  The cocycles
-    are taken in blocks of rows with at most `_ORBIT_CELLS` sums each,
-    and each block writes its rows of the result.
-    """
-    if q not in _ORBIT_FIELDS:
-        bits = _field_bits(q)
-        fields = range(0, 63 // bits * bits, bits)
-        _ORBIT_FIELDS[q] = (bits, sum(1 << (f + bits - 1) for f in fields),
-                            sum(((1 << (bits - 1)) - q) << f for f in fields))
-    bits, top, bias = _ORBIT_FIELDS[q]
-    canon = np.empty_like(zkeys)
-    words = zkeys.shape[1]
-    step = max(1, _ORBIT_CELLS // bkeys.shape[0])
-    for start in range(0, zkeys.shape[0], step):
-        block, out = zkeys[start:start + step], canon[start:start + step]
-        tied = None
-        for w in range(words):
-            s = np.add.outer(block[:, w], bkeys[:, w])
-            over = s + bias
-            over &= top
-            over >>= bits - 1
-            over *= q
-            s -= over
-            if tied is not None:
-                s[~tied] = np.iinfo(np.int64).max
-            out[:, w] = s.min(axis=1)
-            if w + 1 < words:
-                tied = s == out[:, w, None]
-    return canon
-
-
 def brute_force_ext(m: FinModule, n: FinModule,
                     budget: int = DEFAULT_BUDGET) -> int:
     """Ext^1 dimension by exhaustive enumeration over F_q.
 
-    Enumerates every arrow-tuple, keeps the ones annihilating the
-    relations, enumerates every coboundary, and counts orbits.  Returns
-    log_q of the orbit count; every intermediate count is verified to
-    be the expected power of q.
+    Enumerates every arrow-tuple, keeps the set Z of those annihilating
+    the relations, and enumerates every coboundary, the set B.  B is
+    the group generated by the coboundaries of the unit vertex maps, so
+    once 0 is in Z and Z is closed under adding each of them, Z is a
+    union of cosets of B and the classes number |Z| / |B|.  Returns
+    log_q |Z| - log_q |B|, each count checked to be a power of q.
     """
     p, q = _common(m, n)
     # (arrow, offset, shape) of each cocycle block: the oracle keeps its
@@ -355,8 +264,6 @@ def brute_force_ext(m: FinModule, n: FinModule,
             table, axes = table.T, axes[::-1]
         grid &= np.expand_dims(
             table, [ax for ax in range(grid.ndim) if ax not in axes])
-    weights = q ** np.arange(width, dtype=np.int64)
-    valid = (np.flatnonzero(grid)[:, None] // weights) % q
 
     gcount = q ** gwidth
     gcand = _mixed_radix(gcount, gwidth, q)
@@ -370,20 +277,27 @@ def brute_force_ext(m: FinModule, n: FinModule,
         part = n.action[a] @ g[p.source(a)] - g[p.target(a)] @ m.action[a]
         deltas[:, off:off + r * c] = (part % q).reshape(gcount, r * c)
 
-    zkeys = _pack_keys(valid, q)
-    bkeys = _distinct_rows(_pack_keys(deltas, q))
-    if zkeys.shape[0] * bkeys.shape[0] > 8 * budget:
-        raise BudgetExceededError("orbit pass exceeds budget")
-    canon = _orbit_minima(zkeys, bkeys, q)
-    classes = _distinct_rows(canon).shape[0]
-
-    if classes * bkeys.shape[0] != zkeys.shape[0]:
-        raise AssertionError("orbit counting is inconsistent")
-    out = _exact_log(classes, q)
-    if out is None or _exact_log(zkeys.shape[0], q) is None \
-            or _exact_log(bkeys.shape[0], q) is None:
+    # Row q^j of deltas is the coboundary of the j-th unit vertex map;
+    # adding it changes a cocycle's index only in its nonzero digits.
+    weights = q ** np.arange(width, dtype=np.int64)
+    flat = grid.ravel()
+    cocycles = np.flatnonzero(flat)
+    if not flat[0]:
+        raise AssertionError("the zero tuple is not a cocycle")
+    for d in deltas[q ** np.arange(gwidth, dtype=np.int64)]:
+        moved = cocycles.copy()
+        for i in np.flatnonzero(d):
+            digit = cocycles // weights[i] % q
+            moved += ((digit + d[i]) % q - digit) * weights[i]
+        if not flat[moved].all():
+            raise AssertionError("a coboundary moves a cocycle off the grid")
+    bounds = deltas @ weights
+    bounds.sort()
+    distinct = 1 + np.count_nonzero(bounds[1:] != bounds[:-1])
+    zlog, blog = _exact_log(cocycles.size, q), _exact_log(distinct, q)
+    if zlog is None or blog is None:
         raise AssertionError("enumeration counts are not powers of q")
-    return out
+    return zlog - blog
 
 
 def _exact_log(count: int, q: int):

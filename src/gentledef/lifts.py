@@ -46,7 +46,6 @@ from .homext import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     _mixed_radix,
-    _pack_keys,
     end_is_trivial,
     ext_system,
     hom_system,
@@ -281,6 +280,39 @@ def _conjugate(V: FinModule, blocks: dict[str, np.ndarray], gen,
         if p.source(a) == v:
             for l in range(k, n):
                 A[:, l, :, j] = (A[:, l, :, j] - c * A[:, l - k, :, i]) % q
+
+
+# _pack_keys' weight matrices by (width, q), each built once per process.
+_KEY_WEIGHTS: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _field_bits(q: int) -> int:
+    """Bits per packed entry: room for one residue mod q."""
+    return (q - 1).bit_length()
+
+
+def _pack_keys(rows: np.ndarray, q: int) -> np.ndarray:
+    """Rows of residues mod q as packed int64 keys, one row of words each.
+
+    Entry j is the field at bit bits * (j % per_word) of word
+    j // per_word, where per_word = 63 // bits, so every word is
+    nonnegative and two rows are equal exactly when their keys are; a
+    row of width 0 is one zero word.  The keys are one integer product
+    of the rows with the matrix of field weights, which holds
+    2^(bits * (j % per_word)) at (j, j // per_word).
+    """
+    width = rows.shape[1]
+    weights = _KEY_WEIGHTS.get((width, q))
+    if weights is None:
+        bits = _field_bits(q)
+        per_word = 63 // bits
+        j = np.arange(width)
+        weights = np.zeros((width, max(1, -(-width // per_word))),
+                           dtype=np.int64)
+        weights[j, j // per_word] = 1 << (bits * (j % per_word))
+        weights.flags.writeable = False
+        _KEY_WEIGHTS[width, q] = weights
+    return rows @ weights
 
 
 def _row_keys(C: np.ndarray, q: int) -> np.ndarray:

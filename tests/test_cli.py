@@ -55,16 +55,22 @@ def test_parse_error_exits_with_usage_code(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_non_composable_relation_fails_validation(tmp_path, capsys):
+NON_COMPOSABLE = ("vertices: 1 2\n"
+                  "arrows: a: 1 -> 1 ; c: 1 -> 2 ; d: 2 -> 1 ; b: 2 -> 2\n"
+                  "relations: a*a ; b*b ; d*c ; c*d ; c*b\n")
+NOT_COMPOSABLE = "relation c*b: not composable (source(c) != target(b))"
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_validation_of_a_non_composable_relation_exits_with_usage_code(
+        tmp_path, capsys, fmt):
     path = tmp_path / "noncomp.txt"
-    path.write_text("vertices: 1 2\n"
-                    "arrows: a: 1 -> 1 ; c: 1 -> 2 ; d: 2 -> 1 ; "
-                    "b: 2 -> 2\n"
-                    "relations: c*b\n")
-    code, out = _run_json(capsys, ["validate", str(path)])
-    assert code == 1
-    assert out["ok"] is False
-    assert any("not composable" in e for e in out["errors"])
+    path.write_text(NON_COMPOSABLE)
+    code = main(["validate", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {NOT_COMPOSABLE}\n"
 
 
 def test_requires_exactly_one_source(capsys):
@@ -234,32 +240,21 @@ def test_markdown_reports(capsys, argv, head):
     assert out.splitlines() == head
 
 
-def test_markdown_validation_lists_errors(tmp_path, capsys):
-    path = tmp_path / "noncomp.txt"
-    path.write_text("vertices: 1 2\n"
-                    "arrows: a: 1 -> 1 ; c: 1 -> 2 ; d: 2 -> 1 ; "
-                    "b: 2 -> 2\n"
-                    "relations: c*b\n")
-    code = main(["validate", str(path), "--format", "md"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert out.splitlines() == [
-        f"# validation of {path}", "ok: False",
-        "- error: relation c*b: not composable (source(c) != target(b))"]
-
-
 @pytest.mark.parametrize("argv", [
     ["validate"], ["udr", "b"], ["ext", "a", "b"], ["tangent", "b"],
     ["census", "b"], ["radical", "1", "2"]])
-def test_relation_on_an_undeclared_arrow_exits_with_usage_code(
-        tmp_path, capsys, argv):
-    path = tmp_path / "undeclared.txt"
-    path.write_text("vertices: 1\narrows: a: 1 -> 1 ; b: 1 -> 1\n"
-                    "relations: b*x\n")
+@pytest.mark.parametrize("text, message", [
+    ("vertices: 1\narrows: a: 1 -> 1 ; b: 1 -> 1\nrelations: b*x\n",
+     "relation b*x names an undeclared arrow"),
+    (NON_COMPOSABLE, NOT_COMPOSABLE)])
+def test_rejected_relation_exits_with_usage_code(tmp_path, capsys, argv,
+                                                 text, message):
+    path = tmp_path / "rejected.txt"
+    path.write_text(text)
     code = main(argv[:1] + [str(path)] + argv[1:])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: relation b*x names an undeclared arrow\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

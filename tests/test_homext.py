@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from gentledef import homext
+from gentledef import homext, lifts
 from gentledef.homext import (
     BudgetExceededError,
     brute_force_ext,
@@ -247,8 +247,8 @@ def test_oracle_matches_per_tuple_reference(q, max_width):
 
 def test_oracle_peak_memory_on_bca(lam0):
     """The candidate grid holds one bool per candidate, no int64 index,
-    and the orbit pass adds the 512 cocycles' keys to the 128 coboundaries'
-    in blocks, not in one 512 x 128 table."""
+    and the closure check holds one index per cocycle, not the 512
+    cocycles' rows of entries."""
     import tracemalloc
     m = _mod(lam0, "b*c*a")
     brute_force_ext(m, m)
@@ -261,68 +261,39 @@ def test_oracle_peak_memory_on_bca(lam0):
     assert peak < 512 * 2 ** 10, peak
 
 
-@pytest.mark.parametrize("words", [1, 3])
-@pytest.mark.parametrize("rows", [0, 1, 500])
-def test_distinct_rows_match_numpy_unique(rows, words):
-    from gentledef import homext
-    rng = np.random.default_rng(rows + 10 * words)
-    top = 2 ** 62
-    for keys in [rng.integers(0, top, size=(rows, words)),
-                 rng.integers(0, 3, size=(rows, words)),
-                 rng.integers(top - 4, top, size=(rows, words)),
-                 rng.integers(0, 2, size=(rows, words)) * (top - 1)]:
-        got = homext._distinct_rows(keys)
-        want = np.unique(keys, axis=0)
-        assert got.shape == want.shape and (got == want).all()
+def test_oracle_raises_where_a_coboundary_is_no_cocycle(lam0):
+    """A second module whose action breaks a relation (a*a, or c*d and
+    d*c) has coboundaries that are no cocycles, which the closure check
+    catches."""
+    m = _mod(lam0, "c")
+    one = np.ones((1, 1), dtype=np.int64)
+    bad = FinModule(presentation=lam0, q=2, dims={"1": 1, "2": 0},
+                    action={"a": one,
+                            "c": np.zeros((0, 1), dtype=np.int64),
+                            "d": np.zeros((1, 0), dtype=np.int64),
+                            "b": np.zeros((0, 0), dtype=np.int64)})
+    split = FinModule(presentation=lam0, q=2, dims={"1": 1, "2": 1},
+                      action={"a": np.zeros((1, 1), dtype=np.int64),
+                              "c": one, "d": one,
+                              "b": np.zeros((1, 1), dtype=np.int64)})
+    for n in (bad, split):
+        with pytest.raises(AssertionError):
+            brute_force_ext(m, n)
 
 
-@pytest.mark.parametrize("q, width", [(2, 22), (3, 31), (7, 12),
-                                      (257, 6), (5, 0)])
-def test_packed_keys_add_mod_q_without_carries(q, width):
-    """Each cocycle's orbit minimum over packed keys is the least, word
-    by word, of the packed residues (z + b) % q themselves."""
-    from gentledef import homext
-    rng = np.random.default_rng(q + width)
-    Z = rng.integers(0, q, size=(40, width))
-    B = rng.integers(0, q, size=(30, width))
-    B[:, :2] = q - 1   # so that most sums in these fields reach q and wrap
-    words = homext._pack_keys(Z, q).shape[1]
-    assert words == max(1, -(-width // (63 // homext._field_bits(q))))
-    got = homext._orbit_minima(homext._pack_keys(Z, q),
-                               homext._pack_keys(B, q), q)
-    for z, key in zip(Z, got):
-        sums = homext._pack_keys((z + B) % q, q)
-        assert tuple(key) == min(map(tuple, sums.tolist()))
-
-
-def test_oracle_spans_two_key_words(monkeypatch):
-    """Width 22 at q = 2 takes two 63-bit words of 3-bit fields.  The
-    orbit pass meets 2048 cocycles with 1024 coboundaries in blocks of
-    four rows, or of three, which leaves a tail of two."""
-    from gentledef import homext
+def test_oracle_spans_two_key_words():
+    """Width 22 at q = 2: 2^22 candidates, over the default budget, of
+    which 2048 are cocycles, closed under 1024 coboundaries."""
     p = catalog_presentation("qvi.2")
     m, n = _mod(p, "~c*a*a*a"), _mod(p, "b*c*b*c")
-    width = ext_system(m, n).width
-    assert width == 22
-    assert homext._pack_keys(np.zeros((1, width), dtype=np.int64),
-                             2).shape == (1, 2)
-    assert homext._ORBIT_CELLS == 4 * 2 ** 10
+    assert ext_system(m, n).width == 22
     assert brute_force_ext(m, n, budget=2 ** 23) == 1 == ext1_dim(m, n)
-    monkeypatch.setattr(homext, "_ORBIT_CELLS", 3 * 2 ** 10)
-    assert brute_force_ext(m, n, budget=2 ** 23) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_oracle_in_one_row_blocks_matches_linear_engine(monkeypatch, q):
+def test_oracle_matches_linear_engine_to_length_4(q):
     # Every catalog string of length <= 4 whose candidates fit the budget.
-    monkeypatch.setattr(homext, "_ORBIT_CELLS", 1)
-    rows, minima = [], homext._orbit_minima
-
-    def counted(zkeys, bkeys, q):
-        rows.append(zkeys.shape[0])
-        return minima(zkeys, bkeys, q)
-
-    monkeypatch.setattr(homext, "_orbit_minima", counted)
+    checked = 0
     for name, p in table1_catalog():
         for w in enumerate_strings(p, 4):
             V = string_module(p, w, q=q)
@@ -331,17 +302,16 @@ def test_oracle_in_one_row_blocks_matches_linear_engine(monkeypatch, q):
             except BudgetExceededError:
                 continue
             assert got == ext1_dim(V, V), (name, w.display())
-    assert len(rows) == {2: 288, 3: 163}[q] and max(rows) >= q ** 5
+            checked += 1
+    assert checked == {2: 303, 3: 178}[q]
 
 
-@pytest.mark.parametrize("q, bits, max_total", [(7, 5, 8), (257, 11, 2)])
-def test_oracle_matches_linear_engine_with_wide_fields(q, bits, max_total):
-    # max_total bounds cocycle plus coboundary width, so that the orbit
-    # pass of at most q**max_total sums stays inside the default budget.
-    from gentledef import homext
+@pytest.mark.parametrize("q, max_total", [(7, 8), (257, 2)])
+def test_oracle_matches_linear_engine_with_wide_fields(q, max_total):
+    # max_total bounds cocycle plus coboundary width, so that both
+    # enumerations stay inside the default budget.
     from gentledef.presentation import table1_catalog
     from gentledef.strings import enumerate_strings
-    assert homext._field_bits(q) == bits
     values = set()
     for _, p in table1_catalog():
         mods = [string_module(p, w, q=q) for w in enumerate_strings(p, 1)]
@@ -368,7 +338,6 @@ def test_kept_digit_tables_equal_fresh_ones(monkeypatch):
     # Every table the oracle and the census ask for on C5 at q = 2 and on
     # sweeps at q = 3 and 5 is read-only, equals the reference, and is
     # kept exactly when it has at most _TABLE_ROWS rows.
-    from gentledef import lifts
     from gentledef.sweep import sweep_catalog
     asked = set()
     build = homext._mixed_radix
@@ -400,8 +369,8 @@ def test_kept_tables_are_read_only():
     assert homext._TABLES[8, 3, 2] is table
     blocks = homext._block_table((1, 3), 2)
     assert np.array_equal(blocks.reshape(8, 3), table)
-    homext._pack_keys(table, 2)
-    for kept in (table, blocks, homext._KEY_WEIGHTS[3, 2]):
+    lifts._pack_keys(table, 2)
+    for kept in (table, blocks, lifts._KEY_WEIGHTS[3, 2]):
         with pytest.raises(ValueError):
             kept[0, 0] = 1
 

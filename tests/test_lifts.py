@@ -368,6 +368,28 @@ def test_orbit_oracle_above_q_256(lam0):
     assert count_deformations(s1, 2) == 257
 
 
+@pytest.mark.parametrize("q, bits", [(2, 1), (3, 2), (7, 3), (257, 9)])
+def test_packed_keys_tell_rows_apart(q, bits):
+    # Widths 0, 1 and two or more words.  Rows repeat, or differ from a
+    # repeat in one entry; row 0 is q - 1 throughout, the largest key.
+    assert lifts._field_bits(q) == bits
+    per_word = 63 // bits
+    rng = np.random.default_rng(q)
+    for width, words in ((0, 1), (1, 1), (per_word + 1, 2),
+                         (2 * per_word + 3, 3)):
+        rows = rng.integers(0, q, size=(8, width))[rng.integers(0, 8, 80)]
+        if width:
+            at = rng.integers(0, width, 40)
+            rows[::2][np.arange(40), at] = rng.integers(0, q, 40)
+        rows[0] = q - 1
+        keys = lifts._pack_keys(rows, q)
+        assert keys.shape == (80, words) and (keys >= 0).all()
+        same_rows = (rows[:, None] == rows[None]).all(axis=-1)
+        same_keys = (keys[:, None] == keys[None]).all(axis=-1)
+        assert (same_rows == same_keys).all()
+        assert same_rows.sum() > 80
+
+
 def _poly_inverse(U, q):
     """Inverses of matrix polynomials whose constant term is the identity.
 

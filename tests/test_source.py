@@ -14,7 +14,6 @@ ALLOWED = {("udr", "rref")}
 # source, name).  A new one fails here until it is listed on purpose.
 PRIVATE_IMPORTS = {
     ("lifts", "homext", "_mixed_radix"),
-    ("lifts", "homext", "_pack_keys"),
     ("strings", "linalg", "_nonzeros"),
     ("sweep", "udr", "_classify"),
     ("udr", "strings", "_composes"),
