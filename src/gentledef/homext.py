@@ -37,8 +37,10 @@ holds only nonzeros of the action matrices, and `hom_dim` and
 with no back-substitution and no dense matrix.  The nonzeros come from
 each module's `FinModule.sparse_action`, which reads an action matrix
 once for every system the module enters; `hom_system` negates the
-entries of m's action rather than the matrix.  Only `hom_basis` (and so
-`modules_isomorphic`) back-substitutes.
+entries of m's action rather than the matrix.  Only `hom_basis` and
+`modules_isomorphic` back-substitute: the latter searches combinations
+of `hom_basis` maps and counts the pivots of `rref` on each vertex
+block to test it for invertibility.
 Callers ask for Hom and then Ext^1 of one pair (End = k comes before
 the tangent space), and dim B^1 is the total vertex-map dimension less
 dim Hom, so the pair shares one Hom reduction: `hom_dim` keeps its last
@@ -63,7 +65,7 @@ import weakref
 
 import numpy as np
 
-from .linalg import LinearSystem, rank
+from .linalg import LinearSystem, rref
 from .presentation import Presentation
 from .strings import FinModule, StringWord, enumerate_strings, string_module
 
@@ -174,7 +176,7 @@ def modules_isomorphic(m: FinModule, n: FinModule,
         good = True
         for v in verts:
             g = sum(int(c) * b[v] for c, b in zip(digits, basis)) % q
-            if rank(g, q) != m.dims[v]:
+            if len(rref(g, q)[1]) != m.dims[v]:
                 good = False
                 break
         if good:

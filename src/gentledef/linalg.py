@@ -7,23 +7,22 @@ to reduced row echelon form.  Neither modifies the rows it is given:
 `_reduce` copies a row only to subtract from or scale it, so a pivot row
 may be the caller's own row, and `_back_substitute` copies a pivot row
 before it clears it.  A rank count needs only the first step:
-`rank` and `LinearSystem.nullspace_dim` count `_reduce`'s pivots, and
-only `rref`, `Presolved` and `LinearSystem.nullspace_basis`
-back-substitute.  `LinearSystem` holds equations A @ X + Y @ B = 0 in
-unknown matrices X, Y and takes its coefficient matrices A, B as sparse
-(shape, nonzeros) pairs from `_nonzeros`, the one dense-to-sparse
-converter, so a caller that enters one matrix in many systems reads its
-nonzeros once.  A system records each equation's first row and
+`LinearSystem.nullspace_dim` counts `_reduce`'s pivots, and only `rref`,
+`Presolved` and `LinearSystem.nullspace_basis` back-substitute.
+`LinearSystem` holds equations A @ X + Y @ B = 0 in unknown matrices
+X, Y and takes its coefficient matrices A, B as sparse (shape,
+nonzeros) pairs from `_nonzeros`, the one dense-to-sparse converter, so
+a caller that enters one matrix in many systems reads its nonzeros
+once.  A system records each equation's first row and
 unknowns, and `LinearSystem.unpack` views the unknowns' blocks of any
 stack of vectors, so callers read its layout instead of copying it.
 `Presolved` reduces a `LinearSystem`'s sparse rows once
 and serves both its solutions against many right-hand sides and its
 nullspace; `_basis` is the one nullspace builder, shared with
-`LinearSystem.nullspace_basis`.  Only `rref`, `rank` and
-`Presolved.solve_many` take dense numpy arrays; results are int64
-arrays with entries reduced mod q.  No floating point is involved
-anywhere, so ranks and nullspaces are exact.  q must be prime (inverses
-via Fermat).
+`LinearSystem.nullspace_basis`.  Only `rref` and `Presolved.solve_many`
+take dense numpy arrays; results are int64 arrays with entries reduced
+mod q.  No floating point is involved anywhere, so ranks and nullspaces
+are exact.  q must be prime (inverses via Fermat).
 """
 
 from __future__ import annotations
@@ -123,14 +122,10 @@ def rref(A, q: int):
     rows, and the reduced pivot rows are written back, zero rows last.
     """
     A = as_field(A, q)
-    reduced = _back_substitute(_reduce(_sparse_rows(A), q), q)
+    rows = [{c: v for c, v in enumerate(line) if v} for line in A.tolist()]
+    reduced = _back_substitute(_reduce(rows, q), q)
     pivots = sorted(reduced)
     return _dense(enumerate(reduced[c] for c in pivots), A.shape), pivots
-
-
-def _sparse_rows(A: np.ndarray) -> list[dict[int, int]]:
-    """The nonzeros of each row of an array reduced mod q."""
-    return [{c: v for c, v in enumerate(line) if v} for line in A.tolist()]
 
 
 def _dense(rows, shape: tuple[int, int]) -> np.ndarray:
@@ -144,12 +139,6 @@ def _dense(rows, shape: tuple[int, int]) -> np.ndarray:
         for c, v in row.items():
             line[c] = v
     return np.array(M, dtype=np.int64).reshape(shape)
-
-
-def rank(A, q: int) -> int:
-    """The number of pivots `_reduce` finds; no back-substitution and
-    no dense result."""
-    return len(_reduce(_sparse_rows(as_field(A, q)), q))
 
 
 def _basis(pivots: dict[int, dict[int, int]], width: int,

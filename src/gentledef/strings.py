@@ -31,18 +31,6 @@ class StringError(ValueError):
         super().__init__(message)
 
 
-class NonComposableError(StringError):
-    pass
-
-
-class NotReducedError(StringError):
-    pass
-
-
-class HitsRelationError(StringError):
-    pass
-
-
 @dataclass(frozen=True)
 class Letter:
     arrow: str
@@ -100,24 +88,20 @@ class StringWord:
         return self if self.sort_key() <= other.sort_key() else other
 
 
-def _pair_problem(p: Presentation, a: Letter,
-                  b: Letter) -> tuple[type[StringError], str] | None:
-    """Why letter b may not follow letter a, as (error class, message),
-    or None when it may: the one rule for adjacent letters."""
+def _pair_problem(p: Presentation, a: Letter, b: Letter) -> str | None:
+    """Why letter b may not follow letter a, as a message, or None when
+    it may: the one rule for adjacent letters."""
     if b.source(p) != a.target(p):
-        return (NonComposableError,
-                f"letters {a.display()} then {b.display()} do not compose")
+        return f"letters {a.display()} then {b.display()} do not compose"
     if b == a.flip():
-        return NotReducedError, f"letter {b.display()} cancels {a.display()}"
+        return f"letter {b.display()} cancels {a.display()}"
     rels = p.relation_set
     if not a.inverse and not b.inverse:
         if (b.arrow, a.arrow) in rels:
-            return (HitsRelationError,
-                    f"path {b.arrow}*{a.arrow} lies in the ideal")
+            return f"path {b.arrow}*{a.arrow} lies in the ideal"
     elif a.inverse and b.inverse:
         if (a.arrow, b.arrow) in rels:
-            return (HitsRelationError,
-                    f"reversed path {a.arrow}*{b.arrow} lies in the ideal")
+            return f"reversed path {a.arrow}*{b.arrow} lies in the ideal"
     return None
 
 
@@ -125,8 +109,7 @@ def _check_pair(p: Presentation, a: Letter, b: Letter, pos: int) -> None:
     """Validate adjacent letters a then b; pos is a's 1-based position."""
     problem = _pair_problem(p, a, b)
     if problem is not None:
-        error, message = problem
-        raise error(message, position=pos)
+        raise StringError(problem, position=pos)
 
 
 def _composes(p: Presentation, a: Letter, b: Letter) -> bool:

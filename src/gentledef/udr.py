@@ -24,18 +24,15 @@ position in walk order or in reversed walk order.  The second suffices
 because a run that spans a submodule spans M[u] for its substring u,
 and M[u] = M[w] only for u in {w, w^-1}.  No module is built for a
 chain step, nothing is validated but the chain words' new letter
-pairs, and no Hom basis is searched.  The accepted map alone is kept as
-a dense 0/1 matrix in total-space coordinates, `SigmaStep.sigma`, and
-a finite chain's last word alone gets a module, for the hypotheses.
+pairs, and no Hom basis is searched.  The accepted map is kept as that
+index map, `SigmaStep.sigma`, and a finite chain's last word alone gets
+a module, for the hypotheses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import NamedTuple
-
-import numpy as np
 
 from . import claims
 from .homext import DEFAULT_BUDGET, end_is_trivial, ext1_dim, hom_dim
@@ -83,14 +80,17 @@ class ConnectingLetter:
 class SigmaStep:
     """Verification record for one collapse map sigma_ell.
 
-    kernel_is_v0 says that v0 maps isomorphically onto sigma's kernel,
-    and image_power_is_v0 that sigma^ell has rank dim v0 besides, since
-    its image is then the kernel's coordinate set.
+    sigma is the accepted index map on the walk positions of `word`:
+    position i goes to sigma[i], or is killed where sigma[i] is -1; None
+    when no candidate was accepted.  kernel_is_v0 says that v0 maps
+    isomorphically onto sigma's kernel, and image_power_is_v0 that
+    sigma^ell has rank dim v0 besides, since its image is then the
+    kernel's position set.
     """
 
     level: int
     word: StringWord
-    sigma: np.ndarray | None
+    sigma: tuple[int, ...] | None
     kernel_dim: int = -1
     kernel_is_v0: bool = False
     image_power_is_v0: bool = False
@@ -229,30 +229,24 @@ def _chain_word(p: Presentation, w: StringWord, x: Letter,
 
 
 class _Walk(NamedTuple):
-    """A string module on walk positions: the vertex of each z_i, its
-    total-space coordinate, and the nonzero entries of the arrows'
-    actions as {(arrow, from, to): value}, z_from going to z_to."""
+    """A string module on walk positions: the vertex of each z_i and the
+    nonzero entries of the arrows' actions as {(arrow, from, to): value},
+    z_from going to z_to."""
 
     vertex: tuple[str, ...]
-    coordinate: list[int]
     entries: dict[tuple[str, int, int], int]
 
 
 def _word_walk(p: Presentation, w: StringWord) -> _Walk:
     """M[w] on walk positions, read off the word by `string_entries`."""
-    walk, local = _walk(p, w)
-    vertices = p.quiver.vertices
-    off = dict(zip(vertices, accumulate((walk.count(v) for v in vertices),
-                                        initial=0)))
-    return _Walk(tuple(walk), [off[v] + l for v, l in zip(walk, local)],
-                 dict.fromkeys(string_entries(w), 1))
+    return _Walk(tuple(_walk(p, w)[0]), dict.fromkeys(string_entries(w), 1))
 
 
 def _module_walk(V: FinModule) -> _Walk:
     """The string module V on walk positions, its entries read from its
     matrices: each nonzero of `sparse_action` mod q, placed through
     `walk` and `local`."""
-    p, q, off = V.presentation, V.q, V.vertex_offsets()
+    p, q = V.presentation, V.q
     position = {c: i for i, c in enumerate(zip(V.walk, V.local))}
     entries = {}
     for a, (_, nonzeros) in V.sparse_action.items():
@@ -260,8 +254,7 @@ def _module_walk(V: FinModule) -> _Walk:
         for i, j, x in nonzeros:
             if x % q:
                 entries[a, position[s, j], position[t, i]] = x % q
-    return _Walk(V.walk, [off[v] + l for v, l in zip(V.walk, V.local)],
-                 entries)
+    return _Walk(V.walk, entries)
 
 
 def _is_homomorphism(X: _Walk, Y: _Walk, dst: list[int]) -> bool:
@@ -335,15 +328,13 @@ def _verify_sigma(v0: _Walk, V_ell: _Walk, level: int,
     and its level-th power lands on them, and a reflection (level 1, 2D
     positions) sends one half onto the other and kills that other half.
     So one copy check, `_kernel_is_copy`, serves both hypotheses, and a
-    power of rank D whose image is any other set is an error.  Only the
-    accepted candidate is built as the dense 0/1 matrix `SigmaStep.sigma`,
-    in V_ell's total-space coordinates.
+    power of rank D whose image is any other set is an error.  The
+    accepted candidate is kept as `SigmaStep.sigma`.
     """
     D, total = len(v0.vertex), len(V_ell.vertex)
     step = SigmaStep(level=level, word=word, sigma=None)
     for dst in _sigma_candidates(total, D, form):
-        domain = [c for c, d in enumerate(dst) if d >= 0]
-        image = [dst[c] for c in domain]
+        image = [d for d in dst if d >= 0]
         if len(set(image)) != len(image):
             raise AssertionError(
                 "collapse map is not a partial permutation of positions")
@@ -352,10 +343,7 @@ def _verify_sigma(v0: _Walk, V_ell: _Walk, level: int,
         kernel = [d < 0 for d in dst]
         if sum(kernel) != D:
             continue
-        coordinate = V_ell.coordinate
-        step.sigma = np.zeros((total, total), dtype=np.int64)
-        step.sigma[[coordinate[d] for d in image],
-                   [coordinate[c] for c in domain]] = 1
+        step.sigma = tuple(dst)
         step.kernel_dim = D
         power = list(range(total))
         for _ in range(level):
@@ -375,13 +363,13 @@ def _verify_sigma(v0: _Walk, V_ell: _Walk, level: int,
     return step
 
 
-def build_sequence(V: FinModule, x) -> SequenceReport:
-    """Grow the chain from the string module V = M[w] along x, up to
-    n = CHAIN_LENGTH for an infinite chain, and verify each collapse map.
+def build_sequence(V: FinModule,
+                   connector: ConnectingLetter) -> SequenceReport:
+    """Grow the chain from the string module V = M[w] along connector, up
+    to n = CHAIN_LENGTH for an infinite chain, and verify each collapse
+    map.
 
-    x may be a ConnectingLetter or a bare Letter; a bare letter is
-    resolved against connecting_letters(p, w), direct form first.  V is
-    neither rebuilt nor validated: a copy check that holds maps V
+    V is neither rebuilt nor validated: a copy check that holds maps V
     isomorphically onto a submodule of a chain module, so V is then a
     module.  No chain word gets a module, but a finite chain's last one,
     kept as `last_module` for `_classify`'s hypotheses; an infinite
@@ -390,14 +378,6 @@ def build_sequence(V: FinModule, x) -> SequenceReport:
     p, q, w = V.presentation, V.q, V.word
     if w is None or any(V.walk.count(v) != n for v, n in V.dims.items()):
         raise ValueError("build_sequence needs a string module")
-    if isinstance(x, Letter):
-        matches = [c for c in connecting_letters(p, w)
-                   if c.letter == x or c.letter == x.flip()]
-        if not matches:
-            raise ValueError(f"{x.display()} is not a connecting letter")
-        connector = sorted(matches, key=lambda c: c.form != "direct")[0]
-    else:
-        connector = x
     words = [w, connector.word]
     kind, n_value = "Finite", 1
     if connector.form == "direct":

@@ -32,14 +32,17 @@ from gentledef.presentation import (
     table1_catalog,
 )
 from gentledef.strings import (
-    Letter,
     enumerate_strings,
     make_string,
     simple_module,
     string_module,
 )
 from gentledef.sweep import sweep_catalog
-from gentledef.udr import build_sequence, universal_deformation_ring
+from gentledef.udr import (
+    build_sequence,
+    connecting_letters,
+    universal_deformation_ring,
+)
 
 TRICHOTOMY = {"k", "k[[t]]/(t^2)", "k[[t]]"}
 
@@ -188,19 +191,35 @@ def test_criterion_3_tangent_oracle_equivalence(capsys):
              f"mismatches, {elapsed:.1f}s")
 
 
+def _connector(p, w, letter: str):
+    """The connecting letter of w shown as letter."""
+    return next(c for c in connecting_letters(p, w)
+                if c.letter.display() == letter)
+
+
+def _sigma_matrix(step) -> np.ndarray:
+    """step.sigma, an index map on walk positions, as a 0/1 matrix on the
+    walk basis of its chain word."""
+    S = np.zeros((len(step.sigma),) * 2, dtype=np.int64)
+    for i, d in enumerate(step.sigma):
+        if d >= 0:
+            S[d, i] = 1
+    return S
+
+
 def test_criterion_4_collapse_map_machinery(capsys):
     p = catalog_presentation(LAMBDA0)
     problems = []
     for vertex, letter in (("1", "a"), ("2", "b")):
         w = make_string(p, f"simple {vertex}")
-        rep = build_sequence(string_module(p, w), Letter(letter))
+        rep = build_sequence(string_module(p, w), _connector(p, w, letter))
         if rep.kind != "Finite" or rep.n_value != 1:
             problems.append(f"simple {vertex}: {rep.kind}(N={rep.n_value})")
             continue
         step = rep.steps[0]
         if not step.ok or step.power_rank != 1:
             problems.append(f"simple {vertex}: collapse map failed")
-        elif (step.sigma @ step.sigma % 2).any():
+        elif (_sigma_matrix(step) @ _sigma_matrix(step) % 2).any():
             problems.append(f"simple {vertex}: square of sigma nonzero")
     s1 = simple_module(p, "1")
     ma = string_module(p, make_string(p, "a"))
@@ -208,8 +227,8 @@ def test_criterion_4_collapse_map_machinery(capsys):
         problems.append(
             f"hom {hom_dim(ma, s1)}, ext {ext1_dim(ma, s1)} for the "
             f"chain over simple 1")
-    rep = build_sequence(string_module(p, make_string(p, "b*c*a")),
-                         Letter("d"))
+    w = make_string(p, "b*c*a")
+    rep = build_sequence(string_module(p, w), _connector(p, w, "d"))
     if rep.kind != "Infinite" or len(rep.steps) != 4:
         problems.append(f"b*c*a: kind {rep.kind}, {len(rep.steps)} levels")
     else:

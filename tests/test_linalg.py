@@ -56,7 +56,7 @@ def _solve(A, b, q):
 
 def test_rank_and_nullspace_of_rank_one_matrix():
     A = [[1, 2], [2, 4]]
-    assert linalg.rank(A, 5) == 1
+    assert linalg.rref(A, 5)[1] == [0]
     for ns in (linalg.Presolved(_system(A, 5)).nullspace, _nullspace(A, 5)):
         assert ns.shape == (1, 2)
         # x + 2y = 0 over F_5 pins (3, 1) as the free-column vector
@@ -200,7 +200,6 @@ def test_reductions_never_modify_their_input():
             pre = linalg.Presolved(sys)
             pre.solve_many(rng.integers(0, q, size=(sys.height, 2)))
             assert sys._rows == before
-            linalg.rank(A, q)
             linalg.rref(A, q)
             assert np.array_equal(A, dense)
     assert kept
@@ -305,26 +304,6 @@ def test_rref_matches_textbook_gauss_jordan():
             R_ref, pivots_ref = _gauss_jordan(A, q)
             assert pivots == pivots_ref
             assert R.shape == R_ref.shape and (R == R_ref).all()
-
-
-def test_rank_counts_textbook_pivots_on_random_draws(monkeypatch):
-    # rank neither builds a dense result nor back-substitutes; on the
-    # same draws, rref (which does both) still matches the textbook.
-    def dense(*args):
-        raise AssertionError("rank built a dense result")
-
-    rng = np.random.default_rng(31)
-    draws = [(q, A) for q in (2, 3, 5, 7) for A in _random_matrices(rng, q)]
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_dense", dense)
-        patch.setattr(linalg, "_back_substitute", _no_back_substitution)
-        for q, A in draws:
-            assert linalg.rank(A, q) == len(_gauss_jordan(A, q)[1])
-    for q, A in draws:
-        R, pivots = linalg.rref(A, q)
-        R_ref, pivots_ref = _gauss_jordan(A, q)
-        assert pivots == pivots_ref
-        assert R.shape == R_ref.shape and (R == R_ref).all()
 
 
 def test_presolve_matches_column_solves_on_random_draws():

@@ -19,6 +19,9 @@ PRIVATE_IMPORTS = {
     ("udr", "strings", "_composes"),
     ("udr", "strings", "_walk"),
 }
+# The modules that hold matrices: the rest work on words, index maps and
+# sparse entries.
+NUMPY_IMPORTERS = {"homext", "lifts", "linalg", "strings"}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -50,6 +53,23 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found - ALLOWED == set()
     # An entry that is no longer needed leaves the list.
     assert ALLOWED <= found
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level names of the absolute imports of a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_the_matrix_modules_import_numpy():
+    importers = {path.stem for path in SRC.glob("*.py")
+                 if "numpy" in _imported_modules(ast.parse(path.read_text()))}
+    assert importers == NUMPY_IMPORTERS
 
 
 def _private_imports(stem: str, tree: ast.Module) -> set[tuple[str, str, str]]:

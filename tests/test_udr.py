@@ -8,7 +8,7 @@ import pytest
 from gentledef import homext, udr
 from gentledef.claims import paper_agreement, published_ring
 from gentledef.homext import end_is_trivial, ext1_dim, modules_isomorphic
-from gentledef.linalg import Presolved, rank, rref
+from gentledef.linalg import Presolved, rref
 from gentledef.presentation import LAMBDA0, catalog_presentation, table1_catalog
 from gentledef.strings import (
     FinModule,
@@ -155,22 +155,33 @@ def test_seam_checks_agree_with_full_validation(monkeypatch):
                for n in range(1, 5))
 
 
+def _chain(p, text, letter):
+    """build_sequence from M[text] along the connecting letter shown as
+    letter."""
+    return build_sequence(string_module(p, make_string(p, text)),
+                          _connector_map(p, text)[letter])
+
+
+def _dense_sigma(step, p):
+    """step.sigma as a 0/1 matrix on the total space of M[step.word]."""
+    V = string_module(p, step.word)
+    return _dense_map(step.sigma, V, V)
+
+
 def test_sequence_simple_is_finite_with_square_zero_map(lam0):
-    w = make_string(lam0, "simple 1")
-    report = build_sequence(string_module(lam0, w), Letter("a"))
+    report = _chain(lam0, "simple 1", "a")
     assert report.kind == "Finite"
     assert report.n_value == 1
     assert [x.display() for x in report.words] == ["simple 1", "a"]
     step = report.steps[0]
     assert step.ok
     assert step.power_rank == 1
-    sigma = step.sigma
+    sigma = _dense_sigma(step, lam0)
     assert not (sigma @ sigma % 2).any()
 
 
 def test_sequence_long_word_is_infinite_with_verified_collapses(lam0):
-    w = make_string(lam0, "b*c*a")
-    report = build_sequence(string_module(lam0, w), Letter("d"))
+    report = _chain(lam0, "b*c*a", "d")
     assert report.kind == "Infinite"
     assert report.n_value is None
     assert [len(x) for x in report.words] == [3, 7, 11, 15, 19]
@@ -179,14 +190,13 @@ def test_sequence_long_word_is_infinite_with_verified_collapses(lam0):
         assert step.ok
         assert step.kernel_dim == 4
         assert step.power_rank == 4
-        sigma = step.sigma
+        sigma = _dense_sigma(step, lam0)
         power = np.linalg.matrix_power(sigma, step.level + 1) % 2
         assert not power.any()
 
 
 def test_sequence_reflected_collapse(lam0):
-    w = make_string(lam0, "c*a")
-    report = build_sequence(string_module(lam0, w), Letter("b"))
+    report = _chain(lam0, "c*a", "b")
     assert report.kind == "Finite"
     assert report.steps[0].ok
     assert report.steps[0].kernel_dim == 3
@@ -206,23 +216,23 @@ def test_build_sequence_builds_only_the_chain_modules(lam0, monkeypatch):
     for text, letter, kind in (("simple 1", "a", "Finite"),
                                ("c*a", "b", "Finite"),
                                ("b*c*a", "d", "Infinite")):
-        w = make_string(lam0, text)
         built.clear()
-        report = build_sequence(string_module(lam0, w), Letter(letter))
+        report = _chain(lam0, text, letter)
         assert report.kind == kind
         if kind == "Finite":
             assert built == report.words[-1:] == [report.last_module.word]
         else:
             assert built == [] and report.last_module is None
     s1 = real(lam0, make_string(lam0, "simple 1"))
+    loop = _connector_map(lam0, "simple 1")["a"]
     raw = FinModule(presentation=lam0, q=2, dims=s1.dims, action=s1.action)
     with pytest.raises(ValueError, match="string module"):
-        build_sequence(raw, Letter("a"))
+        build_sequence(raw, loop)
     wide = FinModule(presentation=lam0, q=2, dims={"1": 2, "2": 0},
                      action={a: np.zeros((0, 0), dtype=np.int64)
                              for a in s1.action}, word=s1.word)
     with pytest.raises(ValueError, match="string module"):
-        build_sequence(wide, Letter("a"))
+        build_sequence(wide, loop)
 
 
 def test_classify_rebuilds_no_chain_module(lam0, monkeypatch):
@@ -243,12 +253,6 @@ def test_classify_rebuilds_no_chain_module(lam0, monkeypatch):
         chain = {w for caller, w in built if caller == "build_sequence"}
         rebuilt = {w for caller, w in built if caller != "build_sequence"}
         assert chain and not rebuilt & chain, text
-
-
-def test_sequence_rejects_non_connector(lam0):
-    w = make_string(lam0, "simple 1")
-    with pytest.raises(ValueError):
-        build_sequence(string_module(lam0, w), Letter("c"))
 
 
 def test_udr_simple_modules_are_dual_numbers(lam0):
@@ -386,7 +390,7 @@ def _reference_submodule(V, cols):
         R, pivots = rref(cols[off[v]:off[v] + V.dims[v], :].T, q)
         local_bases[v] = R[:len(pivots)]
         split_rank += len(pivots)
-    if split_rank != rank(cols.T, q):
+    if split_rank != len(rref(cols.T, q)[1]):
         return None
     dims = {v: local_bases[v].shape[0] for v in p.quiver.vertices}
     action = {}
@@ -425,7 +429,8 @@ def _dense_map(dst, X, Y):
 def _reference_step(v0, V, level, form, seen):
     """The collapse-map check on dense matrices of the modules v0 and
     V = M[word] that `string_module` builds, with spans from the
-    textbook nullspace and rref."""
+    textbook nullspace and rref.  Its sigma is the accepted candidate's
+    dense matrix S."""
     q, D, word = v0.q, v0.total_dim, V.word
     chain, copy_of = udr._word_walk(V.presentation, word), udr._module_walk(v0)
     step = SigmaStep(level=level, word=word, sigma=None)
@@ -449,7 +454,7 @@ def _reference_step(v0, V, level, form, seen):
         step.sigma = S
         step.kernel_dim = D
         step.kernel_is_v0 = copy
-        step.power_rank = rank(P, q)
+        step.power_rank = len(rref(P, q)[1])
         img = _reference_submodule(V, R[:len(pivots)].T)
         step.image_power_is_v0 = (step.power_rank == D and img is not None
                                   and modules_isomorphic(img, v0))
@@ -458,10 +463,13 @@ def _reference_step(v0, V, level, form, seen):
     return step
 
 
-def _assert_same_step(got, want, context):
+def _assert_same_step(got, want, V, context):
     assert (got.sigma is None) == (want.sigma is None), context
     if want.sigma is not None:
-        assert np.array_equal(got.sigma, want.sigma), context
+        assert len(got.sigma) == len(V.walk), context
+        assert got.sigma.count(-1) == got.kernel_dim, context
+        assert np.array_equal(_dense_map(got.sigma, V, V), want.sigma), \
+            context
     for key in ("kernel_dim", "kernel_is_v0", "image_power_is_v0",
                 "power_rank", "nilpotent"):
         assert getattr(got, key) == getattr(want, key), (context, key)
@@ -470,10 +478,12 @@ def _assert_same_step(got, want, context):
 @pytest.mark.parametrize("q", [2, 3])
 def test_sigma_steps_match_row_reduction_reference(q):
     """Collapse maps read as index maps on the chain words' walk positions
-    give the SigmaStep fields, the dense sigma included, that dense
-    matrices of the chain modules built by `string_module` give when
-    their kernel and image spans are row-reduced and their module
-    property is checked by per-vertex blocks.
+    give the SigmaStep fields that dense matrices of the chain modules
+    built by `string_module` give when their kernel and image spans are
+    row-reduced and their module property is checked by per-vertex
+    blocks.  An accepted sigma has one entry per walk position of its
+    word, kernel_dim of them -1, and its dense view is the reference's
+    matrix.
 
     Every chain step of the catalog passes its checks, so each step is
     also checked against a decoy: another word of the same length, whose
@@ -503,13 +513,13 @@ def test_sigma_steps_match_row_reduction_reference(q):
                                step.level)
                     args = (V, step.level, c.form)
                     _assert_same_step(
-                        step, _reference_step(v0, *args, seen), context)
+                        step, _reference_step(v0, *args, seen), V, context)
                     for decoy in decoys:
                         want = _reference_step(decoy, *args, seen)
                         got = udr._verify_sigma(
                             udr._module_walk(decoy), udr._word_walk(p, V.word),
                             step.level, c.form, step.word)
-                        _assert_same_step(got, want, context + ("decoy",))
+                        _assert_same_step(got, want, V, context + ("decoy",))
                         seen["failed kernel or image"] |= (
                             want.sigma is not None and not (
                                 want.kernel_is_v0
@@ -802,9 +812,10 @@ def _reachable(fn):
 def test_collapse_map_check_reaches_no_hom_engine():
     """No code reachable from `udr.build_sequence` names the Hom engine,
     the linear solver or module validation, and none reachable from
-    `udr._verify_sigma`, the check of one chain step, builds a module:
-    the chain words' entries come from `strings.string_entries` and v0's
-    from its `sparse_action`."""
+    `udr._verify_sigma`, the check of one chain step, builds a module or
+    names numpy: the chain words' entries come from
+    `strings.string_entries`, v0's from its `sparse_action`, and the
+    accepted map stays an index map."""
     forbidden = {"hom_basis", "modules_isomorphic", "LinearSystem",
                  "_reduce", "validate"}
     names, seen = _reachable(udr.build_sequence)
@@ -815,5 +826,5 @@ def test_collapse_map_check_reaches_no_hom_engine():
     names, seen = _reachable(udr._verify_sigma)
     for helper in (udr._is_homomorphism, udr._kernel_is_copy):
         assert helper.__code__ in seen, helper
-    assert not names & (forbidden | {"string_module", "FinModule"}), (
-        names & (forbidden | {"string_module", "FinModule"}))
+    step_forbidden = forbidden | {"string_module", "FinModule", "np"}
+    assert not names & step_forbidden, names & step_forbidden
