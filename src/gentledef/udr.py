@@ -367,7 +367,7 @@ def build_sequence(V: FinModule,
                    connector: ConnectingLetter) -> SequenceReport:
     """Grow the chain from the string module V = M[w] along connector, up
     to n = CHAIN_LENGTH for an infinite chain, and verify each collapse
-    map.
+    map; a connector that does not join two copies of w raises.
 
     V is neither rebuilt nor validated: a copy check that holds maps V
     isomorphically onto a submodule of a chain module, so V is then a
@@ -378,8 +378,13 @@ def build_sequence(V: FinModule,
     p, q, w = V.presentation, V.q, V.word
     if w is None or any(V.walk.count(v) != n for v, n in V.dims.items()):
         raise ValueError("build_sequence needs a string module")
-    words = [w, connector.word]
-    kind, n_value = "Finite", 1
+    x, ws, back = connector.letter, w.letters, w.reverse_inverse().letters
+    joins = {"direct": [ws + (x,) + ws],
+             "reflected": [ws + (x,) + back, back + (x,) + ws]}
+    if connector.word.letters not in joins.get(connector.form, []) or (
+            w.is_simple and not x.source(p) == x.target(p) == w.basepoint):
+        raise ValueError(f"{x.display()} does not connect {w.display()}")
+    words, kind, n_value = [w, connector.word], "Finite", 1
     if connector.form == "direct":
         second = _chain_word(p, w, connector.letter, 2)
         if second is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 import types
@@ -253,6 +254,25 @@ def test_classify_rebuilds_no_chain_module(lam0, monkeypatch):
         chain = {w for caller, w in built if caller == "build_sequence"}
         rebuilt = {w for caller, w in built if caller != "build_sequence"}
         assert chain and not rebuilt & chain, text
+
+
+def test_sequence_rejects_non_connector(lam0):
+    # A connector of another word: its chain word does not join two
+    # copies of V's word, or (simple 2's loop b) not at V's vertex.
+    for text, other, letter in (("simple 1", "simple 2", "b"),
+                                ("simple 1", "c*a", "b"),
+                                ("simple 1", "b*c*a", "d"),
+                                ("c*a", "simple 1", "a"),
+                                ("b*c*a", "c*a", "b")):
+        V = string_module(lam0, make_string(lam0, text))
+        with pytest.raises(ValueError, match="does not connect"):
+            build_sequence(V, _connector_map(lam0, other)[letter])
+    # c*a's own connector under the other form.
+    V = string_module(lam0, make_string(lam0, "c*a"))
+    own = _connector_map(lam0, "c*a")["b"]
+    build_sequence(V, own)
+    with pytest.raises(ValueError, match="does not connect"):
+        build_sequence(V, dataclasses.replace(own, form="direct"))
 
 
 def test_udr_simple_modules_are_dual_numbers(lam0):
