@@ -37,10 +37,11 @@ holds only nonzeros of the action matrices, and `hom_dim` and
 with no back-substitution and no dense matrix.  The nonzeros come from
 each module's `FinModule.sparse_action`, which reads an action matrix
 once for every system the module enters; `hom_system` negates the
-entries of m's action rather than the matrix.  Only `hom_basis` and
-`modules_isomorphic` back-substitute: the latter searches combinations
-of `hom_basis` maps and counts the pivots of `rref` on each vertex
-block to test it for invertibility.
+entries of m's action rather than the matrix.  Only `hom_basis`, which
+reads the nullspace of a `linalg.Presolved`, and `modules_isomorphic`
+back-substitute: the latter searches combinations of `hom_basis` maps
+and counts the pivots of `rref` on each vertex block to test it for
+invertibility.
 Callers ask for Hom and then Ext^1 of one pair (End = k comes before
 the tangent space), and dim B^1 is the total vertex-map dimension less
 dim Hom, so the pair shares one Hom reduction: `hom_dim` keeps its last
@@ -65,7 +66,7 @@ import weakref
 
 import numpy as np
 
-from .linalg import LinearSystem, rref
+from .linalg import LinearSystem, Presolved, rref
 from .presentation import Presentation
 from .strings import FinModule, StringWord, enumerate_strings, string_module
 
@@ -113,7 +114,8 @@ def hom_dim(m: FinModule, n: FinModule) -> int:
 
 
 def hom_basis(m: FinModule, n: FinModule) -> list[dict[str, np.ndarray]]:
-    return hom_system(m, n).nullspace_basis()
+    system = hom_system(m, n)
+    return [system.unpack(v) for v in Presolved(system).nullspace]
 
 
 def end_is_trivial(m: FinModule) -> bool:

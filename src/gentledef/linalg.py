@@ -7,8 +7,8 @@ to reduced row echelon form.  Neither modifies the rows it is given:
 `_reduce` copies a row only to subtract from or scale it, so a pivot row
 may be the caller's own row, and `_back_substitute` copies a pivot row
 before it clears it.  A rank count needs only the first step:
-`LinearSystem.nullspace_dim` counts `_reduce`'s pivots, and only `rref`,
-`Presolved` and `LinearSystem.nullspace_basis` back-substitute.
+`LinearSystem.nullspace_dim` counts `_reduce`'s pivots, and only `rref`
+and `Presolved` back-substitute.
 `LinearSystem` holds equations A @ X + Y @ B = 0 in unknown matrices
 X, Y and takes its coefficient matrices A, B as sparse (shape,
 nonzeros) pairs from `_nonzeros`, the one dense-to-sparse converter, so
@@ -18,8 +18,7 @@ unknowns, and `LinearSystem.unpack` views the unknowns' blocks of any
 stack of vectors, so callers read its layout instead of copying it.
 `Presolved` reduces a `LinearSystem`'s sparse rows once
 and serves both its solutions against many right-hand sides and its
-nullspace; `_basis` is the one nullspace builder, shared with
-`LinearSystem.nullspace_basis`.  Only `rref` and `Presolved.solve_many`
+nullspace, which `_basis` builds.  Only `rref` and `Presolved.solve_many`
 take dense numpy arrays; results are int64 arrays with entries reduced
 mod q.  No floating point is involved anywhere, so ranks and nullspaces
 are exact.  q must be prime (inverses via Fermat).
@@ -216,8 +215,8 @@ class LinearSystem:
     `equations` records (first row, x, y) for each equation in order,
     and `unpack` views each unknown's block of a vector or a stack of
     them.  `nullspace_dim` counts the pivots of `_reduce`'s forward
-    elimination; `nullspace_basis` back-substitutes them too; only
-    `matrix` builds a dense array.
+    elimination, and `Presolved` reads the nullspace; only `matrix`
+    builds a dense array.
     """
 
     def __init__(self, q: int):
@@ -304,12 +303,6 @@ class LinearSystem:
     def nullspace_dim(self) -> int:
         """width - rank, the rank counted without back-substitution."""
         return self._width - len(_reduce(self._rows.values(), self.q))
-
-    def nullspace_basis(self) -> list[dict[str, np.ndarray]]:
-        """`_basis` of the reduced sparse rows, unpacked by unknown."""
-        q = self.q
-        pivots = _back_substitute(_reduce(self._rows.values(), q), q)
-        return [self.unpack(v) for v in _basis(pivots, self._width, q)]
 
 
 def _nonzeros(M) -> tuple[tuple[int, int], list[tuple[int, int, int]]]:

@@ -93,7 +93,7 @@ def _pair_problem(p: Presentation, a: Letter, b: Letter) -> str | None:
     it may: the one rule for adjacent letters."""
     if b.source(p) != a.target(p):
         return f"letters {a.display()} then {b.display()} do not compose"
-    if b == a.flip():
+    if b.arrow == a.arrow and b.inverse != a.inverse:
         return f"letter {b.display()} cancels {a.display()}"
     rels = p.relation_set
     if not a.inverse and not b.inverse:

@@ -23,10 +23,14 @@ endomorphism, and whether v0 maps onto that run, z_j going to its j-th
 position in walk order or in reversed walk order.  The second suffices
 because a run that spans a submodule spans M[u] for its substring u,
 and M[u] = M[w] only for u in {w, w^-1}.  No module is built for a
-chain step, nothing is validated but the chain words' new letter
-pairs, and no Hom basis is searched.  The accepted map is kept as that
-index map, `SigmaStep.sigma`, and a finite chain's last word alone gets
-a module, for the hypotheses.
+chain step and no Hom basis is searched.  The accepted map is kept as
+that index map, `SigmaStep.sigma`, and a finite chain's last word alone
+gets a module, for the hypotheses.
+
+The chain's shape has one owner, `_join_slots`, and one join rule,
+`_may_join`: `connecting_letters` finds connectors by them, and
+`build_sequence` accepts no other and builds the chain words by
+repetition, with no validation but the connector's word.
 """
 
 from __future__ import annotations
@@ -153,12 +157,6 @@ class UDRDescriptor:
                 "paper_agreement": self.paper_agreement}
 
 
-def _endpoints(p: Presentation, w: StringWord) -> tuple[str, str]:
-    if w.is_simple:
-        return w.basepoint, w.basepoint
-    return w.letters[0].source(p), w.letters[-1].target(p)
-
-
 def _is_string(p: Presentation, letters: tuple[Letter, ...]) -> bool:
     try:
         validate_word(p, letters)
@@ -167,65 +165,54 @@ def _is_string(p: Presentation, letters: tuple[Letter, ...]) -> bool:
     return True
 
 
+def _join_slots(w: StringWord) -> list[tuple[str, tuple, tuple]]:
+    """The slots (form, left, right) of w, a connector x making the chain
+    word left + (x,) + right: the direct slot (w, w) and, for a w with
+    letters, the reflected slots (w, w^-1) and (w^-1, w)."""
+    slots = [("direct", w.letters, w.letters)]
+    if not w.is_simple:
+        back = w.reverse_inverse().letters
+        slots += [("reflected", w.letters, back),
+                  ("reflected", back, w.letters)]
+    return slots
+
+
+def _may_join(p: Presentation, w: StringWord, x: Letter,
+              left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
+    """Whether x may stand in the slot (left, right) of w: for a simple w,
+    x is a loop at its vertex; otherwise both new letter pairs compose."""
+    if w.is_simple:
+        return x.source(p) == x.target(p) == w.basepoint
+    return _composes(p, left[-1], x) and _composes(p, x, right[0])
+
+
 def connecting_letters(p: Presentation, w: StringWord) -> list[ConnectingLetter]:
     """All letters x forming a chain word from w, one per word class.
 
-    The direct form inserts x between two copies of w; the reflected
-    forms insert it between w and its reversal.  When a letter and its
-    inverse give reverse-inverse words only the direct-letter one is
-    kept, and a direct-form connector shadows reflected ones for the
-    same word class.  w is validated once (an invalid w has none), and
-    its reversal is a string with it; a candidate word then has only
-    the two new pairs at x to check, none for a simple w.
+    The slots of `_join_slots` are walked in order, and every letter in
+    each, direct letters first.  A word class is kept for the first
+    letter that gives it: a direct letter before its inverse, and a
+    direct-form connector before reflected ones.  w is validated once
+    (an invalid w has none), and its reversal is a string with it;
+    `_may_join` then checks only the two new pairs at x, none for a
+    simple w.
     """
     if not _is_string(p, w.letters):
         return []
-    start, end = _endpoints(p, w)
-    candidates = [Letter(a) for a in p.quiver.arrow_names] \
-        + [Letter(a, inverse=True) for a in p.quiver.arrow_names]
+    letters = [Letter(a, inv) for inv in (False, True)
+               for a in p.quiver.arrow_names]
     found: list[ConnectingLetter] = []
     seen = set()
-
-    def consider(x: Letter, form: str, left, right) -> None:
-        if left and not (_composes(p, left[-1], x)
-                         and _composes(p, x, right[0])):
-            return
-        word = StringWord(left + (x,) + right)
-        key = word.canonical().sort_key()
-        if key in seen:
-            return
-        seen.add(key)
-        found.append(ConnectingLetter(letter=x, form=form, word=word))
-
-    for x in candidates:
-        if x.source(p) == end and x.target(p) == start:
-            consider(x, "direct", w.letters, w.letters)
-    if not w.is_simple:
-        back = w.reverse_inverse().letters
-        for x in candidates:
-            if x.source(p) == end and x.target(p) == end:
-                consider(x, "reflected", w.letters, back)
-        for x in candidates:
-            if x.source(p) == start and x.target(p) == start:
-                consider(x, "reflected", back, w.letters)
+    for form, left, right in _join_slots(w):
+        for x in letters:
+            if not _may_join(p, w, x, left, right):
+                continue
+            word = StringWord(left + (x,) + right)
+            key = word.canonical().sort_key()
+            if key not in seen:
+                seen.add(key)
+                found.append(ConnectingLetter(letter=x, form=form, word=word))
     return found
-
-
-def _chain_word(p: Presentation, w: StringWord, x: Letter,
-                n: int) -> StringWord | None:
-    """The word (w x)^n w for n >= 1, or None if it is not a string.
-
-    w x is validated once; the only other pair is the seam (x, w_first),
-    the same for every n, or (x, x) for a simple w and n > 1.
-    """
-    if not _is_string(p, w.letters + (x,)):
-        return None
-    if w.is_simple:
-        if n > 1 and not _composes(p, x, x):
-            return None
-    elif not _composes(p, x, w.letters[0]):
-        return None
-    return StringWord((w.letters + (x,)) * n + w.letters)
 
 
 class _Walk(NamedTuple):
@@ -367,7 +354,16 @@ def build_sequence(V: FinModule,
                    connector: ConnectingLetter) -> SequenceReport:
     """Grow the chain from the string module V = M[w] along connector, up
     to n = CHAIN_LENGTH for an infinite chain, and verify each collapse
-    map; a connector that does not join two copies of w raises.
+    map.
+
+    The connector is accepted only if its word is left + (x,) + right
+    for a slot of `_join_slots` of its form where `_may_join` holds, and
+    that word is a string; otherwise ValueError says that x does not
+    connect w.  The chain is infinite exactly when the connector is
+    direct and either w has letters or x x composes: each (w x)^n w is
+    then a string, since the relations are quadratic and all its letter
+    pairs occur in w x w or are (x, x), and is built by repetition.
+    Otherwise the chain is finite: w and the connector's word.
 
     V is neither rebuilt nor validated: a copy check that holds maps V
     isomorphically onto a submodule of a chain module, so V is then a
@@ -378,32 +374,27 @@ def build_sequence(V: FinModule,
     p, q, w = V.presentation, V.q, V.word
     if w is None or any(V.walk.count(v) != n for v, n in V.dims.items()):
         raise ValueError("build_sequence needs a string module")
-    x, ws, back = connector.letter, w.letters, w.reverse_inverse().letters
-    joins = {"direct": [ws + (x,) + ws],
-             "reflected": [ws + (x,) + back, back + (x,) + ws]}
-    if connector.word.letters not in joins.get(connector.form, []) or (
-            w.is_simple and not x.source(p) == x.target(p) == w.basepoint):
+    x, word = connector.letter, connector.word.letters
+    if not (_is_string(p, word) and any(
+            form == connector.form and left + (x,) + right == word
+            and _may_join(p, w, x, left, right)
+            for form, left, right in _join_slots(w))):
         raise ValueError(f"{x.display()} does not connect {w.display()}")
-    words, kind, n_value = [w, connector.word], "Finite", 1
-    if connector.form == "direct":
-        second = _chain_word(p, w, connector.letter, 2)
-        if second is not None:
-            kind, n_value = "Infinite", None
-            words.append(second)
-            for n in range(3, CHAIN_LENGTH + 1):
-                extended = _chain_word(p, w, connector.letter, n)
-                if extended is None:
-                    raise AssertionError(
-                        f"chain broke at n = {n} after validating at n = 2")
-                words.append(extended)
-    report = SequenceReport(connector=connector, kind=kind,
-                            n_value=n_value, words=words)
+    infinite = connector.form == "direct" and (
+        not w.is_simple or _composes(p, x, x))
+    words = [w, connector.word]
+    if infinite:
+        words += [StringWord((w.letters + (x,)) * n + w.letters)
+                  for n in range(2, CHAIN_LENGTH + 1)]
+    report = SequenceReport(connector=connector,
+                            kind="Infinite" if infinite else "Finite",
+                            n_value=None if infinite else 1, words=words)
     v0 = _module_walk(V)
     for level in range(1, len(words)):
         report.steps.append(_verify_sigma(
             v0, _word_walk(p, words[level]), level, connector.form,
             words[level]))
-    if kind == "Finite":
+    if not infinite:
         report.last_module = string_module(p, words[-1], q)
     return report
 

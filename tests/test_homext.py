@@ -653,6 +653,26 @@ def test_hom_and_ext_systems_match_kron_reference():
     assert pairs > 1000
 
 
+def test_coboundaries_satisfy_the_cocycle_equations():
+    """d^1 d^0 = 0: for every ordered pair of string modules of length at
+    most 3 from one catalog algebra, the columns of
+    hom_system(m, n).matrix(), the coboundaries of the unit vertex maps
+    laid out as ext_system(m, n)'s unknowns (one block per arrow, in
+    arrow order, as `lifts._tangent_line_reps` reads them), satisfy
+    every cocycle equation."""
+    pairs = 0
+    for q in (2, 3):
+        for _, p in table1_catalog():
+            mods = [string_module(p, w, q=q) for w in enumerate_strings(p, 3)]
+            for m, n in itertools.product(mods, repeat=2):
+                cocycles = ext_system(m, n).matrix()
+                coboundaries = hom_system(m, n).matrix()
+                assert not (cocycles @ coboundaries % q).any(), (
+                    q, m.word.display(), n.word.display())
+                pairs += 1
+    assert pairs == 12644
+
+
 def test_hom_and_ext_dimensions_never_go_dense(monkeypatch):
     """hom_dim and ext1_dim reduce sparse rows: no matrix(), no np.eye."""
     from gentledef import linalg

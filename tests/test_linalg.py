@@ -117,8 +117,8 @@ def test_kron_flattening_matches_direct_product(monkeypatch):
     # Column c of matrix() is vec(A @ X + Y @ B) of each equation, stacked,
     # with the unknowns set to the c-th unit vector (row-major vec,
     # unknowns in declaration order).  nullspace_dim must be
-    # width - rank(matrix()) without back-substituting, and
-    # nullspace_basis must flatten to the textbook nullspace of matrix()
+    # width - rank(matrix()) without back-substituting, and the
+    # nullspace of Presolved must be the textbook nullspace of matrix()
     # row for row.
     sparse = linalg._nonzeros
     rng = np.random.default_rng(7)
@@ -153,8 +153,7 @@ def test_kron_flattening_matches_direct_product(monkeypatch):
                 patch.setattr(linalg, "_back_substitute",
                               _no_back_substitution)
                 assert sys.nullspace_dim() == sys.width - len(pivots)
-            basis = [np.concatenate([sol[name].reshape(-1) for name in shapes])
-                     for sol in sys.nullspace_basis()]
+            basis = linalg.Presolved(sys).nullspace
             dense = _nullspace(M, q)
             assert len(basis) == dense.shape[0]
             assert all(np.array_equal(b, d) for b, d in zip(basis, dense))
@@ -196,7 +195,6 @@ def test_reductions_never_modify_their_input():
             pivots = linalg._reduce(sys._rows.values(), q).values()
             kept += any(p is r for p in pivots for r in sys._rows.values())
             sys.nullspace_dim()
-            sys.nullspace_basis()
             pre = linalg.Presolved(sys)
             pre.solve_many(rng.integers(0, q, size=(sys.height, 2)))
             assert sys._rows == before
@@ -213,8 +211,7 @@ def test_linear_system_commutant_of_nilpotent_block():
         sys.add_unknown("X", (2, 2))
         sys.add_equation(linalg._nonzeros(N), "X", "X", linalg._nonzeros(-N))
         assert sys.nullspace_dim() == 2
-        for sol in sys.nullspace_basis():
-            X = sol["X"]
+        for X in sys.unpack(linalg.Presolved(sys).nullspace)["X"]:
             assert ((N @ X - X @ N) % q == 0).all()
 
 

@@ -100,3 +100,45 @@ def test_private_names_cross_modules_only_where_listed():
     assert found - PRIVATE_IMPORTS == set()
     # An entry that is no longer needed leaves the list.
     assert PRIVATE_IMPORTS <= found
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Underscore-prefixed functions and classes a module defines, at any
+    depth, dunder methods left out."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads as a Name, an Attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def test_the_private_definition_finder():
+    tree = ast.parse("from .x import _y\nclass _C:\n    def __init__(s):\n"
+                     "        s._m()\n    def _m(s): pass\n"
+                     "def _f(): return _g\ndef _g(): pass\ndef _h(): pass\n")
+    assert _private_definitions(tree) == {"_C", "_m", "_f", "_g", "_h"}
+    assert _private_definitions(tree) - _read_names(tree) == {"_C", "_f",
+                                                              "_h"}
+
+
+def test_every_private_definition_is_read_in_the_package():
+    # A private helper that only its own tests call is dead code.
+    defined, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {(path.stem, name) for name in _private_definitions(tree)}
+        read |= _read_names(tree)
+    assert {(stem, name) for stem, name in defined if name not in read} \
+        == set()
+    assert ("linalg", "_reduce") in defined

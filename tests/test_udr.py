@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import sys
 import types
 
@@ -23,6 +22,7 @@ from gentledef.strings import (
     validate_word,
 )
 from gentledef.udr import (
+    ConnectingLetter,
     SigmaStep,
     build_sequence,
     connecting_letters,
@@ -111,12 +111,15 @@ def _reference_connecting_letters(p, w):
 
 
 def test_seam_checks_agree_with_full_validation(monkeypatch):
-    """`connecting_letters` and `_chain_word` check only the letter pairs
-    at x, w having been validated once; for every catalog word of length
-    at most 4, in both orientations, and every letter x, they agree with
-    validating each whole word, for (w x)^n w with n = 1..4.  A valid w
-    makes `connecting_letters` build no StringError at all.  An invalid w
-    has no connectors and no chain words."""
+    """`connecting_letters` checks only the letter pairs at x, w having
+    been validated once, and `build_sequence` validates only the
+    connector's word; for every catalog word of length at most 4, in
+    both orientations, the connectors agree with validating each whole
+    word, and a direct connector's chain is (w x)^n w, infinite exactly
+    when (w x)^n w validates in full for n = 2..4.  A reflected chain is
+    finite.  A valid w makes `connecting_letters` build no StringError
+    at all.  An invalid w has no connectors, and a hand-made one
+    raises."""
     built = []
     real = StringError.__init__
 
@@ -125,25 +128,36 @@ def test_seam_checks_agree_with_full_validation(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(StringError, "__init__", counted)
-    chains = broken = 0
+    kinds = {"Infinite": 0, "Finite": 0, "reflected": 0}
     for name, p in table1_catalog():
-        letters = [Letter(a, inv) for inv in (False, True)
-                   for a in p.quiver.arrow_names]
         for w in enumerate_strings(p, 4):
             for u in {w, w.reverse_inverse()}:
                 built.clear()
-                got = [(c.letter, c.form, c.word)
-                       for c in connecting_letters(p, u)]
+                connectors = connecting_letters(p, u)
                 assert not built, (name, u.display())
+                got = [(c.letter, c.form, c.word) for c in connectors]
                 assert got == _reference_connecting_letters(p, u), (
                     name, u.display())
-                for x, n in itertools.product(letters, range(1, 5)):
-                    want = _full_word(p, (u.letters + (x,)) * n + u.letters)
-                    assert udr._chain_word(p, u, x, n) == want, (
-                        name, u.display(), x.display(), n)
-                    chains += want is not None
-                    broken += want is None
-    assert chains > 2000 and broken > 20000, (chains, broken)
+                for c in connectors:
+                    report = build_sequence(string_module(p, u), c)
+                    context = (name, u.display(), c.letter.display())
+                    if c.form == "reflected":
+                        assert report.kind == "Finite", context
+                        kinds["reflected"] += 1
+                        continue
+                    chain = u.letters + (c.letter,)
+                    assert len(report.words) == {
+                        "Infinite": udr.CHAIN_LENGTH + 1,
+                        "Finite": 2}[report.kind], context
+                    assert [v.letters for v in report.words] == [
+                        chain * n + u.letters
+                        for n in range(len(report.words))], context
+                    for n in range(2, 5):
+                        full = _full_word(p, chain * n + u.letters)
+                        assert (full is not None) == (
+                            report.kind == "Infinite"), (context, n)
+                    kinds[report.kind] += 1
+    assert kinds == {"Infinite": 521, "Finite": 6, "reflected": 228}, kinds
     p = catalog_presentation(LAMBDA0)
     # d*c lies in the ideal, but a would pass both seams of d*c*a*d*c.
     bad = StringWord((Letter("c"), Letter("d")))
@@ -151,9 +165,11 @@ def test_seam_checks_agree_with_full_validation(monkeypatch):
     assert udr._composes(p, Letter("a"), Letter("c"))
     assert _reference_connecting_letters(p, bad) == []
     assert connecting_letters(p, bad) == []
-    assert all(udr._chain_word(p, bad, Letter(a, inv), n) is None
-               for a in p.quiver.arrow_names for inv in (False, True)
-               for n in range(1, 5))
+    made = ConnectingLetter(Letter("a"), "direct",
+                            StringWord(bad.letters + (Letter("a"),)
+                                       + bad.letters))
+    with pytest.raises(ValueError, match="does not connect"):
+        build_sequence(string_module(p, bad), made)
 
 
 def _chain(p, text, letter):
@@ -273,6 +289,13 @@ def test_sequence_rejects_non_connector(lam0):
     build_sequence(V, own)
     with pytest.raises(ValueError, match="does not connect"):
         build_sequence(V, dataclasses.replace(own, form="direct"))
+    # A direct join of c*a around d whose word is no string: d*c lies in
+    # the ideal.
+    w = make_string(lam0, "c*a")
+    d = ConnectingLetter(Letter("d"), "direct",
+                         StringWord(w.letters + (Letter("d"),) + w.letters))
+    with pytest.raises(ValueError, match="does not connect"):
+        build_sequence(V, d)
 
 
 def test_udr_simple_modules_are_dual_numbers(lam0):
