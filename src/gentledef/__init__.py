@@ -19,12 +19,9 @@ from .homext import (
 )
 from .lifts import (
     CoeffRing,
-    Lift,
     LiftCensus,
     count_deformations,
-    count_deformations_by_orbits,
     count_ring_morphisms,
-    enumerate_lifts,
     fingerprint,
 )
 from .presentation import (
@@ -63,15 +60,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError", "CoeffRing", "ConnectingLetter", "DSLError",
-    "FinModule", "GentleReport", "LAMBDA0", "Letter", "Lift", "LiftCensus",
+    "FinModule", "GentleReport", "LAMBDA0", "Letter", "LiftCensus",
     "Presentation", "Quiver", "SequenceReport", "StringError", "StringWord",
     "SweepReport", "SweepRow", "UDRDescriptor", "brute_force_ext",
     "build_sequence", "catalog_presentation", "classify_trivial_end",
-    "connecting_letters", "count_deformations",
-    "count_deformations_by_orbits", "count_ring_morphisms",
-    "end_is_trivial", "enumerate_lifts", "enumerate_strings", "ext1_dim",
-    "fingerprint", "hom_dim", "make_string", "modules_isomorphic",
-    "paper_agreement", "parse_presentation", "published_ring",
-    "radical_series", "simple_module", "string_module", "sweep_catalog",
-    "table1_catalog", "universal_deformation_ring", "validate_gentle",
+    "connecting_letters", "count_deformations", "count_ring_morphisms",
+    "end_is_trivial", "enumerate_strings", "ext1_dim", "fingerprint",
+    "hom_dim", "make_string", "modules_isomorphic", "paper_agreement",
+    "parse_presentation", "published_ring", "radical_series",
+    "simple_module", "string_module", "sweep_catalog", "table1_catalog",
+    "universal_deformation_ring", "validate_gentle",
 ]

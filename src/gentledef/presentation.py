@@ -51,8 +51,10 @@ class Quiver:
             if any(c in name for c in (":", ";", "#")):
                 raise ValueError(f"arrow name {name!r} cannot be written "
                                  "in the DSL")
-            # A word spells letters as x*y, ~x and "simple <vertex>".
-            if "*" in name or name.startswith("~") or name == "simple":
+            # A word spells letters as x*y, ~x and "simple <vertex>", and
+            # splits at whitespace to tell a simple from a letter.
+            if (name.split() != [name] or "*" in name
+                    or name.startswith("~") or name == "simple"):
                 raise ValueError(
                     f"arrow name {name!r} cannot be spelled in a word")
 

@@ -273,6 +273,17 @@ def test_arrow_name_a_word_cannot_spell_exits_with_usage_code(
     assert err == f"error: arrow name {name!r} cannot be spelled in a word\n"
 
 
+def test_tangent_of_an_arrow_named_like_a_simple_exits_with_usage_code(
+        tmp_path, capsys):
+    # Else the word "simple x" would name the simple at vertex x.
+    path = tmp_path / "simple_x.txt"
+    path.write_text("vertices: 1 x\narrows: simple x: 1 -> x\n")
+    code = main(["tangent", str(path), "simple x"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: arrow name 'simple x' cannot be spelled in a word\n"
+
+
 def test_tangent_of_a_word_that_begins_with_simple(tmp_path, capsys):
     path = tmp_path / "simplex.txt"
     path.write_text("vertices: 1 2\narrows: simplex: 1 -> 2\n")

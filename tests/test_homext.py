@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 
+import oracles
 from gentledef import homext, lifts
 from gentledef.homext import (
     BudgetExceededError,
@@ -369,8 +370,8 @@ def test_kept_tables_are_read_only():
     assert homext._TABLES[8, 3, 2] is table
     blocks = homext._block_table((1, 3), 2)
     assert np.array_equal(blocks.reshape(8, 3), table)
-    lifts._pack_keys(table, 2)
-    for kept in (table, blocks, lifts._KEY_WEIGHTS[3, 2]):
+    oracles._pack_keys(table, 2)
+    for kept in (table, blocks, oracles._KEY_WEIGHTS[3, 2]):
         with pytest.raises(ValueError):
             kept[0, 0] = 1
 

@@ -220,15 +220,21 @@ def test_relation_on_an_undeclared_arrow_is_rejected():
         parse_presentation("vertices: 1\narrows: b: 1 -> 1\nrelations: x*b\n")
 
 
-@pytest.mark.parametrize("name", ["~a", "a*c", "simple"])
+@pytest.mark.parametrize("name", ["~a", "a*c", "simple", "simple x", "",
+                                  " a", "a\nb", "a b"])
 def test_arrow_names_a_word_cannot_spell_are_rejected(name):
     with pytest.raises(ValueError, match="cannot be spelled in a word"):
         Quiver(("1", "2"), ((name, "1", "2"), ("b", "2", "1")))
-    with pytest.raises(DSLError) as err:
-        parse_presentation(f"vertices: 1 2\narrows: {name}: 1 -> 2\n")
-    assert str(err.value) == f"arrow name {name!r} cannot be spelled in a word"
+    # The DSL strips an arrow name and breaks it at a newline, so only
+    # names it keeps whole reach the Quiver through it.
+    if name.splitlines() == [name.strip()]:
+        with pytest.raises(DSLError) as err:
+            parse_presentation(f"vertices: 1 2\narrows: {name}: 1 -> 2\n")
+        assert str(err.value) == \
+            f"arrow name {name!r} cannot be spelled in a word"
     # Names that merely contain the word syntax elsewhere stay legal.
-    assert Quiver(("1",), (("a~", "1", "1"), ("simplex", "1", "1")))
+    assert Quiver(("1",), (("a~", "1", "1"), ("simplex", "1", "1"),
+                           ("a->", "1", "1")))
 
 
 def test_relation_set_is_built_once_and_leaves_equality_alone():

@@ -1,11 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import types
 from pathlib import Path
 
 import gentledef
 
 SRC = Path(gentledef.__file__).parent
+ORACLES = Path(__file__).with_name("oracles.py")
 # Kept although unused: perfbench/tests/test_perfbench.py
 # (test_wrappers_rebind_every_import_and_restore_the_originals) pins a
 # traced `rref` binding in `udr`.
@@ -19,6 +21,10 @@ PRIVATE_IMPORTS = {
     ("udr", "strings", "_composes"),
     ("udr", "strings", "_walk"),
 }
+# Private package names the test oracles import, as (source, name): each
+# is a coupling of an oracle to the engine it checks, so a new one fails
+# here until it is listed on purpose.
+ORACLE_IMPORTS = {("lifts", "_lift_walk"), ("lifts", "_span")}
 # The modules that hold matrices: the rest work on words, index maps and
 # sparse entries.
 NUMPY_IMPORTERS = {"homext", "lifts", "linalg", "strings"}
@@ -100,6 +106,22 @@ def test_private_names_cross_modules_only_where_listed():
     assert found - PRIVATE_IMPORTS == set()
     # An entry that is no longer needed leaves the list.
     assert PRIVATE_IMPORTS <= found
+
+
+def test_the_oracles_import_only_the_listed_private_names():
+    found = {(source, name) for _, source, name in
+             _private_imports("oracles", ast.parse(ORACLES.read_text()))}
+    assert found - ORACLE_IMPORTS == set()
+    # An entry that is no longer needed leaves the list.
+    assert ORACLE_IMPORTS <= found
+
+
+def test_the_package_exports_exactly_what_its_init_binds():
+    bound = {name for name, value in vars(gentledef).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert len(set(gentledef.__all__)) == len(gentledef.__all__)
+    assert set(gentledef.__all__) == bound
 
 
 def _private_definitions(tree: ast.Module) -> set[str]:
