@@ -36,8 +36,9 @@ holds only nonzeros of the action matrices, and `hom_dim` and
 `ext1_dim` count ranks on those sparse rows by forward elimination,
 with no back-substitution and no dense matrix.  The nonzeros come from
 each module's `FinModule.sparse_action`, which reads an action matrix
-once for every system the module enters; `hom_system` negates the
-entries of m's action rather than the matrix.  Only `hom_basis`, which
+once for every system the module enters; `hom_system` takes m's side,
+-m_a, from `FinModule.negated_action`, the same entries negated once
+per module rather than once per system.  Only `hom_basis`, which
 reads the nullspace of a `linalg.Presolved`, and `modules_isomorphic`
 back-substitute: the latter searches combinations of `hom_basis` maps
 and counts the pivots of `rref` on each vertex block to test it for
@@ -93,9 +94,7 @@ def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
     for v in p.quiver.vertices:
         sys.add_unknown(v, (n.dims[v], m.dims[v]))
     for a, s, t in p.quiver.arrows:
-        shape, entries = m.sparse_action[a]
-        sys.add_equation(n.sparse_action[a], s, t,
-                         (shape, [(i, j, -v) for i, j, v in entries]))
+        sys.add_equation(n.sparse_action[a], s, t, m.negated_action[a])
     return sys
 
 

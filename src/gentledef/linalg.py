@@ -27,6 +27,7 @@ are exact.  q must be prime (inverses via Fermat).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -166,22 +167,31 @@ class Presolved:
     form; a system is consistent iff E @ b vanishes on the rows below the
     last pivot of A, and then the pivot rows of E @ b read off one
     solution.  The pivot rows below A's width are the reduced rows of A,
-    from which `nullspace` is read.
+    from which `nullspace` is read.  Both come from the one reduction,
+    but the dense height x height E is written out only when
+    `solve_many` first reads it, so a caller that reads only the
+    nullspace never pays for it.
     """
 
     def __init__(self, system: LinearSystem):
         q, n, m = system.q, system.width, system.height
         self.q = q
         self.n_cols = n
+        self._height = m
         # Row r of [A | I]: zero rows of A still carry their 1.
         rows = ({**system._rows.get(r, {}), n + r: 1} for r in range(m))
-        reduced = _back_substitute(_reduce(rows, q), q)
-        order = sorted(reduced)
-        self.pivots = [p for p in order if p < n]
-        self.E = _dense(((i, {c - n: v for c, v in reduced[p].items()
-                              if c >= n}) for i, p in enumerate(order)),
-                        (m, m))
-        self.nullspace = _basis({p: reduced[p] for p in self.pivots}, n, q)
+        self._reduced = _back_substitute(_reduce(rows, q), q)
+        self.pivots = [p for p in sorted(self._reduced) if p < n]
+        self.nullspace = _basis({p: self._reduced[p] for p in self.pivots},
+                                n, q)
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        """The m x m matrix with E @ A in echelon form, built once."""
+        n, m, reduced = self.n_cols, self._height, self._reduced
+        return _dense(((i, {c - n: v for c, v in reduced[p].items()
+                            if c >= n})
+                       for i, p in enumerate(sorted(reduced))), (m, m))
 
     def solve_many(self, B) -> tuple[np.ndarray, np.ndarray]:
         """Solves A x = b for every column b of B.
@@ -232,9 +242,10 @@ class LinearSystem:
     def add_unknown(self, name: str, shape: tuple[int, int]) -> None:
         if name in self._shapes:
             raise ValueError(f"unknown {name!r} already declared")
-        self._shapes[name] = shape
+        rows, cols = shape
+        self._shapes[name] = (rows, cols)
         self._offsets[name] = self._width
-        self._width += shape[0] * shape[1]
+        self._width += rows * cols
 
     @property
     def width(self) -> int:
@@ -248,44 +259,55 @@ class LinearSystem:
         """Adds the entrywise equations A @ X + Y @ B = 0.
 
         X and Y are the unknowns named x and y, possibly the same.  A and
-        B are sparse pairs (shape, [(i, j, entry), ...]) as `_nonzeros`
+        B are sparse pairs (shape, ((i, j, entry), ...)) as `_nonzeros`
         makes them; entries need not be reduced mod q.  Row (i, j)
-        carries A[i, k] at X[k, j] and B[l, j] at Y[i, l].  Each entry is
-        written straight into its row; a row that cancels to zero is not
-        stored, though `height` counts it.
+        carries A[i, k] at X[k, j] and B[l, j] at Y[i, l].  The equation
+        is recorded and `height` advanced first, so an empty block
+        (m * n = 0) returns with no row written.  Each entry is reduced
+        mod q and written by stride straight into its rows: A[i, k] into
+        the n consecutive rows from (i, 0), at columns X[k, 0..n-1];
+        B[l, j] into rows (0, j), (1, j), ..., n apart, at columns Y[0, l],
+        Y[1, l], ..., l_y apart.  A row that cancels to zero is deleted
+        (and created again if a later entry refills it), so no stored
+        row is empty, though `height` counts every row.
         """
         (m, k_x), left = A
         (l_y, n), right = B
-        x_rows, x_cols = self._shapes[x]
-        y_rows, y_cols = self._shapes[y]
-        if (k_x, n) != (x_rows, x_cols) or (m, l_y) != (y_rows, y_cols):
+        if (k_x, n) != self._shapes[x] or (m, l_y) != self._shapes[y]:
             raise ValueError(f"shape mismatch in A @ {x} + {y} @ B")
         q, rows, top = self.q, self._rows, self._height
         self.equations.append((top, x, y))
+        end = self._height = top + m * n
+        if top == end:
+            return
         off = self._offsets[x]
         for i, k, a in left:
             if a := a % q:
-                first_row, first_col = top + i * n, off + k * n
-                for j in range(n):
-                    if (row := rows.get(first_row + j)) is None:
-                        rows[first_row + j] = {first_col + j: a}
+                first = top + i * n
+                shift = off + k * n - first
+                for r in range(first, first + n):
+                    if (row := rows.get(r)) is None:
+                        rows[r] = {r + shift: a}
                     else:
-                        row[first_col + j] = a
+                        row[r + shift] = a
         off = self._offsets[y]
-        right = [(l, j, v) for l, j, b in right if (v := b % q)]
-        for i in range(m):
-            first_row, first_col = top + i * n, off + i * l_y
-            for l, j, b in right:
-                if (row := rows.get(first_row + j)) is None:
-                    rows[first_row + j] = {first_col + l: b}
-                # Only when X is Y do A[i, i] and B[j, j] meet, at X[i, j].
-                elif v := (row.get(first_col + l, 0) + b) % q:
-                    row[first_col + l] = v
-                else:
-                    del row[first_col + l]
-                    if not row:
-                        del rows[first_row + j]
-        self._height += m * n
+        for l, j, b in right:
+            if b := b % q:
+                c = off + l
+                for r in range(top + j, end, n):
+                    if (row := rows.get(r)) is None:
+                        rows[r] = {c: b}
+                    elif (v := row.get(c)) is None:
+                        row[c] = b
+                    # Only when X is Y do A[i, i] and B[j, j] meet, at
+                    # X[i, j].
+                    elif v := (v + b) % q:
+                        row[c] = v
+                    else:
+                        del row[c]
+                        if not row:
+                            del rows[r]
+                    c += l_y
 
     def matrix(self) -> np.ndarray:
         return _dense(self._rows.items(), (self._height, self._width))
@@ -305,10 +327,12 @@ class LinearSystem:
         return self._width - len(_reduce(self._rows.values(), self.q))
 
 
-def _nonzeros(M) -> tuple[tuple[int, int], list[tuple[int, int, int]]]:
-    """The sparse pair (shape, [(i, j, M[i, j]) for each nonzero]) of a
-    2-D array, nonzeros in row-major order: the one dense-to-sparse
+def _nonzeros(M) -> tuple[tuple[int, int],
+                          tuple[tuple[int, int, int], ...]]:
+    """The sparse pair (shape, ((i, j, M[i, j]) for each nonzero)) of a
+    2-D array, nonzeros in row-major order and held in a tuple, so a
+    module can share the pair read-only: the one dense-to-sparse
     conversion behind `LinearSystem.add_equation`'s coefficients."""
     M = np.asarray(M, dtype=np.int64)
-    return M.shape, [(i, j, v) for i, line in enumerate(M.tolist())
-                     for j, v in enumerate(line) if v]
+    return M.shape, tuple((i, j, v) for i, line in enumerate(M.tolist())
+                          for j, v in enumerate(line) if v)

@@ -206,6 +206,10 @@ class FinModule:
     string of a module built by `string_module`, else None; `walk` is
     then the vertex of each basis element z_i and `local` its index
     inside that vertex's fiber, both tuples computed once per module.
+    `sparse_action` holds each arrow's nonzeros as `linalg._nonzeros`
+    makes them, and `negated_action` the same entries negated, the
+    coefficients of the module's own side of a Hom system; both are
+    read-only mappings of tuples, each built on first read.
     `_hom` is `homext.hom_dim`'s one-entry memo with this module as the
     source.
     """
@@ -231,10 +235,17 @@ class FinModule:
                            dict(self.action), self.word)
 
     @cached_property
-    def sparse_action(self) -> Mapping[str, tuple[tuple[int, int], list]]:
+    def sparse_action(self) -> Mapping[str, tuple[tuple[int, int], tuple]]:
         """`linalg._nonzeros` of each arrow's matrix, read once."""
         return MappingProxyType({a: _nonzeros(mat)
                                  for a, mat in self.action.items()})
+
+    @cached_property
+    def negated_action(self) -> Mapping[str, tuple[tuple[int, int], tuple]]:
+        """`sparse_action` with every entry negated, read once."""
+        return MappingProxyType({
+            a: (shape, tuple((i, j, -v) for i, j, v in entries))
+            for a, (shape, entries) in self.sparse_action.items()})
 
     @cached_property
     def _coordinates(self) -> tuple:

@@ -594,6 +594,31 @@ def test_hom_then_ext_of_a_pair_builds_each_system_once(lam0, monkeypatch):
     assert len(homs) == 2 and len(exts) == 2
 
 
+def test_hom_system_reads_each_modules_coefficients_once(lam0, monkeypatch):
+    # n's side is n.sparse_action[a] and m's side -m_a is
+    # m.negated_action[a], the very objects, in every system m enters.
+    from gentledef import linalg
+    m, n = _mod(lam0, "b*c*a"), _mod(lam0, "~d*a")
+    calls = []
+    real = linalg.LinearSystem.add_equation
+
+    def recorded(self, A, x, y, B):
+        calls.append((A, x, y, B))
+        return real(self, A, x, y, B)
+
+    monkeypatch.setattr(linalg.LinearSystem, "add_equation", recorded)
+    for other in (n, m):
+        calls.clear()
+        hom_system(m, other)
+        assert [(x, y) for _, x, y, _ in calls] == [
+            (s, t) for _, s, t in lam0.quiver.arrows]
+        for (A, _, _, B), a in zip(calls, lam0.quiver.arrow_names):
+            assert A is other.sparse_action[a]
+            assert B is m.negated_action[a]
+            shape, entries = m.sparse_action[a]
+            assert B == (shape, tuple((i, j, -v) for i, j, v in entries))
+
+
 def _kron_hom_matrix(m, n):
     """hom_system(m, n).matrix() from the dense actions: each arrow a with
     a nonempty equation gives n_a X_s - X_t m_a, flattened row-major."""

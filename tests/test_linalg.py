@@ -119,18 +119,21 @@ def test_kron_flattening_matches_direct_product(monkeypatch):
     # unknowns in declaration order).  nullspace_dim must be
     # width - rank(matrix()) without back-substituting, and the
     # nullspace of Presolved must be the textbook nullspace of matrix()
-    # row for row.
+    # row for row.  Shapes up to 5 give row strides n >= 4; each
+    # equation's block of m * n rows starts where the last one ended,
+    # empty blocks included, and no stored row is empty.
     sparse = linalg._nonzeros
     rng = np.random.default_rng(7)
-    seen = {"X == Y": 0, "cancels": 0, "0 rows": 0, "0 columns": 0}
+    seen = {"X == Y": 0, "cancels": 0, "0 rows": 0, "0 columns": 0,
+            "empty block": 0, "stride >= 4": 0}
     for q in (2, 3, 5, 7):
         for _ in range(40):
             sys = linalg.LinearSystem(q)
-            shapes = {f"X{i}": tuple(int(d) for d in rng.integers(0, 4, 2))
+            shapes = {f"X{i}": tuple(int(d) for d in rng.integers(0, 6, 2))
                       for i in range(int(rng.integers(1, 4)))}
             for name, shape in shapes.items():
                 sys.add_unknown(name, shape)
-            equations = []
+            equations, tops, top = [], [], 0
             for _ in range(int(rng.integers(1, 4))):
                 x, y = (str(name) for name in rng.choice(list(shapes), 2))
                 # entries outside [0, q) must be reduced by the system
@@ -145,7 +148,14 @@ def test_kron_flattening_matches_direct_product(monkeypatch):
                 seen["X == Y"] += x == y
                 sys.add_equation(sparse(A), x, y, sparse(B))
                 equations.append((A, x, y, B))
+                tops.append((top, x, y))
+                top += A.shape[0] * B.shape[1]
+                seen["empty block"] += A.shape[0] * B.shape[1] == 0
+                seen["stride >= 4"] += B.shape[1] >= 4 and A.any()
 
+            assert sys.height == top and sys.equations == tops
+            assert all(sys._rows.values())
+            assert all(0 <= r < top for r in sys._rows)
             M = sys.matrix()
             assert np.array_equal(M, _kron_reference(shapes, equations, q))
             _, pivots = _gauss_jordan(M, q)
@@ -201,6 +211,30 @@ def test_reductions_never_modify_their_input():
             linalg.rref(A, q)
             assert np.array_equal(A, dense)
     assert kept
+
+
+def test_presolved_builds_E_only_when_solve_many_reads_it(monkeypatch):
+    # The nullspace and pivots come from the one reduction of [A | I];
+    # the dense E is written out on the first solve and then kept.
+    A = [[1, 1, 0], [0, 0, 1], [1, 1, 1]]
+
+    def no_dense(rows, shape):
+        raise AssertionError("the nullspace built a dense matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_dense", no_dense)
+        pre = linalg.Presolved(_system(A, 3))
+        assert pre.nullspace.tolist() == [[2, 1, 0]]
+        assert pre.pivots == [0, 2]
+    built, dense = [], linalg._dense
+    monkeypatch.setattr(linalg, "_dense",
+                        lambda *args: built.append(args) or dense(*args))
+    for b in ([1, 1, 0], [0, 1, 1]):
+        X, ok = pre.solve_many(np.reshape(b, (3, 1)))
+        want = _solve(A, b, 3)
+        assert ok.tolist() == [want is not None]
+        assert X[:, 0].tolist() == (want if ok[0] else np.zeros(3)).tolist()
+    assert len(built) == 1
 
 
 def test_linear_system_commutant_of_nilpotent_block():

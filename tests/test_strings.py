@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gentledef import strings
-from gentledef.homext import end_is_trivial, hom_dim
+from gentledef.homext import end_is_trivial, ext1_dim, hom_dim
 from gentledef.presentation import (
     Presentation,
     Quiver,
@@ -349,9 +349,18 @@ def test_every_mutation_of_a_module_raises(lam0):
         m.action["a"] = np.zeros((2, 2), dtype=np.int64)
     with pytest.raises(ValueError):
         m.action["a"][0, 0] = 1
-    with pytest.raises(TypeError):
-        m.sparse_action["a"] = ((2, 2), [])
+    for name in ("sparse_action", "negated_action"):
+        sparse = getattr(m, name)
+        with pytest.raises(TypeError):
+            sparse["a"] = ((2, 2), ())
+        shape, entries = sparse["a"]
+        with pytest.raises(AttributeError):
+            entries.append((0, 0, 1))
+        with pytest.raises(AttributeError):
+            entries.clear()
+        assert len(entries) == 1
     assert m.dims == {"1": 2, "2": 2} and m.action["a"][0, 0] == 0
+    assert hom_dim(m, m) == 1 and ext1_dim(m, m) == 2
 
 
 def test_editing_the_constructor_dicts_leaves_the_module_alone(lam0):
