@@ -18,7 +18,6 @@ from .homext import (
     modules_isomorphic,
 )
 from .lifts import (
-    CoeffRing,
     LiftCensus,
     count_deformations,
     count_ring_morphisms,
@@ -59,8 +58,8 @@ from .udr import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError", "CoeffRing", "ConnectingLetter", "DSLError",
-    "FinModule", "GentleReport", "LAMBDA0", "Letter", "LiftCensus",
+    "BudgetExceededError", "ConnectingLetter", "DSLError", "FinModule",
+    "GentleReport", "LAMBDA0", "Letter", "LiftCensus",
     "Presentation", "Quiver", "SequenceReport", "StringError", "StringWord",
     "SweepReport", "SweepRow", "UDRDescriptor", "brute_force_ext",
     "build_sequence", "catalog_presentation", "classify_trivial_end",

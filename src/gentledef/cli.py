@@ -85,8 +85,8 @@ def cmd_validate(args) -> int:
 def cmd_udr(args) -> int:
     name, p = _load_presentation(args)
     w = make_string(p, args.word)
-    d = universal_deformation_ring(p, w, q=args.q, n_max=args.n_max,
-                                   budget=args.budget)
+    d = universal_deformation_ring(string_module(p, w, args.q),
+                                   args.n_max, args.budget)
     payload = {"algebra": name, "word": w.display(), "q": args.q,
                **d.as_dict()}
     lines = [f"# universal deformation ring over {name}",

@@ -51,24 +51,6 @@ from .strings import FinModule
 CANDIDATE_RINGS = ("k", "k[[t]]/(t^2)", "k[[t]]")
 
 
-@dataclass(frozen=True)
-class CoeffRing:
-    """The test ring F_q[t]/(t^n); n = 1 is the base field.
-
-    Each census entry point builds CoeffRing(V.q, n) once, and that is
-    where a level n < 1 is rejected.
-    """
-
-    q: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not is_prime(self.q):
-            raise ValueError("q must be prime")
-
-
 @dataclass
 class LiftCensus:
     """Deformation counts per level with the ring descriptors they match."""
@@ -133,8 +115,11 @@ def _lift_walk(V: FinModule, n: int, fan,
     level n, the row count per level and, for k >= 2, whether every row
     at level k - 1 extended.  The parent and child levels held at once
     may have at most `budget` entries, so they take at most 8 * budget
-    bytes; the child level is filled in place.
+    bytes; the child level is filled in place.  A level n < 1 is
+    rejected here, for every census entry point and oracle.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     q, system = V.q, ext_system(V, V)
     width = system.width
     C = np.zeros((1, n, width), dtype=np.int64)
@@ -182,9 +167,9 @@ def _tangent_line_reps(V: FinModule, Z: np.ndarray, budget: int) -> np.ndarray:
     return _span(Z[rows], q, budget)
 
 
-def _tree_census(V: FinModule, ring: CoeffRing,
+def _tree_census(V: FinModule, n: int,
                  budget: int) -> tuple[list[int], dict[int, bool]]:
-    """Class counts for n = 1..ring.n by walking the obstruction tree.
+    """Class counts at levels 1..n by walking the obstruction tree.
 
     Requires End(V) = k, so the classes over F_q[t]/(t^(n+1)) above one
     class over F_q[t]/(t^n) are none or a torsor under Ext^1(V, V).  The
@@ -194,7 +179,7 @@ def _tree_census(V: FinModule, ring: CoeffRing,
     """
     if not end_is_trivial(V):
         raise ValueError("deformation counts require End(V) = k")
-    _, counts, surjective = _lift_walk(V, ring.n, _tangent_line_reps, budget)
+    _, counts, surjective = _lift_walk(V, n, _tangent_line_reps, budget)
     return counts, surjective
 
 
@@ -206,10 +191,10 @@ def count_deformations(V: FinModule, n: int,
     to conjugation by vertex maps congruent to the identity mod t.  The
     count is the last level of the obstruction-tree walk.
     """
-    return _tree_census(V, CoeffRing(V.q, n), budget)[0][-1]
+    return _tree_census(V, n, budget)[0][-1]
 
 
-def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
+def count_ring_morphisms(descriptor: str, q: int, n: int) -> int:
     """Local k-algebra morphisms from the named ring into F_q[t]/(t^n).
 
     A local morphism from k[[t]]/(t^e) is fixed by the image u of t, any
@@ -219,9 +204,13 @@ def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
     (t^v), v = max(1, ceil(n/e)), which has q^(n - v) elements.  k is
     e = 1, so v = n and the count is 1; k[[t]] puts no condition on u,
     so v = 1.  The truncations k[[t]]/(t^e) and k[t]/(t^e) need e >= 1:
-    the zero ring k[[t]]/(t^0) has no local morphisms and is rejected.
+    the zero ring k[[t]]/(t^0) has no local morphisms and is rejected,
+    as are a q that is not prime and a level n < 1.
     """
-    n = ring.n
+    if not is_prime(q):
+        raise ValueError("q must be prime")
+    if n < 1:
+        raise ValueError("n must be positive")
     m = re.fullmatch(r"k(?:\[\[t\]\]|\[t\])/\(t\^(\d+)\)", descriptor)
     if descriptor == "k":
         v = n
@@ -231,7 +220,7 @@ def count_ring_morphisms(descriptor: str, ring: CoeffRing) -> int:
         v = max(1, -(-n // int(m.group(1))))
     else:
         raise ValueError(f"unsupported ring descriptor {descriptor!r}")
-    return ring.q ** (n - v)
+    return q ** (n - v)
 
 
 @cache
@@ -239,9 +228,8 @@ def _candidate_censuses(q: int, n_max: int) -> tuple:
     """(label, census) for each of `CANDIDATE_RINGS`, in order, where the
     census is the tuple of `count_ring_morphisms` into F_q[t]/(t^n) for
     n = 1..n_max; built once per process for each (q, n_max)."""
-    rings = [CoeffRing(q, n) for n in range(1, n_max + 1)]
-    return tuple((label, tuple(count_ring_morphisms(label, ring)
-                               for ring in rings))
+    return tuple((label, tuple(count_ring_morphisms(label, q, n)
+                               for n in range(1, n_max + 1)))
                  for label in CANDIDATE_RINGS)
 
 
@@ -256,7 +244,7 @@ def fingerprint(V: FinModule, n_max: int,
     `count_ring_morphisms`, tabled once per process for each (q, n_max),
     so the walk's budget bounds everything the census holds.
     """
-    counts, reduction = _tree_census(V, CoeffRing(V.q, n_max), budget)
+    counts, reduction = _tree_census(V, n_max, budget)
     matches = [label for label, census in _candidate_censuses(V.q, n_max)
                if tuple(counts) == census]
     return LiftCensus(q=V.q, census=list(enumerate(counts, start=1)),

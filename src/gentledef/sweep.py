@@ -30,7 +30,7 @@ from .homext import (
 from .lifts import CANDIDATE_RINGS
 from .presentation import Presentation, table1_catalog
 from .strings import enumerate_strings, string_module, word_end_is_trivial
-from .udr import _classify
+from .udr import universal_deformation_ring
 
 RING_BUCKETS = CANDIDATE_RINGS + ("undetermined",)
 
@@ -119,14 +119,14 @@ def _sweep_one(name: str, p: Presentation, w, q: int, n_max: int,
     except BudgetExceededError:
         ext_brute = None
     try:
-        d = _classify(V, n_max, budget)
+        d = universal_deformation_ring(V, n_max, budget)
         # The descriptor's tangent dimension is ext1_dim(V, V).
         ring, ext_linear, agreement, error = (
             d.ring, d.tangent_dim, d.paper_agreement, None)
         census = d.evidence["census"]
     except BudgetExceededError as err:
-        ring, ext_linear, agreement, error = (
-            "undetermined", ext1_dim(V, V), "not-stated", str(err))
+        ring, ext_linear, error = "undetermined", ext1_dim(V, V), str(err)
+        agreement = claims.paper_agreement(p, w, ring, ext_linear)
         census = {"census": [], "matches": []}
     row = SweepRow(
         algebra=name, word=w.display(), total_dim=V.total_dim, ring=ring,

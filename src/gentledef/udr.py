@@ -5,8 +5,9 @@ tangent dimension 0 gives the base field; tangent dimension 1 triggers
 a search for connecting letters x, with the infinite chain (beta x)^n
 beta certifying power series and a finite chain plus the collapse-map
 hypotheses certifying a truncation; anything else stays undetermined
-and is reported with its lift census.  `_classify` and `build_sequence`
-take V itself and read the presentation, q and beta from it.
+and is reported with its lift census.  `universal_deformation_ring` and
+`build_sequence` take V itself and read the presentation, q and beta
+from it.
 
 The chain is read on walk positions, not built as modules.  A string
 module is fixed by its word (Butler-Ringel 1987), so each chain word's
@@ -368,8 +369,8 @@ def build_sequence(V: FinModule,
     V is neither rebuilt nor validated: a copy check that holds maps V
     isomorphically onto a submodule of a chain module, so V is then a
     module.  No chain word gets a module, but a finite chain's last one,
-    kept as `last_module` for `_classify`'s hypotheses; an infinite
-    chain's `last_module` is None.
+    kept as `last_module` for `universal_deformation_ring`'s hypotheses;
+    an infinite chain's `last_module` is None.
     """
     p, q, w = V.presentation, V.q, V.word
     if w is None or any(V.walk.count(v) != n for v, n in V.dims.items()):
@@ -399,28 +400,25 @@ def build_sequence(V: FinModule,
     return report
 
 
-def universal_deformation_ring(p: Presentation, w: StringWord, q: int = 2,
-                               n_max: int = 3,
+def universal_deformation_ring(V: FinModule, n_max: int = 3,
                                budget: int = DEFAULT_BUDGET) -> UDRDescriptor:
-    """Decide which ring represents the deformations of M[w] over F_q.
+    """Decide which ring represents the deformations of the string module
+    V = M[w] over V's field F_q.
 
-    Raises unless End(M[w]) = k; q must be prime and n_max, the deepest
-    census level F_q[t]/(t^n_max), positive.  The returned descriptor
-    carries the computed ring, the tangent dimension, an evidence bundle
-    (census, connecting letters, chain reports, hypothesis checks), and
-    the comparison against the published classification.
+    Raises ValueError for a module with no word or unless End(V) = k;
+    n_max, the deepest census level F_q[t]/(t^n_max), must be positive.
+    ext1_dim(V, V) reuses the End = k test's Hom reduction.  The returned
+    descriptor carries the computed ring, the tangent dimension, an
+    evidence bundle (census, connecting letters, chain reports,
+    hypothesis checks), and the comparison against the published
+    classification.
     """
-    V = string_module(p, w, q)
+    p, w = V.presentation, V.word
+    if w is None:
+        raise ValueError("universal_deformation_ring needs a string module")
     if not end_is_trivial(V):
         raise ValueError(
             "universal deformation ring not guaranteed for End(V) != k")
-    return _classify(V, n_max, budget)
-
-
-def _classify(V: FinModule, n_max: int, budget: int) -> UDRDescriptor:
-    """`universal_deformation_ring` for a string module V known to have
-    End(V) = k, so ext1_dim(V, V) reuses that test's Hom reduction."""
-    p, w = V.presentation, V.word
     tangent = ext1_dim(V, V)
     connectors = connecting_letters(p, w)
     evidence: dict = {

@@ -19,22 +19,23 @@ import numpy as np
 
 from gentledef.homext import (DEFAULT_BUDGET, BudgetExceededError,
                               end_is_trivial, ext_system)
-from gentledef.lifts import CoeffRing, _lift_walk, _span
+from gentledef.lifts import _lift_walk, _span
 from gentledef.strings import FinModule
 
 
 @dataclass
 class Lift:
-    """Arrow actions over a CoeffRing; coeffs[a] has shape (n, rows, cols)."""
+    """Arrow actions over F_q[t]/(t^n), q being the module's; coeffs[a]
+    has shape (n, rows, cols)."""
 
     module: FinModule
-    ring: CoeffRing
+    n: int
     coeffs: dict[str, np.ndarray]
 
     def validate(self) -> list[str]:
         problems = []
         p = self.module.presentation
-        q, n = self.ring.q, self.ring.n
+        q, n = self.module.q, self.n
         for a in p.quiver.arrow_names:
             if ((self.coeffs[a][0] - self.module.action[a]) % q).any():
                 problems.append(f"arrow {a}: constant term differs from V")
@@ -72,15 +73,14 @@ def enumerate_lifts(V: FinModule, n: int,
     """Every action tuple over F_q[t]/(t^n) reducing to V and killing the
     relations, q being V's: the orbit oracle's lifts, each checkable by
     `Lift.validate`."""
-    ring = CoeffRing(V.q, n)
     C = _lift_walk(V, n, _every_cocycle, budget)[0]
     blocks = ext_system(V, V).unpack(C)
-    return [Lift(module=V, ring=ring,
+    return [Lift(module=V, n=n,
                  coeffs={a: b[i].copy() for a, b in blocks.items()})
             for i in range(C.shape[0])]
 
 
-def _unit_generators(V: FinModule, ring: CoeffRing):
+def _unit_generators(V: FinModule, n: int):
     """Congruent-to-identity conjugations that generate the whole group.
 
     Yields (v, i, j, k, c) for U = I + c t^k E_ij at vertex v: one per
@@ -89,8 +89,8 @@ def _unit_generators(V: FinModule, ring: CoeffRing):
     """
     for v in V.presentation.quiver.vertices:
         for i, j in itertools.product(range(V.dims[v]), repeat=2):
-            for k in range(1, ring.n):
-                for c in range(1, ring.q):
+            for k in range(1, n):
+                for c in range(1, V.q):
                     yield v, i, j, k, c
 
 
@@ -163,8 +163,8 @@ def _row_keys(C: np.ndarray, q: int) -> np.ndarray:
 _ORBIT_BLOCK = 2 ** 16
 
 
-def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
-    """Conjugation classes of the lift rows C.
+def _orbit_count(V: FinModule, C: np.ndarray) -> int:
+    """Conjugation classes of the lift rows C, of C.shape[1] levels each.
 
     Each generator moves every lift to the lift whose key its conjugate
     has, found by `searchsorted` among the sorted keys.  The lifts are
@@ -177,7 +177,7 @@ def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
     to their labels' labels until fixed, until every lift shares its
     image's root.
     """
-    count, q = C.shape[0], ring.q
+    count, q = C.shape[0], V.q
     step = max(1, _ORBIT_BLOCK // max(C[0].size, 1))
     spans = [(s, min(s + step, count)) for s in range(0, count, step)]
     keys = np.concatenate([_row_keys(C[s:e], q) for s, e in spans])
@@ -187,7 +187,7 @@ def _orbit_count(V: FinModule, ring: CoeffRing, C: np.ndarray) -> int:
     move = np.empty_like(label)
     D = np.empty((min(step, count),) + C.shape[1:], dtype=C.dtype)
     blocks = ext_system(V, V).unpack(D)
-    for gen in _unit_generators(V, ring):
+    for gen in _unit_generators(V, C.shape[1]):
         for s, e in spans:
             D[:e - s] = C[s:e]
             _conjugate(V, {a: A[:e - s] for a, A in blocks.items()}, gen, q)
@@ -211,15 +211,14 @@ def count_deformations_by_orbits(V: FinModule, n: int,
                                  budget: int = DEFAULT_BUDGET) -> int:
     """`lifts.count_deformations` by partitioning every lift under the
     unit generators' conjugations."""
-    ring = CoeffRing(V.q, n)
     if not end_is_trivial(V):
         raise ValueError("deformation counts require End(V) = k")
     if n == 1:
         return 1
     C = _lift_walk(V, n, _every_cocycle, budget)[0]
     squares = sum(V.dims[v] ** 2 for v in V.presentation.quiver.vertices)
-    cost = C.shape[0] * max((ring.q - 1) * (ring.n - 1) * squares, 1)
+    cost = C.shape[0] * max((V.q - 1) * (n - 1) * squares, 1)
     if cost > 32 * budget:
         raise BudgetExceededError(
             f"orbit pass needs {cost} conjugations, over budget {budget}")
-    return _orbit_count(V, ring, C)
+    return _orbit_count(V, C)

@@ -139,7 +139,8 @@ def test_criterion_2_named_ring_reproduction(capsys):
     }
     problems, refutations = [], []
     for text, (ring, census) in reproduced.items():
-        d = universal_deformation_ring(p, make_string(p, text), q)
+        V = string_module(p, make_string(p, text), q)
+        d = universal_deformation_ring(V)
         fp = d.evidence["census"]
         if (d.ring != ring or fp["census"] != census
                 or fp["matches"] != [ring]):
@@ -147,7 +148,8 @@ def test_criterion_2_named_ring_reproduction(capsys):
                             f"matches {fp['matches']}")
     for text, (published, middles) in refuted.items():
         bound = _tangent_lower_bound(p, text, middles, q)
-        d = universal_deformation_ring(p, make_string(p, text), q)
+        V = string_module(p, make_string(p, text), q)
+        d = universal_deformation_ring(V)
         fp = d.evidence["census"]
         line = (f"{text}: published {published}, computed {d.ring} with "
                 f"tangent {d.tangent_dim} (certified >= {bound}), census "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gentledef import lifts, linalg
+from gentledef import lifts, linalg, udr
 from gentledef.homext import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -15,7 +15,6 @@ from gentledef.homext import (
     hom_system,
 )
 from gentledef.lifts import (
-    CoeffRing,
     _tangent_line_reps,
     count_deformations,
     count_ring_morphisms,
@@ -23,6 +22,7 @@ from gentledef.lifts import (
 )
 from gentledef.presentation import catalog_presentation, table1_catalog
 from gentledef.strings import (
+    FinModule,
     enumerate_strings,
     make_string,
     simple_module,
@@ -49,33 +49,36 @@ def _mod(p, text, q=2):
     return string_module(p, make_string(p, text), q=q)
 
 
-def test_coeff_ring_validation():
-    with pytest.raises(ValueError):
-        CoeffRing(4, 2)
-    with pytest.raises(ValueError):
-        CoeffRing(2, 0)
-
-
 @pytest.mark.parametrize("call, value", [
     *[("string_module", q) for q in (0, 1, 4)],
     *[(call, n) for call in ("enumerate_lifts", "count_deformations",
                              "count_deformations_by_orbits", "fingerprint",
                              "universal_deformation_ring")
-      for n in (0, -1)]])
+      for n in (0, -1)],
+    ("count_ring_morphisms", (4, 2)), ("count_ring_morphisms", (2, 0)),
+    ("universal_deformation_ring", "no word")])
 def test_bad_field_size_or_level_is_rejected(lam0, call, value):
-    # A non-prime q is rejected where the module is built, and a level
-    # n < 1 where each entry point builds its CoeffRing(V.q, n).
+    # A non-prime q is rejected where the module is built, a level n < 1
+    # by the lift walk behind every census entry point, and both by
+    # count_ring_morphisms, which takes no module.  The classifier also
+    # rejects a module that has no word.
     w = make_string(lam0, "c")
+    V = string_module(lam0, w)
     if call == "string_module":
         with pytest.raises(ValueError, match="prime"):
             string_module(lam0, w, q=value)
-    elif call == "universal_deformation_ring":
-        with pytest.raises(ValueError, match="n must be positive"):
-            universal_deformation_ring(lam0, w, n_max=value)
+    elif call == "count_ring_morphisms":
+        q, n = value
+        with pytest.raises(ValueError,
+                           match="n must be positive" if n < 1 else "prime"):
+            count_ring_morphisms("k", q, n)
+    elif value == "no word":
+        raw = FinModule(presentation=lam0, q=2, dims=V.dims, action=V.action)
+        with pytest.raises(ValueError, match="string module"):
+            universal_deformation_ring(raw)
     else:
-        V = string_module(lam0, w)
-        module = lifts if call in ("count_deformations",
-                                   "fingerprint") else oracles
+        module = {"count_deformations": lifts, "fingerprint": lifts,
+                  "universal_deformation_ring": udr}.get(call, oracles)
         with pytest.raises(ValueError, match="n must be positive"):
             getattr(module, call)(V, value)
 
@@ -224,8 +227,7 @@ def test_count_ring_morphisms_table():
         "k[[t]]": [1, 2, 4, 8],
     }
     for label, want in table.items():
-        got = [count_ring_morphisms(label, CoeffRing(2, n))
-               for n in range(1, 5)]
+        got = [count_ring_morphisms(label, 2, n) for n in range(1, 5)]
         assert got == want, label
 
 
@@ -237,24 +239,23 @@ def test_count_ring_morphisms_rejects_unknown():
                        "k[[t]]/(t^)", "k[[t]]/(t^-1)"]:
         for _ in range(2):
             with pytest.raises(ValueError):
-                count_ring_morphisms(descriptor, CoeffRing(2, 2))
+                count_ring_morphisms(descriptor, 2, 2)
 
 
 def test_count_ring_morphisms_accepts_both_truncation_spellings():
     for e in (1, 2, 3):
         for n in (1, 2, 3, 4):
-            ring = CoeffRing(3, n)
             # t -> u with u^e = 0: u in (t^ceil(n/e)), so q^(n - ceil(n/e)).
             want = 3 ** (n - -(-n // e))
-            assert count_ring_morphisms(f"k[[t]]/(t^{e})", ring) == want
-            assert count_ring_morphisms(f"k[t]/(t^{e})", ring) == want
+            assert count_ring_morphisms(f"k[[t]]/(t^{e})", 3, n) == want
+            assert count_ring_morphisms(f"k[t]/(t^{e})", 3, n) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_candidate_censuses_are_the_ring_morphism_counts(q):
     for n_max in range(1, 5):
         want = tuple(
-            (label, tuple(count_ring_morphisms(label, CoeffRing(q, n))
+            (label, tuple(count_ring_morphisms(label, q, n)
                           for n in range(1, n_max + 1)))
             for label in lifts.CANDIDATE_RINGS)
         table = lifts._candidate_censuses(q, n_max)
@@ -287,14 +288,14 @@ def test_ring_morphism_closed_form_matches_enumeration():
         for n in range(1, 7):
             for descriptor, e in descriptors:
                 want = _ring_morphisms_by_enumeration(q, n, e)
-                got = count_ring_morphisms(descriptor, CoeffRing(q, n))
+                got = count_ring_morphisms(descriptor, q, n)
                 assert got == want, (q, n, descriptor)
 
 
 def test_candidate_censuses_stay_within_the_walk_budget():
     # The candidates' censuses are closed forms: a level the walk can
     # afford allocates nothing further, however many images t has.
-    assert count_ring_morphisms("k[[t]]", CoeffRing(2, 64)) == 2 ** 63
+    assert count_ring_morphisms("k[[t]]", 2, 64) == 2 ** 63
     V = simple_module(catalog_presentation("qi.1"), "1")
     tracemalloc.start()
     try:
@@ -421,7 +422,7 @@ def test_conjugate_matches_matrix_polynomial_products():
                 system = ext_system(V, V)
                 for n in (2, 3, 4):
                     C = rng.integers(0, q, (3, n, system.width))
-                    gens = list(_unit_generators(V, CoeffRing(q, n)))
+                    gens = list(_unit_generators(V, n))
                     got = np.repeat(C[None], len(gens), axis=0)
                     for g, gen in enumerate(gens):
                         _conjugate(V, system.unpack(got[g]), gen, q)
@@ -590,9 +591,9 @@ def test_tree_matches_orbits_in_small_blocks(monkeypatch, q, max_len, levels,
     lengths = []
     orbit_count, conjugate = oracles._orbit_count, oracles._conjugate
 
-    def counted(V, ring, C):
+    def counted(V, C):
         lengths.append(set())
-        return orbit_count(V, ring, C)
+        return orbit_count(V, C)
 
     def spied(V, blocks, gen, q):
         lengths[-1].add(len(next(iter(blocks.values()))))

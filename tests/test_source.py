@@ -17,7 +17,6 @@ ALLOWED = {("udr", "rref")}
 PRIVATE_IMPORTS = {
     ("lifts", "homext", "_mixed_radix"),
     ("strings", "linalg", "_nonzeros"),
-    ("sweep", "udr", "_classify"),
     ("udr", "strings", "_composes"),
     ("udr", "strings", "_walk"),
 }

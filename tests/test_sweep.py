@@ -68,6 +68,22 @@ def test_summary_counts(lam0_report):
     assert summary["internal_errors"] == 0
 
 
+def test_a_census_over_budget_keeps_its_row_in_the_ledger(lam0_report):
+    # At budget 256 the census of b*c*a and a*d*b runs out, but their
+    # tangent dimension 2 still refutes the published k[[t]], so the
+    # ledger keeps the rows it has at the default budget.
+    report = sweep_catalog(max_len=3, names=[LAMBDA0], budget=256)
+    over = [row for row in report.rows if row.error is not None]
+    assert [row.word for row in over] == ["b*c*a", "a*d*b"]
+    for row in over:
+        assert (row.ring, row.tangent_dim, row.census) == ("undetermined",
+                                                           2, [])
+        assert row.agreement == "disagrees"
+    assert report.summary["disagreements"] == 8
+    assert ([item["word"] for item in report.ledger]
+            == [item["word"] for item in lam0_report.ledger])
+
+
 def test_empty_filter_gives_empty_report():
     report = sweep_catalog(max_len=3, names=[])
     assert report.rows == []

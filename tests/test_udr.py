@@ -37,6 +37,10 @@ def lam0():
     return catalog_presentation(LAMBDA0)
 
 
+def _mod(p, text, q=2):
+    return string_module(p, make_string(p, text), q)
+
+
 def _connector_map(p, text):
     w = make_string(p, text)
     return {c.letter.display(): c for c in connecting_letters(p, w)}
@@ -252,7 +256,7 @@ def test_build_sequence_builds_only_the_chain_modules(lam0, monkeypatch):
         build_sequence(wide, loop)
 
 
-def test_classify_rebuilds_no_chain_module(lam0, monkeypatch):
+def test_udr_rebuilds_no_chain_module(lam0, monkeypatch):
     # The hypotheses read each finite chain's last module off its report.
     built = []
     real = udr.string_module
@@ -264,8 +268,8 @@ def test_classify_rebuilds_no_chain_module(lam0, monkeypatch):
     monkeypatch.setattr(udr, "string_module", counted)
     for text in ("simple 1", "c*a", "a*d"):
         built.clear()
-        d = udr._classify(real(lam0, make_string(lam0, text)), 1,
-                          homext.DEFAULT_BUDGET)
+        d = udr.universal_deformation_ring(
+            real(lam0, make_string(lam0, text)), 1)
         assert d.evidence["hypotheses"], text
         chain = {w for caller, w in built if caller == "build_sequence"}
         rebuilt = {w for caller, w in built if caller != "build_sequence"}
@@ -300,7 +304,7 @@ def test_sequence_rejects_non_connector(lam0):
 
 def test_udr_simple_modules_are_dual_numbers(lam0):
     for v in ("1", "2"):
-        d = universal_deformation_ring(lam0, make_string(lam0, f"simple {v}"))
+        d = universal_deformation_ring(_mod(lam0, f"simple {v}"))
         assert d.ring == "k[[t]]/(t^2)"
         assert d.tangent_dim == 1
         assert d.paper_agreement == "agrees"
@@ -309,7 +313,7 @@ def test_udr_simple_modules_are_dual_numbers(lam0):
 
 
 def test_udr_two_letter_word_disagrees_with_published_table(lam0):
-    d = universal_deformation_ring(lam0, make_string(lam0, "c*a"))
+    d = universal_deformation_ring(_mod(lam0, "c*a"))
     assert d.ring == "k[[t]]/(t^2)"
     assert d.tangent_dim == 1
     assert d.paper_agreement == "disagrees"
@@ -320,7 +324,7 @@ def test_udr_two_letter_word_disagrees_with_published_table(lam0):
 def test_each_hypothesis_pair_reduces_one_hom_system(lam0, monkeypatch):
     # hom_dim(v_last, V) and then ext1_dim(v_last, V) share one reduction.
     reduced = _counting_hom_reductions(monkeypatch)
-    d = universal_deformation_ring(lam0, make_string(lam0, "c*a"), n_max=1)
+    d = universal_deformation_ring(_mod(lam0, "c*a"), n_max=1)
     hyps = d.evidence["hypotheses"]
     pairs = [(m, n) for m, n in reduced if m is not n]
     assert len(pairs) == len(hyps) >= 1
@@ -330,13 +334,13 @@ def test_each_hypothesis_pair_reduces_one_hom_system(lam0, monkeypatch):
 
 def test_udr_all_four_two_letter_words_close_the_same_way(lam0):
     for text in ("a*d", "d*b", "b*c"):
-        d = universal_deformation_ring(lam0, make_string(lam0, text))
+        d = universal_deformation_ring(_mod(lam0, text))
         assert d.ring == "k[[t]]/(t^2)"
         assert d.paper_agreement == "disagrees"
 
 
 def test_udr_one_letter_word_is_undetermined(lam0):
-    d = universal_deformation_ring(lam0, make_string(lam0, "c"))
+    d = universal_deformation_ring(_mod(lam0, "c"))
     assert d.ring == "undetermined"
     assert d.tangent_dim == 2
     assert d.paper_agreement == "disagrees"
@@ -345,7 +349,7 @@ def test_udr_one_letter_word_is_undetermined(lam0):
 
 
 def test_udr_three_letter_word_is_undetermined(lam0):
-    d = universal_deformation_ring(lam0, make_string(lam0, "b*c*a"))
+    d = universal_deformation_ring(_mod(lam0, "b*c*a"))
     assert d.ring == "undetermined"
     assert d.tangent_dim == 2
     assert d.paper_agreement == "disagrees"
@@ -355,7 +359,7 @@ def test_udr_three_letter_word_is_undetermined(lam0):
 
 def test_udr_power_series_case():
     p = catalog_presentation("qiv.1")
-    d = universal_deformation_ring(p, make_string(p, "simple 1"))
+    d = universal_deformation_ring(_mod(p, "simple 1"))
     assert d.ring == "k[[t]]"
     assert d.tangent_dim == 1
     assert d.paper_agreement == "agrees"
@@ -364,7 +368,7 @@ def test_udr_power_series_case():
 
 def test_udr_rigid_module_is_the_field():
     p = catalog_presentation("qiv.1")
-    d = universal_deformation_ring(p, make_string(p, "simple 2"))
+    d = universal_deformation_ring(_mod(p, "simple 2"))
     assert d.ring == "k"
     assert d.tangent_dim == 0
     assert d.paper_agreement == "agrees"
@@ -372,13 +376,13 @@ def test_udr_rigid_module_is_the_field():
 
 def test_udr_rejects_nontrivial_endomorphisms(lam0):
     with pytest.raises(ValueError) as err:
-        universal_deformation_ring(lam0, make_string(lam0, "a"))
+        universal_deformation_ring(_mod(lam0, "a"))
     assert str(err.value) == (
         "universal deformation ring not guaranteed for End(V) != k")
 
 
 def test_udr_json_shape(lam0):
-    d = universal_deformation_ring(lam0, make_string(lam0, "simple 1"))
+    d = universal_deformation_ring(_mod(lam0, "simple 1"))
     out = d.as_dict()
     assert set(out) == {"ring", "tangent_dim", "evidence", "paper_agreement"}
     assert out["ring"] == "k[[t]]/(t^2)"
@@ -387,7 +391,7 @@ def test_udr_json_shape(lam0):
 
 def test_udr_field_independence(lam0):
     for q in (2, 3, 5):
-        d = universal_deformation_ring(lam0, make_string(lam0, "c*a"), q=q)
+        d = universal_deformation_ring(_mod(lam0, "c*a", q))
         assert d.ring == "k[[t]]/(t^2)"
         assert d.evidence["census"]["census"][1] == [2, q]
 
