@@ -66,6 +66,8 @@ def _emit(args, payload: dict, markdown: str) -> None:
 
 
 def _render_census_line(census: dict) -> str:
+    if "error" in census:
+        return f"not computed ({census['error']})"
     pairs = ", ".join(f"{n} -> {c}" for n, c in census["census"])
     matched = ", ".join(census["matches"]) if census["matches"] else "none"
     return f"{pairs} (matches: {matched})"

@@ -28,21 +28,25 @@ each is built once per process and kept read-only in a module dict,
 but only up to `_TABLE_ROWS` rows; `lifts` also reads them for its
 fans.
 
-The linear engine's equations all have the form A·X + Y·B = 0 in
-unknown matrices X, Y: the intertwiners n_a·X_s - X_t·m_a = 0 for Hom,
-one per arrow a: s -> t, and the cocycles n_b·F_a + F_b·m_a = 0 for
-Ext^1, one per relation b*a.  The systems are sparse: each equation row
-holds only nonzeros of the action matrices, and `hom_dim` and
-`ext1_dim` count ranks on those sparse rows by forward elimination,
-with no back-substitution and no dense matrix.  The nonzeros come from
-each module's `FinModule.sparse_action`, which reads an action matrix
-once for every system the module enters; `hom_system` takes m's side,
--m_a, from `FinModule.negated_action`, the same entries negated once
-per module rather than once per system.  Only `hom_basis`, which
-reads the nullspace of a `linalg.Presolved`, and `modules_isomorphic`
-back-substitute: the latter searches combinations of `hom_basis` maps
-and counts the pivots of `rref` on each vertex block to test it for
-invertibility.
+The linear engine solves one cochain complex on Bardzell's paths
+(`Presentation.bardzell_paths`): vertices, arrows, relations b*a and
+overlaps g*b*a, of degrees 0 to 3.  A k-cochain h gives each degree-k
+path p_k...p_1 from s to t a block h_p: m_s -> n_t, and d^k,
+`cochain_system(m, n, k)`, has one equation A·X + Y·B = 0 per
+degree-(k+1) path:
+
+    n_(p_(k+1)) h_(p_k...p_1) + (-1)^(k+1) h_(p_(k+1)...p_2) m_(p_1) = 0.
+
+Hom is the kernel of d^0 (`hom_system`), the Ext^1 cocycles that of d^1
+(`ext_system`).  d^k's rows are laid out as d^(k+1)'s unknowns, so the
+columns of hom_system(m, n).matrix() are the unit coboundaries.  Rows
+hold only nonzeros of the actions, read once per module as
+`FinModule.sparse_action` and, negated, `FinModule.negated_action`;
+`hom_dim` and `ext1_dim` count their ranks by forward elimination alone.
+Only `hom_basis`, which reads the nullspace of a `linalg.Presolved`, and
+`modules_isomorphic` back-substitute: the latter searches combinations
+of `hom_basis` maps and counts the pivots of `rref` on each vertex block
+to test it for invertibility.
 Callers ask for Hom and then Ext^1 of one pair (End = k comes before
 the tangent space), and dim B^1 is the total vertex-map dimension less
 dim Hom, so the pair shares one Hom reduction: `hom_dim` keeps its last
@@ -50,15 +54,11 @@ answer on the source module, in the one-entry memo `FinModule._hom`,
 and `coboundary_dim` (so `ext1_dim`) and `end_is_trivial` read it
 through `hom_dim`.  Modules are immutable, so a hit needs only the same
 partner object, held weakly; nothing is kept across pairs.
-The same systems carry the first-order deformation theory of a module V
-that `lifts` builds on: the cocycle equations of ext_system(V, V) are
-the equations of each new coefficient level of a lift, and `lifts`
-reduces them once, sparse, as a `linalg.Presolved` that solves every
-level and gives the cocycle basis; it also lays out a lift's levels,
-read through its `unpack` and recorded equations.  hom_system(V, V) has
-one equation per arrow, in arrow order and the arrow's shape, so the
-columns of hom_system(V, V).matrix() are the coboundaries in that
-layout, the directions in which conjugation by 1 + t g moves a lift.
+The same complex carries the first-order deformation theory of a
+module V in `lifts`: ext_system(V, V) gives the equations of each new
+coefficient level of a lift, reduced once as a `linalg.Presolved`, and
+lays out a lift's levels; the columns of hom_system(V, V).matrix() are
+the directions in which conjugation by 1 + t g moves a lift.
 """
 
 from __future__ import annotations
@@ -87,15 +87,22 @@ def _common(m: FinModule, n: FinModule) -> tuple[Presentation, int]:
     return p, m.q
 
 
+def cochain_system(m: FinModule, n: FinModule, k: int) -> LinearSystem:
+    """d^k, for k = 0, 1, 2: one unknown per degree-k path, one equation
+    per degree-(k+1) path (see the module docstring)."""
+    p, q = _common(m, n)
+    right = m.sparse_action if k % 2 else m.negated_action
+    sys = LinearSystem(q)
+    for name, s, t in p.bardzell_paths[k][0]:
+        sys.add_unknown(name, (n.dims[t], m.dims[s]))
+    for last, x, y, first in p.bardzell_paths[k + 1][1]:
+        sys.add_equation(n.sparse_action[last], x, y, right[first])
+    return sys
+
+
 def hom_system(m: FinModule, n: FinModule) -> LinearSystem:
     """Intertwiner equations for maps m -> n, one unknown per vertex."""
-    p, q = _common(m, n)
-    sys = LinearSystem(q)
-    for v in p.quiver.vertices:
-        sys.add_unknown(v, (n.dims[v], m.dims[v]))
-    for a, s, t in p.quiver.arrows:
-        sys.add_equation(n.sparse_action[a], s, t, m.negated_action[a])
-    return sys
+    return cochain_system(m, n, 0)
 
 
 def hom_dim(m: FinModule, n: FinModule) -> int:
@@ -122,20 +129,8 @@ def end_is_trivial(m: FinModule) -> bool:
 
 
 def ext_system(m: FinModule, n: FinModule) -> LinearSystem:
-    """Cocycle equations: one unknown per arrow, one equation per relation.
-
-    A cocycle assigns f_a: m at source(a) -> n at target(a) such that
-    for every forbidden path b*a the mixed products cancel:
-    n.action[b] @ f_a + f_b @ m.action[a] = 0.
-    """
-    p, q = _common(m, n)
-    sys = LinearSystem(q)
-    for a, s, t in p.quiver.arrows:
-        sys.add_unknown(a, (n.dims[t], m.dims[s]))
-    for beta, alpha in p.relations:
-        sys.add_equation(n.sparse_action[beta], alpha, beta,
-                         m.sparse_action[alpha])
-    return sys
+    """Cocycle equations: one unknown per arrow, one equation per relation."""
+    return cochain_system(m, n, 1)
 
 
 def cocycle_dim(m: FinModule, n: FinModule) -> int:

@@ -3,14 +3,14 @@
 A lift replaces each arrow matrix by a polynomial in t whose constant
 term is the original matrix, subject to the relations holding over the
 truncated polynomial ring.  The t^k coefficients satisfy an affine
-system whose homogeneous part is independent of k: the cocycle equations
-of Ext^1(V, V), taken from `homext.ext_system`, which also lays out
-each of a lift's n coefficient levels: `LinearSystem.unpack` views them
-by arrow, and each level's cross terms are summed over the equations
-the system records.  Deformations are lifts
-up to conjugation by invertible vertex maps congruent to the identity
-mod t; at level one these move a lift by the coboundaries, read from
-`homext.hom_system`.
+system whose homogeneous part is independent of k: the cocycle
+equations of Ext^1(V, V), d^1 of `homext.cochain_system`, read as
+`homext.ext_system`, which also lays out each of a lift's n coefficient
+levels: `LinearSystem.unpack` views them by arrow, and each level's
+cross terms are summed over the equations the system records.
+Deformations are lifts up to conjugation by invertible vertex maps
+congruent to the identity mod t; at level one these move a lift by the
+coboundaries, the image of d^0, read from `homext.hom_system`.
 
 One walk, `_lift_walk`, reduces the cocycle equations once, as a
 `linalg.Presolved` of the sparse system, solves each held lift's next

@@ -105,6 +105,23 @@ class Presentation:
     def relation_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.relations)
 
+    @cached_property
+    def bardzell_paths(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Bardzell's paths of degree 0-3 (vertices, arrows, relations b*a
+        in order, overlaps g*b*a) as `homext.cochain_system` reads them:
+        entry k pairs a (name, source, target) per path, named by its
+        letters joined with "*", with a (last, head, tail, first) per path,
+        head and tail its subpaths without the last and the first letter."""
+        src, tgt, rels = self.source, self.target, self.relations
+        laps = [(g, b, a) for g, b in rels for c, a in rels if c == b]
+        arrows = self.quiver.arrows
+        return ((tuple((v, v, v) for v in self.quiver.vertices), ()),
+                (arrows, tuple((a, s, t, a) for a, s, t in arrows)),
+                (tuple((f"{b}*{a}", src(a), tgt(b)) for b, a in rels),
+                 tuple((b, a, b, a) for b, a in rels)),
+                (tuple((f"{g}*{b}*{a}", src(a), tgt(g)) for g, b, a in laps),
+                 tuple((g, f"{b}*{a}", f"{g}*{b}", a) for g, b, a in laps)))
+
     def source(self, arrow: str) -> str:
         return self.quiver.source(arrow)
 

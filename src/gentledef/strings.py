@@ -207,9 +207,9 @@ class FinModule:
     then the vertex of each basis element z_i and `local` its index
     inside that vertex's fiber, both tuples computed once per module.
     `sparse_action` holds each arrow's nonzeros as `linalg._nonzeros`
-    makes them, and `negated_action` the same entries negated, the
-    coefficients of the module's own side of a Hom system; both are
-    read-only mappings of tuples, each built on first read.
+    makes them, and `negated_action` the same entries negated, its side
+    of `homext.cochain_system` in even degree; both are read-only
+    mappings of tuples, each built on first read.
     `_hom` is `homext.hom_dim`'s one-entry memo with this module as the
     source.
     """

@@ -25,7 +25,6 @@ from .homext import (
     BudgetExceededError,
     brute_force_ext,
     end_is_trivial,
-    ext1_dim,
 )
 from .lifts import CANDIDATE_RINGS
 from .presentation import Presentation, table1_catalog
@@ -118,26 +117,19 @@ def _sweep_one(name: str, p: Presentation, w, q: int, n_max: int,
         ext_brute = brute_force_ext(V, V, budget=budget)
     except BudgetExceededError:
         ext_brute = None
-    try:
-        d = universal_deformation_ring(V, n_max, budget)
-        # The descriptor's tangent dimension is ext1_dim(V, V).
-        ring, ext_linear, agreement, error = (
-            d.ring, d.tangent_dim, d.paper_agreement, None)
-        census = d.evidence["census"]
-    except BudgetExceededError as err:
-        ring, ext_linear, error = "undetermined", ext1_dim(V, V), str(err)
-        agreement = claims.paper_agreement(p, w, ring, ext_linear)
-        census = {"census": [], "matches": []}
+    d = universal_deformation_ring(V, n_max, budget)
+    census = d.evidence["census"]
+    # The descriptor's tangent dimension is ext1_dim(V, V).
     row = SweepRow(
-        algebra=name, word=w.display(), total_dim=V.total_dim, ring=ring,
-        tangent_dim=ext_linear, ext_linear=ext_linear, ext_brute=ext_brute,
-        census=census["census"], matches=census["matches"],
-        published=claims.published_ring(p, w), agreement=agreement,
-        error=error)
-    if ext_brute is not None and ext_brute != ext_linear:
+        algebra=name, word=w.display(), total_dim=V.total_dim, ring=d.ring,
+        tangent_dim=d.tangent_dim, ext_linear=d.tangent_dim,
+        ext_brute=ext_brute, census=census["census"],
+        matches=census["matches"], published=claims.published_ring(p, w),
+        agreement=d.paper_agreement, error=census.get("error"))
+    if ext_brute is not None and ext_brute != d.tangent_dim:
         report.internal_errors.append(
             f"{name} {w.display()}: ext engines disagree "
-            f"(linear {ext_linear}, brute {ext_brute})")
+            f"(linear {d.tangent_dim}, brute {ext_brute})")
     return row
 
 

@@ -40,7 +40,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import claims
-from .homext import DEFAULT_BUDGET, end_is_trivial, ext1_dim, hom_dim
+from .homext import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    end_is_trivial,
+    ext1_dim,
+    hom_dim,
+)
 from .lifts import fingerprint
 # Unused here: perfbench/tests/test_perfbench.py
 # (test_wrappers_rebind_every_import_and_restore_the_originals) pins a
@@ -409,9 +415,9 @@ def universal_deformation_ring(V: FinModule, n_max: int = 3,
     n_max, the deepest census level F_q[t]/(t^n_max), must be positive.
     ext1_dim(V, V) reuses the End = k test's Hom reduction.  The returned
     descriptor carries the computed ring, the tangent dimension, an
-    evidence bundle (census, connecting letters, chain reports,
-    hypothesis checks), and the comparison against the published
-    classification.
+    evidence bundle (census, with its "error" if over budget, connecting
+    letters, chain reports, hypothesis checks), and the comparison
+    against the published classification.
     """
     p, w = V.presentation, V.word
     if w is None:
@@ -446,9 +452,12 @@ def universal_deformation_ring(V: FinModule, n_max: int = 3,
                     ring = f"k[[t]]/(t^{r.n_value + 1})"
                     evidence["chosen"] = r.connector.as_dict()
                     break
-    census = fingerprint(V, n_max, budget=budget)
-    evidence["census"] = census.as_dict()
-    unique = census.matches[0] if len(census.matches) == 1 else None
+    try:
+        census = fingerprint(V, n_max, budget=budget).as_dict()
+    except BudgetExceededError as err:
+        census = {"census": [], "matches": [], "error": str(err)}
+    evidence["census"] = census
+    unique = census["matches"][0] if len(census["matches"]) == 1 else None
     agreement = claims.paper_agreement(p, w, ring, tangent, unique)
     return UDRDescriptor(ring=ring, tangent_dim=tangent,
                          evidence=evidence, paper_agreement=agreement)

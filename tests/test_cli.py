@@ -110,6 +110,24 @@ def test_udr_nontrivial_end_is_rejected(capsys):
     assert "End(V) != k" in err
 
 
+def test_udr_reports_a_census_over_budget_with_its_ring(capsys):
+    # The chain certifies k[[t]] before the census runs out of budget;
+    # `census` itself has no ring to report and still fails.
+    argv = ["udr", "--catalog", "qi.1", "a", "--budget", "8"]
+    code, out = _run_json(capsys, argv)
+    assert code == 0
+    assert (out["ring"], out["paper_agreement"]) == ("k[[t]]", "agrees")
+    census = out["evidence"]["census"]
+    assert (census["census"], census["matches"]) == ([], [])
+    assert "over budget 8" in census["error"]
+    assert main(argv + ["--format", "md"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "ring: k[[t]]"
+    assert lines[4] == f"census: not computed ({census['error']})"
+    assert main(["census", "--catalog", "qi.1", "a", "--budget", "8"]) == 2
+    assert capsys.readouterr().err == f"error: {census['error']}\n"
+
+
 def test_hom_and_ext_pair_commands(capsys):
     code, out = _run_json(capsys, ["hom", "--catalog", "qviii.1",
                                    "a", "simple 1"])

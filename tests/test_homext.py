@@ -14,6 +14,7 @@ from gentledef.homext import (
     brute_force_ext,
     classify_trivial_end,
     coboundary_dim,
+    cochain_system,
     cocycle_dim,
     end_is_trivial,
     ext1_dim,
@@ -391,7 +392,7 @@ def test_oracle_shares_no_code_with_linear_engine():
     """brute_force_ext and every helper it reaches stay off linalg."""
     from gentledef import homext
     forbidden = {"LinearSystem", "rank", "rref", "nullspace", "Presolved",
-                 "solve", "ext_system", "hom_system"}
+                 "solve", "ext_system", "hom_system", "cochain_system"}
     names, seen = set(), set()
     stack = [homext.brute_force_ext.__code__]
     while stack:
@@ -661,8 +662,31 @@ def _kron_ext_matrix(m, n):
     return np.concatenate(blocks or [np.zeros((0, width), np.int64)]) % q
 
 
+def _kron_d2_matrix(m, n):
+    """cochain_system(m, n, 2).matrix() from the dense actions: each
+    overlap g*b*a of relations g*b and b*a gives n_g H_ba - H_gb m_a,
+    flattened row-major."""
+    p, q = m.presentation, m.q
+    offsets, width = {}, 0
+    for b, a in p.relations:
+        offsets[b, a] = width
+        width += n.dims[p.target(b)] * m.dims[p.source(a)]
+    blocks = []
+    for g, b in p.relations:
+        for c, a in p.relations:
+            if c != b:
+                continue
+            rows, cols = n.dims[p.target(g)], m.dims[p.source(a)]
+            block = np.zeros((rows * cols, width), dtype=np.int64)
+            h_ba = np.kron(n.action[g], np.eye(cols, dtype=np.int64))
+            h_gb = np.kron(np.eye(rows, dtype=np.int64), m.action[a].T)
+            block[:, offsets[b, a]:offsets[b, a] + h_ba.shape[1]] += h_ba
+            block[:, offsets[g, b]:offsets[g, b] + h_gb.shape[1]] -= h_gb
+            blocks.append(block)
+    return np.concatenate(blocks or [np.zeros((0, width), np.int64)]) % q
+
+
 def test_hom_and_ext_systems_match_kron_reference():
-    from gentledef.homext import ext_system, hom_system
     from gentledef.presentation import table1_catalog
     from gentledef.strings import enumerate_strings
     pairs = 0
@@ -675,17 +699,21 @@ def test_hom_and_ext_systems_match_kron_reference():
                     (m.word, n.word)
                 assert np.array_equal(ext, _kron_ext_matrix(m, n)), \
                     (m.word, n.word)
+                d2 = cochain_system(m, n, 2).matrix()
+                assert np.array_equal(d2, _kron_d2_matrix(m, n)), \
+                    (m.word, n.word)
                 pairs += 1
     assert pairs > 1000
 
 
 def test_coboundaries_satisfy_the_cocycle_equations():
-    """d^1 d^0 = 0: for every ordered pair of string modules of length at
-    most 3 from one catalog algebra, the columns of
+    """d^1 d^0 = 0 and d^2 d^1 = 0: for every ordered pair of string
+    modules of length at most 3 from one catalog algebra, the columns of
     hom_system(m, n).matrix(), the coboundaries of the unit vertex maps
     laid out as ext_system(m, n)'s unknowns (one block per arrow, in
     arrow order, as `lifts._tangent_line_reps` reads them), satisfy
-    every cocycle equation."""
+    every cocycle equation, and the columns of ext_system(m, n).matrix()
+    every equation of cochain_system(m, n, 2)."""
     pairs = 0
     for q in (2, 3, 5):
         for _, p in table1_catalog():
@@ -694,6 +722,9 @@ def test_coboundaries_satisfy_the_cocycle_equations():
                 cocycles = ext_system(m, n).matrix()
                 coboundaries = hom_system(m, n).matrix()
                 assert not (cocycles @ coboundaries % q).any(), (
+                    q, m.word.display(), n.word.display())
+                d2 = cochain_system(m, n, 2).matrix()
+                assert not (d2 @ cocycles % q).any(), (
                     q, m.word.display(), n.word.display())
                 pairs += 1
     assert pairs == 18966

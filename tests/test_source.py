@@ -163,3 +163,15 @@ def test_every_private_definition_is_read_in_the_package():
     assert {(stem, name) for stem, name in defined if name not in read} \
         == set()
     assert ("linalg", "_reduce") in defined
+
+
+def test_the_cochain_differential_has_one_owner():
+    # Every equation of every linear system is one d^k of
+    # homext.cochain_system; a second caller would be a copy of it.
+    calls = [(path.stem, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_equation"]
+    assert [stem for stem, _ in calls] == ["homext"], calls

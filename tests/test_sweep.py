@@ -84,6 +84,25 @@ def test_a_census_over_budget_keeps_its_row_in_the_ledger(lam0_report):
             == [item["word"] for item in lam0_report.ledger])
 
 
+def test_a_census_over_budget_keeps_the_ring_the_chain_certified():
+    # At budget 8 the census of qi.1's a and b runs out, but their
+    # tangent dimension 1 and the chain through the other arrow already
+    # certify k[[t]], so only the census is lost, and its error is kept.
+    report = sweep_catalog(q=2, max_len=1, names=["qi.1"], budget=8)
+    rows = {row.word: row for row in report.rows}
+    default = {row.word: row
+               for row in sweep_catalog(q=2, max_len=1, names=["qi.1"]).rows}
+    for word in ("a", "b"):
+        row = rows[word]
+        assert (row.ring, row.tangent_dim, row.agreement) == (
+            "k[[t]]", 1, "agrees")
+        assert (row.ring, row.agreement) == (default[word].ring,
+                                             default[word].agreement)
+        assert (row.census, row.matches) == ([], [])
+        assert "over budget 8" in row.error
+    assert report.internal_errors == []
+
+
 def test_empty_filter_gives_empty_report():
     report = sweep_catalog(max_len=3, names=[])
     assert report.rows == []
